@@ -24,6 +24,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import product, repeat
 
 import numpy as np
 
@@ -35,14 +36,9 @@ __all__ = [
     "SweepSpec",
     "SeriesTable",
     "parse_spec",
-    "run_nm_scan",
-    "run_corr_series",
-    "run_qfi_series",
-    "run_state_dump",
+    "run",
     "main",
 ]
-
-MODES = ("nm-scan", "corr-series", "qfi-series", "state-dump")
 
 # Default cutoff grid for nm-scan when the spec names none.
 DEFAULT_NM_GAMMA0 = (0.01, 0.1, 0.5, 1.0, 1.6, 3.0)
@@ -80,8 +76,8 @@ class SweepSpec:
     parallel: int | None = None
 
     def validate(self) -> None:
-        if self.mode not in MODES:
-            raise SpecError(f"mode: expected one of {MODES}, got {self.mode!r}")
+        if self.mode not in _MODES:
+            raise SpecError(f"mode: expected one of {tuple(_MODES)}, got {self.mode!r}")
         if not self.q_values:
             raise SpecError("q_values: must be a non-empty list")
         for q in self.q_values:
@@ -261,35 +257,35 @@ def parse_spec(path: str | None = None, mode: str | None = None, overrides: dict
 
 
 # ---------------------------------------------------------------------------
-# Per-combo workers.  Top-level functions taking plain tuples so they pickle
-# cleanly into a process pool; each returns the finished rows for one
-# (q, gamma0) combination, and combos are reassembled in grid order.
+# Per-combo workers.  Top-level functions so they pickle cleanly into a
+# process pool; each returns the finished rows for one (q, gamma0)
+# combination of the spec, and combos are reassembled in grid order.
 # ---------------------------------------------------------------------------
 
 
-def _combo_window(g0: float, t_max: float | None, n_grid: int) -> TimeWindow:
-    return TimeWindow(t_max if t_max is not None else 100.0 / g0, n_grid)
+def _combo(
+    spec: SweepSpec, q: float, g0: float
+) -> tuple[dephasing.DephasingChannel, TimeWindow]:
+    ch = dephasing.DephasingChannel(dephasing.OhmicEnvironment(q, g0), spec.b)
+    w = TimeWindow(spec.t_max if spec.t_max is not None else 100.0 / g0, spec.n_grid)
+    return ch, w
 
 
-def _nm_rows(args: tuple) -> list[tuple[float, ...]]:
-    q, g0, b, t_max, n_grid = args
-    ch = dephasing.DephasingChannel(dephasing.OhmicEnvironment(q, g0), b)
-    w = _combo_window(g0, t_max, n_grid)
+def _nm_rows(spec: SweepSpec, q: float, g0: float) -> list[tuple[float, ...]]:
+    ch, w = _combo(spec, q, g0)
     n_blp = blp(ch, w)
     n_lpp = lpp(ch, w)
     flag = 1.0 if n_blp > _FLAG_THRESHOLD else 0.0
     return [(q, g0, n_blp, n_lpp, flag)]
 
 
-def _corr_rows(args: tuple) -> list[tuple[float, ...]]:
-    q, g0, b, theta, t_max, n_grid = args
-    ch = dephasing.DephasingChannel(dephasing.OhmicEnvironment(q, g0), b)
-    w = _combo_window(g0, t_max, n_grid)
+def _corr_rows(spec: SweepSpec, q: float, g0: float) -> list[tuple[float, ...]]:
+    ch, w = _combo(spec, q, g0)
     ts = w.times()
     avals, _ = dephasing.alpha_profile(ch, ts)
     rows = []
     for t, a in zip(ts, avals):
-        s = states.evolved_x_state(theta, float(a))
+        s = states.evolved_x_state(spec.theta, float(a))
         rows.append(
             (
                 q,
@@ -306,23 +302,19 @@ def _corr_rows(args: tuple) -> list[tuple[float, ...]]:
     return rows
 
 
-def _qfi_rows(args: tuple) -> list[tuple[float, ...]]:
-    q, g0, b, theta, t_max, n_grid = args
-    ch = dephasing.DephasingChannel(dephasing.OhmicEnvironment(q, g0), b)
-    w = _combo_window(g0, t_max, n_grid)
-    samples = magnetometry.qfi_series(ch, theta, w)
+def _qfi_rows(spec: SweepSpec, q: float, g0: float) -> list[tuple[float, ...]]:
+    ch, w = _combo(spec, q, g0)
+    samples = magnetometry.qfi_series(ch, spec.theta, w)
     return [(q, g0, s.t, s.f_closed, s.f_general, s.rel_gap) for s in samples]
 
 
-def _dump_rows(args: tuple) -> list[tuple[float, ...]]:
-    q, g0, b, theta, t_max, n_grid = args
-    ch = dephasing.DephasingChannel(dephasing.OhmicEnvironment(q, g0), b)
-    w = _combo_window(g0, t_max, n_grid)
+def _dump_rows(spec: SweepSpec, q: float, g0: float) -> list[tuple[float, ...]]:
+    ch, w = _combo(spec, q, g0)
     ts = w.times()
     avals, _ = dephasing.alpha_profile(ch, ts)
     rows = []
     for t, a in zip(ts, avals):
-        m = states.evolved_x_state(theta, float(a)).matrix
+        m = states.evolved_x_state(spec.theta, float(a)).matrix
         row = [q, g0, float(t)]
         row.extend(m[i, i].real for i in range(4))
         for i in range(4):
@@ -340,85 +332,46 @@ _DUMP_COLUMNS = ("rho11", "rho22", "rho33", "rho44") + tuple(
     for part in ("re", "im")
 )
 
-_RUNNER_TABLE = {
+# mode -> (per-combo worker, table columns, subcommand help)
+_MODES = {
     "nm-scan": (
         _nm_rows,
         ("q", "gamma0", "n_blp", "n_lpp", "critical_flag"),
-        False,
+        "non-Markovianity measures over a (Q, gamma0) grid",
     ),
     "corr-series": (
         _corr_rows,
         ("q", "gamma0", "t", "alpha", "concurrence", "discord", "lqu", "tnd", "coherence_l1"),
-        True,
+        "correlation measures along a time grid",
     ),
     "qfi-series": (
         _qfi_rows,
         ("q", "gamma0", "t", "f_closed", "f_general", "rel_gap"),
-        True,
+        "quantum Fisher information along a time grid",
     ),
     "state-dump": (
         _dump_rows,
         ("q", "gamma0", "t") + _DUMP_COLUMNS,
-        True,
+        "full evolved two-qubit state along a time grid",
     ),
 }
 
 
-def _run_mode(spec: SweepSpec) -> SeriesTable:
+def run(spec: SweepSpec) -> SeriesTable:
+    """The table of ``spec``'s mode: its rows for every (Q, gamma0)
+    combination, in grid order whatever the number of worker processes."""
     spec.validate()
-    worker, columns, takes_theta = _RUNNER_TABLE[spec.mode]
-    payloads = []
-    for q in spec.q_values:
-        for g0 in spec.gamma0_values:
-            if takes_theta:
-                payloads.append((q, g0, spec.b, spec.theta, spec.t_max, spec.n_grid))
-            else:
-                payloads.append((q, g0, spec.b, spec.t_max, spec.n_grid))
-    n_workers = spec.parallel if spec.parallel is not None else 1
-    if n_workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=min(n_workers, len(payloads))) as pool:
-            chunks = list(pool.map(worker, payloads))
+    worker, columns, _ = _MODES[spec.mode]
+    qs, g0s = zip(*product(spec.q_values, spec.gamma0_values))
+    n_workers = min(spec.parallel or 1, len(qs))
+    if n_workers > 1:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            chunks = list(pool.map(worker, repeat(spec), qs, g0s))
     else:
-        chunks = [worker(p) for p in payloads]
+        chunks = list(map(worker, repeat(spec), qs, g0s))
     rows = tuple(row for chunk in chunks for row in chunk)
     meta = {"spec": spec.echo_dict(), "format": spec.format}
     return SeriesTable(columns=columns, rows=rows, meta=meta)
-
-
-def run_nm_scan(spec: SweepSpec) -> SeriesTable:
-    """Non-Markovianity measures for every (Q, gamma0) combination."""
-    if spec.mode != "nm-scan":
-        raise SpecError(f"mode: expected 'nm-scan', got {spec.mode!r}")
-    return _run_mode(spec)
-
-
-def run_corr_series(spec: SweepSpec) -> SeriesTable:
-    """Correlation measures along the time grid for every combination."""
-    if spec.mode != "corr-series":
-        raise SpecError(f"mode: expected 'corr-series', got {spec.mode!r}")
-    return _run_mode(spec)
-
-
-def run_qfi_series(spec: SweepSpec) -> SeriesTable:
-    """Both QFI routes along the time grid for every combination."""
-    if spec.mode != "qfi-series":
-        raise SpecError(f"mode: expected 'qfi-series', got {spec.mode!r}")
-    return _run_mode(spec)
-
-
-def run_state_dump(spec: SweepSpec) -> SeriesTable:
-    """Full evolved state entries along the time grid for every combination."""
-    if spec.mode != "state-dump":
-        raise SpecError(f"mode: expected 'state-dump', got {spec.mode!r}")
-    return _run_mode(spec)
-
-
-_RUNNERS = {
-    "nm-scan": run_nm_scan,
-    "corr-series": run_corr_series,
-    "qfi-series": run_qfi_series,
-    "state-dump": run_state_dump,
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -427,14 +380,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Sweep driver for topological-qubit dephasing tables.",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    help_by_mode = {
-        "nm-scan": "non-Markovianity measures over a (Q, gamma0) grid",
-        "corr-series": "correlation measures along a time grid",
-        "qfi-series": "quantum Fisher information along a time grid",
-        "state-dump": "full evolved two-qubit state along a time grid",
-    }
-    for mode in MODES:
-        p = sub.add_parser(mode, help=help_by_mode[mode])
+    for mode, (_, _, help_text) in _MODES.items():
+        p = sub.add_parser(mode, help=help_text)
         p.add_argument("--spec", help="JSON spec file; flags override its values")
         p.add_argument("--q", nargs="+", type=float, help="spectral exponents Q")
         p.add_argument("--gamma0", nargs="+", type=float, help="cutoff rates gamma0")
@@ -466,7 +413,7 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.monotonic()
     try:
         spec = parse_spec(path=args.spec, mode=args.mode, overrides=overrides)
-        table = _RUNNERS[spec.mode](spec)
+        table = run(spec)
         if spec.output_path:
             with open(spec.output_path, "w", encoding="utf-8", newline="") as fh:
                 table.write(fh)

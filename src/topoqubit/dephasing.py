@@ -86,7 +86,7 @@ class DephasingChannel:
     @property
     def beta_abs(self) -> float:
         """|beta| = 4 pi / (Gamma(Q+1) gamma0^(Q+1))."""
-        return 4.0 * math.pi / (math.gamma(self.env.q + 1.0) * self.env.gamma0 ** (self.env.q + 1.0))
+        return -beta(self.env)
 
 
 def beta(env: OhmicEnvironment) -> float:

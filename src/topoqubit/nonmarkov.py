@@ -10,11 +10,11 @@ signal over a time window:
 * CB: coherence backflow of the evolved Bell-like family at angle theta.
 
 For this channel family every witness is a strictly increasing function of
-alpha, so revival intervals coincide across measures; interval detection is
-therefore shared (located on d(alpha^2)/dt) and only the telescoped values
-differ.  All measures vanish identically for spectral exponents Q <= 2 and a
-revival requires Q > 2 plus a field weak enough that the coherence floor
-stays representable.
+alpha, so revival intervals coincide across measures.  They are located once
+per channel and window (on d(alpha^2)/dt) and cached; each witness only
+telescopes its own function of alpha over them.  All measures vanish
+identically for spectral exponents Q <= 2 and a revival requires Q > 2 plus a
+field weak enough that the coherence floor stays representable.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ __all__ = [
 
 # A measure below this threshold counts as Markovian in scans.
 _FIRING_THRESHOLD = 1e-10
+
+_TRUNCATED = "derivative still positive at t_max; a revival is truncated by the window"
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,23 +103,23 @@ def _bisect_sign_change(g, lo: float, hi: float, sign_lo: float, tol: float) -> 
     return 0.5 * (lo + hi)
 
 
-def _variation_from_grid(
+def _rising_intervals(
     ts: np.ndarray,
     d_grid: np.ndarray,
-    f,
     dfdt,
     refine_tol: float,
-) -> tuple[float, tuple[tuple[float, float], ...]]:
-    """Positive variation of f from grid samples of its derivative.
+) -> tuple[tuple[tuple[float, float], ...], bool]:
+    """Intervals on which a signal increases, from grid samples of its derivative.
 
-    Sign changes of ``d_grid`` are refined by bisection on the scalar ``dfdt``;
-    the variation telescopes to sum f(end) - f(start) over intervals of
-    positive derivative.  Exact zeros on the grid carry no sign and are
-    skipped when locating changes.
+    Sign changes of ``d_grid`` are refined by bisection on the scalar ``dfdt``.
+    Exact zeros on the grid carry no sign and are skipped when locating
+    changes.  The flag is True when the derivative is still positive at the
+    window end, i.e. the last interval is cut off by the window.
     """
     signs = np.sign(d_grid)
     nz = np.flatnonzero(signs)
     intervals: list[tuple[float, float]] = []
+    truncated = False
     if nz.size:
         cur_start = float(ts[0]) if signs[nz[0]] > 0 else None
         prev = nz[0]
@@ -134,17 +136,8 @@ def _variation_from_grid(
             prev = cur
         if cur_start is not None:
             intervals.append((cur_start, float(ts[-1])))
-            if d_grid[-1] > 0.0:
-                warnings.warn(
-                    "derivative still positive at t_max; a revival is truncated "
-                    "by the window",
-                    HorizonWarning,
-                    stacklevel=3,
-                )
-    value = 0.0
-    for a, b in intervals:
-        value += f(b) - f(a)
-    return value, tuple(intervals)
+            truncated = bool(d_grid[-1] > 0.0)
+    return tuple(intervals), truncated
 
 
 def positive_variation(f, dfdt, w: TimeWindow) -> tuple[float, tuple[tuple[float, float], ...]]:
@@ -152,7 +145,9 @@ def positive_variation(f, dfdt, w: TimeWindow) -> tuple[float, tuple[tuple[float
 
     ``f`` and ``dfdt`` are callables of time; ``dfdt`` may accept an ndarray
     (used for the grid scan) or be scalar-only, in which case the grid is
-    evaluated pointwise.  Returns (variation, intervals of increase).
+    evaluated pointwise.  The variation telescopes to the sum of
+    f(end) - f(start) over the intervals of positive derivative.  Returns
+    (variation, intervals of increase).
     """
     ts = w.times()
     try:
@@ -161,7 +156,13 @@ def positive_variation(f, dfdt, w: TimeWindow) -> tuple[float, tuple[tuple[float
             raise TypeError
     except (TypeError, ValueError):
         d_grid = np.array([float(dfdt(float(t))) for t in ts])
-    return _variation_from_grid(ts, d_grid, f, dfdt, w.refine_tol)
+    intervals, truncated = _rising_intervals(ts, d_grid, dfdt, w.refine_tol)
+    if truncated:
+        warnings.warn(_TRUNCATED, HorizonWarning, stacklevel=2)
+    value = 0.0
+    for a, b in intervals:
+        value += f(b) - f(a)
+    return value, intervals
 
 
 @lru_cache(maxsize=128)
@@ -191,52 +192,48 @@ def _profile(
     )
 
 
-def _alpha_slope(ch: dephasing.DephasingChannel, opts: EvalOptions):
-    # d(alpha^2)/dt as a scalar callable; shared sign oracle for all measures.
-    def g(t: float) -> float:
-        return 2.0 * dephasing.alpha(ch, t, opts) * dephasing.dalpha_dt(ch, t, opts)
+@lru_cache(maxsize=128)
+def _revival(
+    ch: dephasing.DephasingChannel, w: TimeWindow
+) -> tuple[tuple[tuple[float, float], ...], tuple[tuple[float, float], ...], bool]:
+    """Revival intervals of alpha over the window, alpha at their ends, and
+    whether the last interval is cut off by the window.
 
-    return g
+    Sign changes are located on d(alpha^2)/dt, sampled on the cached profile
+    and refined with the scalar kernel.  Every witness is a strictly
+    increasing function of alpha, so all three share this one search.
+    """
+    ts, avals, davals = _profile(ch, w, DEFAULT_OPTIONS)
+
+    def slope(t: float) -> float:
+        return 2.0 * dephasing.alpha(ch, t) * dephasing.dalpha_dt(ch, t)
+
+    intervals, truncated = _rising_intervals(ts, 2.0 * avals * davals, slope, w.refine_tol)
+    ends = tuple((dephasing.alpha(ch, a), dephasing.alpha(ch, b)) for a, b in intervals)
+    return intervals, ends, truncated
 
 
-def _blp_with_intervals(
-    ch: dephasing.DephasingChannel, w: TimeWindow, opts: EvalOptions = DEFAULT_OPTIONS
-) -> tuple[float, tuple[tuple[float, float], ...]]:
-    ts, avals, davals = _profile(ch, w, opts)
-    d_grid = 2.0 * avals * davals
-
-    def f(t: float) -> float:
-        return dephasing.alpha(ch, t, opts) ** 2
-
-    return _variation_from_grid(ts, d_grid, f, _alpha_slope(ch, opts), w.refine_tol)
+def _backflow(ch: dephasing.DephasingChannel, w: TimeWindow, g) -> float:
+    # Positive variation of g(alpha(t)) for a strictly increasing g.
+    _, ends, truncated = _revival(ch, w)
+    if truncated:
+        warnings.warn(_TRUNCATED, HorizonWarning, stacklevel=3)
+    value = 0.0
+    for a_start, a_end in ends:
+        value += g(a_end) - g(a_start)
+    return value
 
 
 def blp(ch: dephasing.DephasingChannel, w: TimeWindow) -> float:
     """Information-backflow measure: positive variation of the trace distance
     of the antipodal pole pair, which dephasing sends to alpha(t)^2."""
-    value, _ = _blp_with_intervals(ch, w)
-    return value
+    return _backflow(ch, w, lambda a: a**2)
 
 
 def lpp(ch: dephasing.DephasingChannel, w: TimeWindow) -> float:
     """Volume-backflow measure: positive variation of |det M(t)| with M the
-    generically assembled Bloch affine map.
-
-    |det M| is a strictly increasing function of alpha for this family, so
-    its extrema coincide with those of alpha; sign changes are located on
-    d(alpha^2)/dt and only the telescoped values use the generic determinant.
-    """
-    ts, avals, davals = _profile(ch, w, DEFAULT_OPTIONS)
-    d_grid = 2.0 * avals * davals
-
-    def f(t: float) -> float:
-        a = dephasing.alpha(ch, t)
-        return abs(states.bloch_affine_map(a).det)
-
-    value, _ = _variation_from_grid(
-        ts, d_grid, f, _alpha_slope(ch, DEFAULT_OPTIONS), w.refine_tol
-    )
-    return value
+    generically assembled Bloch affine map."""
+    return _backflow(ch, w, lambda a: abs(states.bloch_affine_map(a).det))
 
 
 def cb(theta: float, ch: dephasing.DephasingChannel, w: TimeWindow) -> float:
@@ -246,20 +243,9 @@ def cb(theta: float, ch: dephasing.DephasingChannel, w: TimeWindow) -> float:
         raise DomainError(f"theta must lie in [0, pi], got {theta}")
     from . import correlations
 
-    ts, avals, davals = _profile(ch, w, DEFAULT_OPTIONS)
-    sin_t = math.sin(theta)
-    d_grid = sin_t * (2.0 * avals * davals)
-    base_slope = _alpha_slope(ch, DEFAULT_OPTIONS)
-
-    def f(t: float) -> float:
-        a = dephasing.alpha(ch, t)
-        return correlations.coherence_l1(states.evolved_x_state(theta, a))
-
-    def g(t: float) -> float:
-        return sin_t * base_slope(t)
-
-    value, _ = _variation_from_grid(ts, d_grid, f, g, w.refine_tol)
-    return value
+    return _backflow(
+        ch, w, lambda a: correlations.coherence_l1(states.evolved_x_state(theta, a))
+    )
 
 
 def blp_pair_scan(
@@ -269,13 +255,21 @@ def blp_pair_scan(
 
     Each pair (n, -n) is evolved through the generic single-qubit channel and
     the discrete positive variation of their trace distance accumulated on the
-    grid.  Returns ((theta, phi) of the best axis, its variation).  The polar
-    pair theta = 0 is optimal for pure dephasing; the scan verifies rather
-    than assumes that.
+    grid.  Returns ((theta, phi) of the best axis, its variation).
+
+    Dephasing sends the pair at polar angle theta to the trace distance
+    sqrt(alpha^4 cos^2 theta + alpha^2 sin^2 theta): alpha^2 for the polar
+    pair, alpha for an equatorial one.  Over a revival from alpha_0 to
+    alpha_1 the polar pair gains more only if alpha_0 + alpha_1 > 1, so the
+    winning axis depends on where alpha revives: at Q = 3, gamma0 = 1.6,
+    B = 1 the equatorial pair's variation is about 19 times the polar one.
     """
     if n_angles < 2:
         raise DomainError(f"n_angles must be >= 2, got {n_angles}")
     ts, avals, _ = _profile(ch, w, DEFAULT_OPTIONS)
+    # Fully dephased points (alpha = 0) send both members to I/2.
+    live = avals != 0.0
+    a_live = avals[live]
     thetas = np.linspace(0.0, 0.5 * math.pi, n_angles)
     phis = np.linspace(0.0, math.pi, n_angles, endpoint=False)
     best_val = -1.0
@@ -288,16 +282,14 @@ def blp_pair_scan(
             nvec = nx * states.PAULIS[0] + ny * states.PAULIS[1] + nz * states.PAULIS[2]
             r_plus = states.DensityMatrix2(0.5 * (np.eye(2) + nvec))
             r_minus = states.DensityMatrix2(0.5 * (np.eye(2) - nvec))
-            dist = np.empty(ts.shape)
-            for i, a in enumerate(avals):
-                if a == 0.0:
-                    # Fully dephased: both members collapse to I/2.
-                    dist[i] = 0.0
-                    continue
-                dist[i] = states.trace_distance(
-                    states.evolve_single(r_plus, float(a)),
-                    states.evolve_single(r_minus, float(a)),
-                )
+            # Both members along the whole grid at once, through the
+            # evolve_single formula and its validation.
+            plus = states._dephase(r_plus.matrix, a_live)
+            minus = states._dephase(r_minus.matrix, a_live)
+            states._check_density(plus)
+            states._check_density(minus)
+            dist = np.zeros(ts.shape)
+            dist[live] = 0.5 * np.abs(np.linalg.eigvalsh(plus - minus)).sum(axis=-1)
             val = float(np.clip(np.diff(dist), 0.0, None).sum())
             if val > best_val:
                 best_val = val
@@ -344,10 +336,10 @@ def critical_q_scan(
 def nm_report(
     ch: dephasing.DephasingChannel, w: TimeWindow, theta: float = 0.5 * math.pi
 ) -> NonMarkovReport:
-    """Evaluate all three witnesses plus revival intervals in one pass."""
-    n_blp, intervals = _blp_with_intervals(ch, w)
+    """Evaluate all three witnesses plus revival intervals from one search."""
+    intervals, _, _ = _revival(ch, w)
     return NonMarkovReport(
-        n_blp=n_blp,
+        n_blp=blp(ch, w),
         n_lpp=lpp(ch, w),
         n_cb=cb(theta, ch, w),
         revival_intervals=intervals,

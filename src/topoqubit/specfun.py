@@ -100,33 +100,64 @@ def gamma(x: float) -> float:
     return math.gamma(x)
 
 
-def _series_1f1(a: float, b: float, z: float, opts: EvalOptions) -> tuple[float, int]:
-    """Kahan-summed Kummer series; returns (total, n2) meaning total * 2**n2."""
-    total = 1.0
-    term = 1.0
+def _series(ratio, first: float, kmin: float, opts: EvalOptions, describe) -> tuple[float, int]:
+    """Kahan-summed ratio series: term_0 = ``first``, term_{k+1} = term_k * ratio(k).
+
+    Stops once two consecutive terms drop below ``rel_tol`` times the running
+    sum and k >= ``kmin``.  Returns (total, n2) meaning total * 2**n2.
+    ``describe()`` names the series in the error raised when the term budget
+    runs out; it is a callable so that no message is formatted otherwise.
+    """
+    rel_tol = opts.rel_tol
+    total = first
+    term = first
     comp = 0.0
     n2 = 0
     small_run = 0
     for k in range(opts.max_terms):
-        term *= (a + k) * z / ((b + k) * (k + 1.0))
+        term *= ratio(k)
         y = term - comp
         s = total + y
         comp = (s - total) - y
         total = s
-        if abs(term) <= opts.rel_tol * abs(total):
+        abs_term = abs(term)
+        abs_total = abs(total)
+        if abs_term <= rel_tol * abs_total:
             small_run += 1
-            if small_run >= 2:
+            if small_run >= 2 and k >= kmin:
                 return total, n2
         else:
             small_run = 0
-        if abs(total) > _RESCALE_LIMIT or abs(term) > _RESCALE_LIMIT:
+        if abs_total > _RESCALE_LIMIT or abs_term > _RESCALE_LIMIT:
             total = math.ldexp(total, -_RESCALE_BITS)
             term = math.ldexp(term, -_RESCALE_BITS)
             comp = math.ldexp(comp, -_RESCALE_BITS)
             n2 += _RESCALE_BITS
     raise ConvergenceError(
-        f"1F1 series for (a={a}, b={b}, z={z}) did not reach rel_tol="
-        f"{opts.rel_tol} within {opts.max_terms} terms"
+        f"{describe()} did not reach rel_tol={opts.rel_tol} within {opts.max_terms} terms"
+    )
+
+
+# Term ratios term_{k+1} / term_k of the summed series.  Each accepts a float
+# or an ndarray z, so the scalar and the array loop share one formula.
+
+
+def _kummer_ratio(a: float, b: float, z):
+    return lambda k: (a + k) * z / ((b + k) * (k + 1.0))
+
+
+def _f22_ratio(z):
+    return lambda k: (1.0 + k) * z / ((1.5 + k) * (2.0 + k))
+
+
+def _df22_ratio(z):
+    # Term-wise derivative of 2F2: (1/3) 2F2({2,2};{5/2,3};z).
+    return lambda k: (2.0 + k) * (2.0 + k) * z / ((2.5 + k) * (3.0 + k) * (1.0 + k))
+
+
+def _series_1f1(a: float, b: float, z: float, opts: EvalOptions) -> tuple[float, int]:
+    return _series(
+        _kummer_ratio(a, b, z), 1.0, 0.0, opts, lambda: f"1F1 series for (a={a}, b={b}, z={z})"
     )
 
 
@@ -166,30 +197,6 @@ def dhyp1f1_dz(a: float, b: float, z: float, opts: EvalOptions = DEFAULT_OPTIONS
     """d/dz of M(a;b;z) via the contiguous relation dM/dz = (a/b) M(a+1;b+1;z)."""
     _require_no_pole(b, ParameterError, "b")
     return (a / b) * hyp1f1(a + 1.0, b + 1.0, z, opts)
-
-
-def _f22_direct(z: float, opts: EvalOptions) -> float:
-    # Alternating series, safe for |z| <= _F22_DIRECT_LIMIT.
-    total = 1.0
-    term = 1.0
-    comp = 0.0
-    small_run = 0
-    for k in range(opts.max_terms):
-        term *= (1.0 + k) * z / ((1.5 + k) * (2.0 + k))
-        y = term - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        if abs(term) <= opts.rel_tol * abs(total):
-            small_run += 1
-            if small_run >= 2 and k >= abs(z):
-                return total
-        else:
-            small_run = 0
-    raise ConvergenceError(
-        f"2F2 series at z={z} did not reach rel_tol={opts.rel_tol} "
-        f"within {opts.max_terms} terms"
-    )
 
 
 def _f22_resummed(u: float, opts: EvalOptions) -> float:
@@ -239,32 +246,10 @@ def hyp2f2_11_32_2(z: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
     if z == 0.0:
         return 1.0
     if z >= -_F22_DIRECT_LIMIT:
-        return _f22_direct(z, opts)
+        # Alternating series, safe for |z| <= _F22_DIRECT_LIMIT.
+        total, _ = _series(_f22_ratio(z), 1.0, abs(z), opts, lambda: f"2F2 series at z={z}")
+        return total
     return _f22_resummed(-z, opts)
-
-
-def _df22_direct(z: float, opts: EvalOptions) -> float:
-    # Term-wise derivative: (1/3) 2F2({2,2};{5/2,3};z), summed directly.
-    total = 1.0 / 3.0
-    term = 1.0 / 3.0
-    comp = 0.0
-    small_run = 0
-    for k in range(opts.max_terms):
-        term *= (2.0 + k) * (2.0 + k) * z / ((2.5 + k) * (3.0 + k) * (1.0 + k))
-        y = term - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        if abs(term) <= opts.rel_tol * abs(total):
-            small_run += 1
-            if small_run >= 2 and k >= abs(z):
-                return total
-        else:
-            small_run = 0
-    raise ConvergenceError(
-        f"2F2 derivative series at z={z} did not converge within "
-        f"{opts.max_terms} terms"
-    )
 
 
 def dhyp2f2_11_32_2_dz(z: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
@@ -279,7 +264,10 @@ def dhyp2f2_11_32_2_dz(z: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
     if z == 0.0:
         return 1.0 / 3.0
     if z >= -_F22_DIRECT_LIMIT:
-        return _df22_direct(z, opts)
+        total, _ = _series(
+            _df22_ratio(z), 1.0 / 3.0, abs(z), opts, lambda: f"2F2 derivative series at z={z}"
+        )
+        return total
     u = -z
     return _f22_resummed(u, opts) / u - dawson(math.sqrt(u)) / u**1.5
 
@@ -314,30 +302,37 @@ def dawson(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized counterparts used by the dense-profile evaluator.  Identical
+# Vectorized counterparts used by the dense-profile evaluator.  The same
 # algorithms, elementwise over a numpy array of nonpositive arguments; term
 # rescaling is applied per element so small-|z| entries are never squashed.
+# They share only the term ratios with the scalar loops above, which serve
+# bisection and check this path's loop, stopping and branch assembly.
 # ---------------------------------------------------------------------------
 
 
-def _series_1f1_array(
-    a: float, b: float, z: np.ndarray, opts: EvalOptions
+def _series_array(
+    ratio, first: np.ndarray, kmin: float, opts: EvalOptions, describe
 ) -> tuple[np.ndarray, np.ndarray]:
-    total = np.ones_like(z)
-    term = np.ones_like(z)
-    comp = np.zeros_like(z)
-    n2 = np.zeros(z.shape, dtype=np.int64)
-    done = np.zeros(z.shape, dtype=bool)
-    small_prev = np.zeros(z.shape, dtype=bool)
+    """Elementwise :func:`_series` with initial terms ``first``.
+
+    An element is done once two consecutive terms are small; the loop stops
+    when every element is done and k >= ``kmin``.
+    """
+    total = first
+    term = first.copy()
+    comp = np.zeros_like(first)
+    n2 = np.zeros(first.shape, dtype=np.int64)
+    done = np.zeros(first.shape, dtype=bool)
+    small_prev = np.zeros(first.shape, dtype=bool)
     for k in range(opts.max_terms):
-        term = term * ((a + k) * z / ((b + k) * (k + 1.0)))
+        term = term * ratio(k)
         y = term - comp
         s = total + y
         comp = (s - total) - y
         total = s
         small = np.abs(term) <= opts.rel_tol * np.abs(total)
         done |= small & small_prev
-        if done.all():
+        if done.all() and k >= kmin:
             return total, n2
         small_prev = small
         big = (np.abs(total) > _RESCALE_LIMIT) | (np.abs(term) > _RESCALE_LIMIT)
@@ -347,8 +342,19 @@ def _series_1f1_array(
             comp[big] = np.ldexp(comp[big], -_RESCALE_BITS)
             n2[big] += _RESCALE_BITS
     raise ConvergenceError(
-        f"vectorized 1F1 series (a={a}, b={b}) did not converge within "
-        f"{opts.max_terms} terms; worst |z|={np.abs(z).max():g}"
+        f"vectorized {describe()} did not converge within {opts.max_terms} terms"
+    )
+
+
+def _series_1f1_array(
+    a: float, b: float, z: np.ndarray, opts: EvalOptions
+) -> tuple[np.ndarray, np.ndarray]:
+    return _series_array(
+        _kummer_ratio(a, b, z),
+        np.ones_like(z),
+        0.0,
+        opts,
+        lambda: f"1F1 series (a={a}, b={b}); worst |z|={np.abs(z).max():g}",
     )
 
 
@@ -375,29 +381,6 @@ def _hyp1f1_array(a: float, b: float, z: np.ndarray, opts: EvalOptions) -> np.nd
             )
         out[far] = vals
     return out
-
-
-def _f22_direct_array(z: np.ndarray, opts: EvalOptions) -> np.ndarray:
-    total = np.ones_like(z)
-    term = np.ones_like(z)
-    comp = np.zeros_like(z)
-    done = np.zeros(z.shape, dtype=bool)
-    small_prev = np.zeros(z.shape, dtype=bool)
-    kmin = float(np.abs(z).max())
-    for k in range(opts.max_terms):
-        term = term * ((1.0 + k) * z / ((1.5 + k) * (2.0 + k)))
-        y = term - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        small = np.abs(term) <= opts.rel_tol * np.abs(total)
-        done |= small & small_prev
-        if done.all() and k >= kmin:
-            return total
-        small_prev = small
-    raise ConvergenceError(
-        f"vectorized 2F2 series did not converge within {opts.max_terms} terms"
-    )
 
 
 def _f22_resummed_array(u: np.ndarray, opts: EvalOptions) -> np.ndarray:
@@ -430,35 +413,14 @@ def _hyp2f2_array(z: np.ndarray, opts: EvalOptions) -> np.ndarray:
     out = np.ones_like(z)
     near = (z < 0.0) & (z >= -_F22_DIRECT_LIMIT)
     if near.any():
-        out[near] = _f22_direct_array(z[near], opts)
+        zn = z[near]
+        out[near], _ = _series_array(
+            _f22_ratio(zn), np.ones_like(zn), float(np.abs(zn).max()), opts, lambda: "2F2 series"
+        )
     far = z < -_F22_DIRECT_LIMIT
     if far.any():
         out[far] = _f22_resummed_array(-z[far], opts)
     return out
-
-
-def _df22_direct_array(z: np.ndarray, opts: EvalOptions) -> np.ndarray:
-    total = np.full_like(z, 1.0 / 3.0)
-    term = np.full_like(z, 1.0 / 3.0)
-    comp = np.zeros_like(z)
-    done = np.zeros(z.shape, dtype=bool)
-    small_prev = np.zeros(z.shape, dtype=bool)
-    kmin = float(np.abs(z).max())
-    for k in range(opts.max_terms):
-        term = term * ((2.0 + k) * (2.0 + k) * z / ((2.5 + k) * (3.0 + k) * (1.0 + k)))
-        y = term - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        small = np.abs(term) <= opts.rel_tol * np.abs(total)
-        done |= small & small_prev
-        if done.all() and k >= kmin:
-            return total
-        small_prev = small
-    raise ConvergenceError(
-        f"vectorized 2F2 derivative series did not converge within "
-        f"{opts.max_terms} terms"
-    )
 
 
 def _dhyp2f2_array(z: np.ndarray, opts: EvalOptions) -> np.ndarray:
@@ -467,7 +429,14 @@ def _dhyp2f2_array(z: np.ndarray, opts: EvalOptions) -> np.ndarray:
     out = np.full_like(z, 1.0 / 3.0)
     near = (z < 0.0) & (z >= -_F22_DIRECT_LIMIT)
     if near.any():
-        out[near] = _df22_direct_array(z[near], opts)
+        zn = z[near]
+        out[near], _ = _series_array(
+            _df22_ratio(zn),
+            np.full_like(zn, 1.0 / 3.0),
+            float(np.abs(zn).max()),
+            opts,
+            lambda: "2F2 derivative series",
+        )
     far = z < -_F22_DIRECT_LIMIT
     if far.any():
         u = -z[far]

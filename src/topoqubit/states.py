@@ -41,21 +41,27 @@ _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 PAULIS = (_SX, _SY, _SZ)
 
 
-def _validated_density(matrix: np.ndarray, dim: int) -> np.ndarray:
-    m = np.asarray(matrix, dtype=np.complex128)
-    if m.shape != (dim, dim):
-        raise DomainError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
+def _check_density(m: np.ndarray) -> None:
+    # Raise unless every matrix of the stack m (..., d, d) is finite,
+    # Hermitian, of unit trace and positive semidefinite.
     if not np.isfinite(m).all():
         raise DomainError("density matrix entries must be finite")
-    herm_defect = float(np.abs(m - m.conj().T).max())
+    herm_defect = float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
     if herm_defect > _ATOL:
         raise DomainError(f"matrix is not Hermitian (defect {herm_defect:.3e} > {_ATOL})")
-    tr_defect = abs(complex(np.trace(m)) - 1.0)
+    tr_defect = float(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0).max())
     if tr_defect > _ATOL:
         raise DomainError(f"trace deviates from 1 by {tr_defect:.3e} > {_ATOL}")
     lam_min = float(np.linalg.eigvalsh(m).min())
     if lam_min < -_ATOL:
         raise DomainError(f"matrix has negative eigenvalue {lam_min:.3e} < -{_ATOL}")
+
+
+def _validated_density(matrix: np.ndarray, dim: int) -> np.ndarray:
+    m = np.asarray(matrix, dtype=np.complex128)
+    if m.shape != (dim, dim):
+        raise DomainError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
+    _check_density(m)
     out = m.copy()
     out.setflags(write=False)
     return out
@@ -150,22 +156,29 @@ class BlochAffineMap:
         return float(np.linalg.det(self.m))
 
 
+def _dephase(r: np.ndarray, a) -> np.ndarray:
+    # Single-qubit channel formula, broadcast over an array of factors ``a``;
+    # returns the unvalidated images, shape a.shape + (2, 2).
+    a = np.asarray(a, dtype=np.float64)
+    ok = (0.0 < a) & (a <= 1.0)
+    if not ok.all():
+        raise DomainError(f"coherence factor must lie in (0, 1], got {a[~ok].flat[0]}")
+    a2 = a * a
+    out = np.empty(a.shape + (2, 2), dtype=np.complex128)
+    out[..., 0, 0] = 0.5 * (1.0 + (2.0 * r[0, 0].real - 1.0) * a2)
+    out[..., 1, 1] = 0.5 * (1.0 + (2.0 * r[1, 1].real - 1.0) * a2)
+    out[..., 0, 1] = a * r[0, 1]
+    out[..., 1, 0] = np.conj(out[..., 0, 1])
+    return out
+
+
 def evolve_single(rho0: DensityMatrix2, a: float) -> DensityMatrix2:
     """Apply the single-qubit dephasing channel with coherence factor ``a``.
 
     Populations relax toward 1/2 with weight a^2, the coherence scales by a:
         rho'_00 = (1 + (2 rho_00 - 1) a^2) / 2,   rho'_01 = a rho_01.
     """
-    if not (0.0 < a <= 1.0):
-        raise DomainError(f"coherence factor must lie in (0, 1], got {a}")
-    r = rho0.matrix
-    a2 = a * a
-    out = np.empty((2, 2), dtype=np.complex128)
-    out[0, 0] = 0.5 * (1.0 + (2.0 * r[0, 0].real - 1.0) * a2)
-    out[1, 1] = 0.5 * (1.0 + (2.0 * r[1, 1].real - 1.0) * a2)
-    out[0, 1] = a * r[0, 1]
-    out[1, 0] = np.conj(out[0, 1])
-    return DensityMatrix2(out)
+    return DensityMatrix2(_dephase(rho0.matrix, a))
 
 
 def evolve_pair(rho0: DensityMatrix4, a: float) -> DensityMatrix4:

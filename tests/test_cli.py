@@ -16,9 +16,10 @@ import pytest
 from topoqubit import SpecError, __version__
 from topoqubit.cli import (
     DEFAULT_NM_GAMMA0,
+    SweepSpec,
     main,
     parse_spec,
-    run_corr_series,
+    run,
 )
 
 pytestmark = pytest.mark.filterwarnings("ignore::topoqubit.HorizonWarning")
@@ -78,9 +79,9 @@ def test_parse_spec_rejections(tmp_path):
 
 
 def test_runner_rejects_foreign_mode():
-    spec = parse_spec(mode="nm-scan", overrides={"q_values": [1.0]})
+    spec = SweepSpec(mode="bogus", q_values=(1.0,), gamma0_values=(1.0,))
     with pytest.raises(SpecError):
-        run_corr_series(spec)
+        run(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -9,19 +9,24 @@ import numpy as np
 import pytest
 
 from topoqubit import (
+    DensityMatrix2,
     DephasingChannel,
     DomainError,
     HorizonWarning,
     OhmicEnvironment,
     TimeWindow,
+    alpha_profile,
     blp,
     blp_pair_scan,
     cb,
     critical_q_scan,
     lpp,
+    evolve_single,
     nm_report,
     positive_variation,
+    trace_distance,
 )
+from topoqubit.states import PAULIS
 
 # asymptotic recoveries (Q > 2) legitimately outlast any finite window,
 # so the open-interval warning is routine here
@@ -211,6 +216,40 @@ def test_pair_scan_polar_axis_wins():
     axis, val = blp_pair_scan(ch, w, n_angles=5)
     assert axis == (0.0, 0.0)
     assert abs(val - blp(ch, w)) <= 1e-4
+
+
+def test_pair_scan_equatorial_axis_wins_at_low_coherence():
+    # alpha revives from 0.015 to 0.038 here; the equatorial pair's trace
+    # distance is alpha, the polar pair's alpha^2, so the equator gains more
+    ch = chan(3.0, 1.6, 1.0)
+    w = TimeWindow(62.5, 4096)
+    axis, val = blp_pair_scan(ch, w, n_angles=3)
+    assert axis == (0.5 * math.pi, 0.0)
+    assert val == pytest.approx(0.02295625333286648, rel=1e-9)
+    assert val > 10.0 * blp(ch, w)
+
+
+def test_pair_scan_matches_per_state_loop():
+    # reference: each member evolved, validated and compared one time at a
+    # time; the stacked scan does the same arithmetic, so results are equal
+    ch = chan(3.0, 1.6, 1.0)
+    w = TimeWindow(62.5, 512)
+    avals, _ = alpha_profile(ch, w.times())
+    best = ((0.0, 0.0), -1.0)
+    for th in np.linspace(0.0, 0.5 * math.pi, 3):
+        for ph in np.linspace(0.0, math.pi, 3, endpoint=False):
+            nvec = (math.sin(th) * math.cos(ph) * PAULIS[0]
+                    + math.sin(th) * math.sin(ph) * PAULIS[1]
+                    + math.cos(th) * PAULIS[2])
+            plus = DensityMatrix2(0.5 * (np.eye(2) + nvec))
+            minus = DensityMatrix2(0.5 * (np.eye(2) - nvec))
+            dist = [0.0 if a == 0.0 else
+                    trace_distance(evolve_single(plus, a), evolve_single(minus, a))
+                    for a in map(float, avals)]
+            val = float(np.clip(np.diff(dist), 0.0, None).sum())
+            if val > best[1]:
+                best = ((float(th), float(ph)), val)
+    assert blp_pair_scan(ch, w, n_angles=3) == best
 
 
 def test_pair_scan_markovian_is_flat_zero():

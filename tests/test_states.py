@@ -21,6 +21,7 @@ from topoqubit import (
     evolved_x_state,
     trace_distance,
 )
+from topoqubit.states import _check_density
 from conftest import kraus_pair_evolve, random_density
 
 
@@ -54,6 +55,13 @@ def test_density_validation():
         dm2([[np.nan, 0], [0, 1]])
     m = dm2([[0.5, 0.1], [0.1, 0.5]]).matrix
     assert not m.flags.writeable
+    # stacked check: one member with a negative eigenvalue fails the stack
+    stack = np.array([[[0.5, 0.1], [0.1, 0.5]],
+                      [[1.2, 0.0], [0.0, -0.2]],
+                      [[1.0, 0.0], [0.0, 0.0]]], dtype=complex)
+    with pytest.raises(DomainError, match="negative eigenvalue"):
+        _check_density(stack)
+    _check_density(stack[[0, 2]])
 
 
 def test_x_state_validation():
