@@ -396,9 +396,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point; returns the process exit code."""
+    """Entry point; returns the process exit code.  The caller's warning
+    filters are left as they were."""
     args = _build_parser().parse_args(argv)
-    warnings.simplefilter("once", HorizonWarning)
     overrides = {
         "q_values": args.q,
         "gamma0_values": args.gamma0,
@@ -413,7 +413,9 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.monotonic()
     try:
         spec = parse_spec(path=args.spec, mode=args.mode, overrides=overrides)
-        table = run(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("once", HorizonWarning)
+            table = run(spec)
         if spec.output_path:
             with open(spec.output_path, "w", encoding="utf-8", newline="") as fh:
                 table.write(fh)

@@ -90,8 +90,11 @@ class DephasingChannel:
 
 
 def beta(env: OhmicEnvironment) -> float:
-    """Signed coupling constant beta = -4 pi / (Gamma(Q+1) gamma0^(Q+1)) < 0."""
-    return -4.0 * math.pi / (math.gamma(env.q + 1.0) * env.gamma0 ** (env.q + 1.0))
+    """Signed coupling constant beta = -4 pi / (Gamma(Q+1) gamma0^(Q+1)) < 0.
+
+    Raises DomainError when Gamma(Q+1) overflows (Q > ~170.6).
+    """
+    return -4.0 * math.pi / (gamma(env.q + 1.0) * env.gamma0 ** (env.q + 1.0))
 
 
 def _is_unit_branch(q: float) -> bool:

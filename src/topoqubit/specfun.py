@@ -46,6 +46,15 @@ _DIRECT_EXP_LIMIT = -700.0
 # for small |z|; beyond this the all-positive resummation takes over.
 _F22_DIRECT_LIMIT = 8.0
 
+# From u = -z >= this on, large-u expansions replace the series, which need
+# about u terms.  Below it the expansions lose digits at the parameters the
+# kernel uses (2.5e-10 at u = 40, Q = 3.9).
+_ASYMPTOTIC_LIMIT = 60.0
+# An asymptotic sum is truncated at its first term below this share of it.
+_ASYMPTOTIC_TOL = 1e-17
+# int_0^X D(y) dy - (ln X)/2 -> (gamma_E + 2 ln 2)/4 as X -> infinity.
+_DAWSON_INTEGRAL_CONST = (np.euler_gamma + 2.0 * _LN2) / 4.0
+
 # Rybicki sampling parameters for the Dawson integral: step h and half-width
 # (in units of h) of the window kept around x.  The sampling error scales as
 # exp(-pi^2/(4 h^2)) ~ 2e-27, the truncation error as exp(-(window*h)^2).
@@ -95,9 +104,14 @@ def gamma(x: float) -> float:
     ------
     PoleError
         If ``x`` lies within 1e-12 of a non-positive integer.
+    DomainError
+        If Gamma(x) overflows the double range (x > ~171.6).
     """
     _require_no_pole(x, PoleError, "x")
-    return math.gamma(x)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise DomainError(f"Gamma({x!r}) overflows the double range") from None
 
 
 def _series(ratio, first: float, kmin: float, opts: EvalOptions, describe) -> tuple[float, int]:
@@ -155,19 +169,103 @@ def _df22_ratio(z):
     return lambda k: (2.0 + k) * (2.0 + k) * z / ((2.5 + k) * (3.0 + k) * (1.0 + k))
 
 
+def _f20_ratio(p: float, q: float, w):
+    # 2F0(p, q;; w), the asymptotic series of Kummer's function.
+    return lambda k: (p + k) * (q + k) * w / (k + 1.0)
+
+
+def _dawson_integral_ratio(u):
+    # Tail of int_0^X D(y) dy at X = sqrt(u): terms (1/2)_k / (4k u^k), k >= 1.
+    return lambda k: (k + 1.5) * (k + 1.0) / ((k + 2.0) * u)
+
+
+def _kummer_asymptotic_coefs(a: float, b: float) -> tuple[float, float] | None:
+    """Weights of the two parts of M(a;b;-u) at large u (DLMF 13.7.2, z = -u):
+
+        M ~ Gamma(b)/Gamma(b-a) u^-a 2F0(a, a-b+1;; 1/u)
+            + cos(pi(b-a)) Gamma(b)/Gamma(a) e^-u u^(a-b) 2F0(b-a, 1-a;; -1/u).
+
+    None when b - a is a pole of Gamma, where M is e^-u times a polynomial
+    that the Kummer series sums exactly, or when a Gamma leaves the double
+    range.
+    """
+    if b - a <= 0.0 and float(b - a).is_integer():
+        return None
+    try:
+        gb = math.gamma(b)
+        dom = gb / math.gamma(b - a)
+        # 1/Gamma(a) vanishes at the poles a = 0, -1, ...
+        pole = a <= 0.0 and float(a).is_integer()
+        sub = 0.0 if pole else math.cos(math.pi * (b - a)) * gb / math.gamma(a)
+    except (OverflowError, ZeroDivisionError):
+        return None
+    if dom == 0.0 or not (math.isfinite(dom) and math.isfinite(sub)):
+        return None
+    return dom, sub
+
+
+def _asymptotic(ratio, first: float, opts: EvalOptions) -> float | None:
+    """Asymptotic ratio series truncated at its first term below
+    ``_ASYMPTOTIC_TOL`` of the sum; None if the terms grow before that (the
+    expansion cannot reach double precision there) or the budget runs out.
+    """
+    total = term = first
+    for k in range(opts.max_terms):
+        nxt = term * ratio(k)
+        if abs(nxt) > abs(term):
+            return None
+        term = nxt
+        total += term
+        if abs(term) <= _ASYMPTOTIC_TOL * abs(total):
+            return total
+    return None
+
+
 def _series_1f1(a: float, b: float, z: float, opts: EvalOptions) -> tuple[float, int]:
     return _series(
         _kummer_ratio(a, b, z), 1.0, 0.0, opts, lambda: f"1F1 series for (a={a}, b={b}, z={z})"
     )
 
 
+def _hyp1f1_asymptotic(a: float, b: float, u: float, opts: EvalOptions) -> float | None:
+    # M(a;b;-u) by the expansion of _kummer_asymptotic_coefs; None where the
+    # Kummer series has to serve instead.
+    coefs = _kummer_asymptotic_coefs(a, b)
+    if coefs is None:
+        return None
+    dom, sub = coefs
+    s1 = _asymptotic(_f20_ratio(a, a - b + 1.0, 1.0 / u), 1.0, opts)
+    s2 = _asymptotic(_f20_ratio(b - a, 1.0 - a, -1.0 / u), 1.0, opts)
+    if s1 is None or s2 is None:
+        return None
+    lnu = math.log(u)
+    # u^-a directly while it and the product are normal: pow is exact to an
+    # ulp, where exp of the summed logs loses |log| ulps.
+    lmag = math.log(abs(dom)) - a * lnu
+    if abs(a * lnu) < -_DIRECT_EXP_LIMIT and abs(lmag) < -_DIRECT_EXP_LIMIT:
+        val = dom * u**-a * s1
+    elif lmag > _EXP_UNDERFLOW:
+        val = math.copysign(math.exp(lmag), dom) * s1
+    else:
+        val = 0.0
+    if sub != 0.0:
+        # e^-u u^(a-b) in log space: the factors alone under- and overflow.
+        lsub = math.log(abs(sub)) - u + (a - b) * lnu
+        if lsub > _EXP_UNDERFLOW:
+            val += math.copysign(math.exp(lsub), sub) * s2
+    return val
+
+
 def hyp1f1(a: float, b: float, z: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
     """Kummer's confluent hypergeometric function M(a; b; z).
 
-    For z < -1 the Kummer transformation M(a;b;z) = e^z M(b-a;b;-z) is applied
-    so the summed series has eventually positive terms and no destructive
-    cancellation; the product with e^z is assembled in log space when either
-    factor leaves the comfortable double range.
+    For z <= -60 the large-argument expansion (DLMF 13.7.2) is summed, unless
+    its terms grow before reaching double precision or b - a is a pole of
+    Gamma.  Otherwise, for z < -1, the Kummer transformation
+    M(a;b;z) = e^z M(b-a;b;-z) is applied so the summed series has eventually
+    positive terms and no destructive cancellation; the product with e^z is
+    assembled in log space when either factor leaves the comfortable double
+    range.
 
     Raises
     ------
@@ -182,6 +280,10 @@ def hyp1f1(a: float, b: float, z: float, opts: EvalOptions = DEFAULT_OPTIONS) ->
     if z >= -1.0:
         total, n2 = _series_1f1(a, b, z, opts)
         return math.ldexp(total, n2)
+    if -math.inf < z <= -_ASYMPTOTIC_LIMIT:
+        val = _hyp1f1_asymptotic(a, b, -z, opts)
+        if val is not None:
+            return val
     total, n2 = _series_1f1(b - a, b, -z, opts)
     if n2 == 0 and z > _DIRECT_EXP_LIMIT:
         return math.exp(z) * total
@@ -227,19 +329,31 @@ def _f22_resummed(u: float, opts: EvalOptions) -> float:
     )
 
 
+def _f22_far(u: float, opts: EvalOptions) -> float:
+    # 2F2({1,1};{3/2,2};-u) = (2/u) int_0^sqrt(u) D(y) dy, whose large-u
+    # expansion is (2/u) [ln(u)/4 + (gamma_E + 2 ln 2)/4 - tail].
+    if _ASYMPTOTIC_LIMIT <= u < math.inf:
+        tail = _asymptotic(_dawson_integral_ratio(u), 0.125 / u, opts)
+        if tail is not None:
+            return 2.0 * (0.25 * math.log(u) + _DAWSON_INTEGRAL_CONST - tail) / u
+    return _f22_resummed(u, opts)
+
+
 def hyp2f2_11_32_2(z: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
     """The specialized hypergeometric 2F2({1,1}; {3/2,2}; z) for z <= 0.
 
     Direct compensated series for z >= -8; for more negative arguments an
     exact all-positive resummation in terms of regularized incomplete gamma
-    functions, immune to the e^{|z|} cancellation of the raw series.
+    functions, immune to the e^{|z|} cancellation of the raw series; for
+    z <= -60 the large-argument expansion of the Dawson-integral form
+    2F2(-u) = (2/u) int_0^sqrt(u) D(y) dy.
 
     Raises
     ------
     DomainError
         If z > 0.
     ConvergenceError
-        If the series budget is exhausted (|z| ~ 1e4 needs ~|z| terms).
+        If the series budget is exhausted.
     """
     if z > 0.0:
         raise DomainError(f"hyp2f2_11_32_2 requires z <= 0, got {z}")
@@ -249,7 +363,7 @@ def hyp2f2_11_32_2(z: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
         # Alternating series, safe for |z| <= _F22_DIRECT_LIMIT.
         total, _ = _series(_f22_ratio(z), 1.0, abs(z), opts, lambda: f"2F2 series at z={z}")
         return total
-    return _f22_resummed(-z, opts)
+    return _f22_far(-z, opts)
 
 
 def dhyp2f2_11_32_2_dz(z: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
@@ -269,17 +383,24 @@ def dhyp2f2_11_32_2_dz(z: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
         )
         return total
     u = -z
-    return _f22_resummed(u, opts) / u - dawson(math.sqrt(u)) / u**1.5
+    return _f22_far(u, opts) / u - dawson(math.sqrt(u)) / u**1.5
 
 
 def dawson(x: float) -> float:
     """Dawson integral D(x) = e^{-x^2} integral_0^x e^{t^2} dt.
 
     Taylor series for |x| <= 0.5, Rybicki's equally-spaced sampling method
-    beyond; both accurate to a few ulps over the real line.
+    up to x^2 = 60, and beyond it the asymptotic series
+    D(x) ~ (1/2x) 2F0(1/2, 1;; 1/x^2); all accurate to a few ulps over the
+    real line.
     """
     if x < 0.0:
         return -dawson(-x)
+    u = x * x
+    if u >= _ASYMPTOTIC_LIMIT and x < math.inf:
+        total = _asymptotic(_f20_ratio(0.5, 1.0, 1.0 / u), 1.0, DEFAULT_OPTIONS)
+        if total is not None:
+            return 0.5 * total / x
     if x <= _DAWSON_TAYLOR_LIMIT:
         total = term = x
         k = 0
@@ -305,8 +426,9 @@ def dawson(x: float) -> float:
 # Vectorized counterparts used by the dense-profile evaluator.  The same
 # algorithms, elementwise over a numpy array of nonpositive arguments; term
 # rescaling is applied per element so small-|z| entries are never squashed.
-# They share only the term ratios with the scalar loops above, which serve
-# bisection and check this path's loop, stopping and branch assembly.
+# They share only the term ratios and the expansion weights with the scalar
+# loops above, which serve bisection and check this path's loops, stopping
+# and branch assembly.
 # ---------------------------------------------------------------------------
 
 
@@ -346,6 +468,28 @@ def _series_array(
     )
 
 
+def _asymptotic_array(
+    ratio, first: np.ndarray, opts: EvalOptions
+) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise :func:`_asymptotic`: (sums, ok), ``ok`` False where the
+    terms grew before reaching ``_ASYMPTOTIC_TOL`` of the sum."""
+    total = first.copy()
+    term = first.copy()
+    active = np.ones(first.shape, dtype=bool)
+    ok = np.zeros(first.shape, dtype=bool)
+    for k in range(opts.max_terms):
+        nxt = term * ratio(k)
+        active &= np.abs(nxt) <= np.abs(term)
+        term = np.where(active, nxt, 0.0)
+        total = total + term
+        done = active & (np.abs(term) <= _ASYMPTOTIC_TOL * np.abs(total))
+        ok |= done
+        active &= ~done
+        if not active.any():
+            break
+    return total, ok
+
+
 def _series_1f1_array(
     a: float, b: float, z: np.ndarray, opts: EvalOptions
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -358,6 +502,34 @@ def _series_1f1_array(
     )
 
 
+def _hyp1f1_asymptotic_array(
+    a: float, b: float, u: np.ndarray, opts: EvalOptions
+) -> tuple[np.ndarray, np.ndarray]:
+    # Elementwise _hyp1f1_asymptotic: (values, ok), ok False where the Kummer
+    # series has to serve instead.
+    coefs = _kummer_asymptotic_coefs(a, b)
+    if coefs is None:
+        return np.zeros_like(u), np.zeros(u.shape, dtype=bool)
+    dom, sub = coefs
+    s1, ok1 = _asymptotic_array(_f20_ratio(a, a - b + 1.0, 1.0 / u), np.ones_like(u), opts)
+    s2, ok2 = _asymptotic_array(_f20_ratio(b - a, 1.0 - a, -1.0 / u), np.ones_like(u), opts)
+    lnu = np.log(u)
+    lmag = math.log(abs(dom)) - a * lnu
+    direct = (np.abs(a * lnu) < -_DIRECT_EXP_LIMIT) & (np.abs(lmag) < -_DIRECT_EXP_LIMIT)
+    with np.errstate(over="ignore", under="ignore"):
+        vals = np.where(
+            direct,
+            dom * u**-a,
+            np.where(lmag > _EXP_UNDERFLOW, np.copysign(np.exp(np.minimum(lmag, 700.0)), dom), 0.0),
+        ) * s1
+        if sub != 0.0:
+            lsub = math.log(abs(sub)) - u + (a - b) * lnu
+            vals += np.where(
+                lsub > _EXP_UNDERFLOW, np.copysign(np.exp(np.minimum(lsub, 700.0)), sub), 0.0
+            ) * s2
+    return vals, ok1 & ok2
+
+
 def _hyp1f1_array(a: float, b: float, z: np.ndarray, opts: EvalOptions) -> np.ndarray:
     _require_no_pole(b, ParameterError, "b")
     if np.any(z > 0.0):
@@ -368,6 +540,11 @@ def _hyp1f1_array(a: float, b: float, z: np.ndarray, opts: EvalOptions) -> np.nd
         total, n2 = _series_1f1_array(a, b, z[near], opts)
         out[near] = np.ldexp(total, n2.astype(np.int32))
     far = ~near
+    big = np.flatnonzero((z <= -_ASYMPTOTIC_LIMIT) & np.isfinite(z))
+    if big.size:
+        vals, ok = _hyp1f1_asymptotic_array(a, b, -z[big], opts)
+        out[big[ok]] = vals[ok]
+        far[big[ok]] = False
     if far.any():
         zf = z[far]
         total, n2 = _series_1f1_array(b - a, b, -zf, opts)
@@ -375,9 +552,13 @@ def _hyp1f1_array(a: float, b: float, z: np.ndarray, opts: EvalOptions) -> np.nd
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             mag = zf + np.log(np.where(abst > 0.0, abst, 1.0)) + n2 * _LN2
             vals = np.where(
-                (abst > 0.0) & (mag > _EXP_UNDERFLOW),
-                np.copysign(np.exp(np.minimum(mag, 700.0)), total),
-                0.0,
+                (n2 == 0) & (zf > _DIRECT_EXP_LIMIT),
+                np.exp(zf) * total,
+                np.where(
+                    (abst > 0.0) & (mag > _EXP_UNDERFLOW),
+                    np.copysign(np.exp(np.minimum(mag, 700.0)), total),
+                    0.0,
+                ),
             )
         out[far] = vals
     return out
@@ -407,6 +588,21 @@ def _f22_resummed_array(u: np.ndarray, opts: EvalOptions) -> np.ndarray:
     )
 
 
+def _f22_far_array(u: np.ndarray, opts: EvalOptions) -> np.ndarray:
+    # Elementwise _f22_far.
+    out = np.empty_like(u)
+    rest = np.ones(u.shape, dtype=bool)
+    big = np.flatnonzero((u >= _ASYMPTOTIC_LIMIT) & np.isfinite(u))
+    if big.size:
+        ub = u[big]
+        tail, ok = _asymptotic_array(_dawson_integral_ratio(ub), 0.125 / ub, opts)
+        out[big] = 2.0 * (0.25 * np.log(ub) + _DAWSON_INTEGRAL_CONST - tail) / ub
+        rest[big[ok]] = False
+    if rest.any():
+        out[rest] = _f22_resummed_array(u[rest], opts)
+    return out
+
+
 def _hyp2f2_array(z: np.ndarray, opts: EvalOptions) -> np.ndarray:
     if np.any(z > 0.0):
         raise DomainError("vectorized 2F2 path expects z <= 0")
@@ -419,7 +615,7 @@ def _hyp2f2_array(z: np.ndarray, opts: EvalOptions) -> np.ndarray:
         )
     far = z < -_F22_DIRECT_LIMIT
     if far.any():
-        out[far] = _f22_resummed_array(-z[far], opts)
+        out[far] = _f22_far_array(-z[far], opts)
     return out
 
 
@@ -440,13 +636,30 @@ def _dhyp2f2_array(z: np.ndarray, opts: EvalOptions) -> np.ndarray:
     far = z < -_F22_DIRECT_LIMIT
     if far.any():
         u = -z[far]
-        out[far] = _f22_resummed_array(u, opts) / u - _dawson_array(np.sqrt(u)) / u**1.5
+        out[far] = _f22_far_array(u, opts) / u - _dawson_array(np.sqrt(u)) / u**1.5
     return out
 
 
 def _dawson_array(x: np.ndarray) -> np.ndarray:
-    # Rybicki sampling, vectorized; callers only reach this for x > 2.8 so no
-    # small-x Taylor branch is needed.
+    # Rybicki sampling, vectorized, below x^2 = 60 and the asymptotic series
+    # above; callers only reach this for x > 2.8 so no small-x Taylor branch
+    # is needed.
+    out = np.empty_like(x)
+    rest = np.ones(x.shape, dtype=bool)
+    big = np.flatnonzero((x * x >= _ASYMPTOTIC_LIMIT) & np.isfinite(x))
+    if big.size:
+        xb = x[big]
+        total, ok = _asymptotic_array(
+            _f20_ratio(0.5, 1.0, 1.0 / (xb * xb)), np.ones_like(xb), DEFAULT_OPTIONS
+        )
+        out[big] = 0.5 * total / xb
+        rest[big[ok]] = False
+    if rest.any():
+        out[rest] = _dawson_sampled_array(x[rest])
+    return out
+
+
+def _dawson_sampled_array(x: np.ndarray) -> np.ndarray:
     h = _DAWSON_H
     center = 2.0 * np.floor(x / (2.0 * h)) + 1.0
     offsets = np.arange(-_DAWSON_WINDOW, _DAWSON_WINDOW + 2, 2, dtype=np.float64)

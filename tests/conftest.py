@@ -36,6 +36,11 @@ def mp_hyp2f2(z: float) -> float:
     return float(mpmath.hyper([1, 1], [mpmath.mpf(3) / 2, 2], z))
 
 
+def mp_dhyp2f2(z: float) -> float:
+    """d/dz 2F2({1,1};{3/2,2};z) = (1/3) 2F2({2,2};{5/2,3};z)."""
+    return float(mpmath.hyper([2, 2], [mpmath.mpf(5) / 2, 3], z) / 3)
+
+
 def mp_dawson(x: float) -> float:
     x = mpmath.mpf(x)
     return float(mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-x * x) * mpmath.erfi(x))

@@ -8,12 +8,13 @@ import math
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from topoqubit import SpecError, __version__
+from topoqubit import DephasingChannel, OhmicEnvironment, SpecError, __version__
 from topoqubit.cli import (
     DEFAULT_NM_GAMMA0,
     SweepSpec,
@@ -21,6 +22,8 @@ from topoqubit.cli import (
     parse_spec,
     run,
 )
+
+from conftest import mp_i_q
 
 pytestmark = pytest.mark.filterwarnings("ignore::topoqubit.HorizonWarning")
 
@@ -116,11 +119,46 @@ def test_exit_two_on_bad_spec(capsys):
 
 
 def test_exit_three_on_convergence_failure(tmp_path, capsys):
+    # t gamma0 = 1e200 squares past the double range: z = -inf is no argument
+    # for the large-u expansion, and the Kummer series runs out of terms
+    out = tmp_path / "t.csv"
+    rc = main(["corr-series", "--q", "3.0", "--gamma0", "1.0",
+               "--t-max", "1e200", "--n-grid", "16", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "error" in err
+    assert "convergence error" in err
+
+
+def test_wide_window_exits_zero(tmp_path):
+    # t gamma0 up to 1e7 (u = 2.5e13) needed ~u series terms before the
+    # large-u expansion; it now runs, and alpha matches the 40-digit kernel
     out = tmp_path / "t.csv"
     rc = main(["corr-series", "--q", "3.0", "--gamma0", "1.0",
                "--t-max", "1e7", "--n-grid", "16", "--out", str(out)])
-    assert rc == 3
-    assert "error" in capsys.readouterr().err
+    assert rc == 0
+    c = 2.0 * DephasingChannel(OhmicEnvironment(3.0, 1.0), 1.0).beta_abs
+    rows = [ln.split(",") for ln in out.read_text().splitlines()[3:]]
+    assert len(rows) == 16
+    for row in rows[1:]:
+        t, a = float(row[2]), float(row[3])
+        assert a == pytest.approx(math.exp(-c * mp_i_q(3.0, 1.0, t)), rel=1e-12, abs=0.0)
+
+
+def test_exit_three_on_gamma_overflow(tmp_path, capsys):
+    # Gamma(Q + 1) in the coupling constant overflows past Q ~ 170.6
+    base = ["corr-series", "--gamma0", "1.0", "--n-grid", "16"]
+    assert main(base + ["--q", "200", "--out", str(tmp_path / "a.csv")]) == 3
+    assert "numerical error" in capsys.readouterr().err
+    assert main(base + ["--q", "169.3", "--out", str(tmp_path / "b.csv")]) == 0
+
+
+def test_main_leaves_warning_filters_alone(tmp_path):
+    before = list(warnings.filters)
+    rc = main(["nm-scan", "--q", "3.0", "--gamma0", "1.6",
+               "--n-grid", "256", "--out", str(tmp_path / "nm.csv")])
+    assert rc == 0
+    assert warnings.filters == before
 
 
 def test_exit_four_on_io_failure(tmp_path, capsys):

@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import mpmath
+from hypothesis import assume, given, settings, strategies as st
 
 from topoqubit import (
     DephasingChannel,
@@ -222,6 +223,34 @@ def test_profiles_validate_grid():
         i_q_profile(e, np.array([-1.0, 0.0, 1.0]))
 
 
+def test_profile_large_q_wide_window_is_finite():
+    # Q = 121.3 up to t gamma0 = 1000: the e^-u part of the large-u expansion
+    # must be formed in log space, or u^(a-b) * e^-u is inf * 0
+    e = env(121.3, 1.0)
+    ts = np.linspace(0.0, 1000.0, 64)
+    iv, div = i_q_profile(e, ts)
+    assert np.all(np.isfinite(iv)) and np.all(np.isfinite(div))
+    assert iv[-1] == pytest.approx(mp_i_q(121.3, 1.0, 1000.0), rel=1e-12, abs=0.0)
+    assert iv[-1] == pytest.approx(i_q(e, 1000.0), rel=1e-12, abs=0.0)
+    assert div[-1] == pytest.approx(di_q_dt(e, 1000.0), rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize(
+    "q", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.9, 4.0, 5.0, 6.0, 6.3, 7.0, 8.0, 9.0]
+)
+def test_large_u_slope_sign_follows_rgamma(q):
+    """At large u, dI/dt has the sign of 1/Gamma(1 - Q/2): negative for
+    2 < Q < 4 (the memory threshold) and exactly zero for even Q, where
+    only the underflowed e^-u part of the kernel is left."""
+    want = np.sign(float(mpmath.rgamma(1.0 - q / 2.0)))
+    e = env(q, 1.6)
+    ts = 2.0 * np.sqrt([1e3, 2500.0, 6400.0]) / 1.6
+    _, div = i_q_profile(e, ts)
+    for t, d in zip(ts, div):
+        assert np.sign(d) == want
+        assert np.sign(di_q_dt(e, float(t))) == want
+
+
 def test_profile_underflow_is_zero_not_nan():
     # strong coupling at a tiny cutoff drives alpha to exact zero
     ch = chan(3.0, 0.01, 1.0)
@@ -247,3 +276,23 @@ def test_alpha_always_physical(q, g0, b, tg):
     a = alpha(ch, tg / g0)
     assert 0.0 <= a <= 1.0
     assert i_q(ch.env, tg / g0) >= -1e-12
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.floats(min_value=0.0, max_value=12.0),
+    st.floats(min_value=40.0, max_value=80.0),
+    st.sampled_from([0.01, 1.0, 1.6]),
+)
+def test_profile_matches_scalars_across_large_u_switch(q, u, g0):
+    # Even Q keeps the Kummer series on both sides of u = 60.  Near Q = 1 the
+    # Gamma((Q-1)/2) pole cancellation amplifies last-ulp differences between
+    # the two paths by ~1/|Q-1| on either side of the switch (module docstring).
+    assume(q % 2.0 != 0.0 and abs(q - 1.0) >= 0.05)
+    e = env(q, g0)
+    us = np.array([u, 40.0, 59.0, 60.0, 61.0, 80.0])
+    ts = 2.0 * np.sqrt(us) / g0
+    iv, div = i_q_profile(e, ts)
+    for k, t in enumerate(ts):
+        assert iv[k] == pytest.approx(i_q(e, float(t)), rel=1e-12, abs=1e-300)
+        assert div[k] == pytest.approx(di_q_dt(e, float(t)), rel=1e-12, abs=1e-300)

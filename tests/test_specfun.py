@@ -21,7 +21,21 @@ from topoqubit import (
     hyp1f1,
     hyp2f2_11_32_2,
 )
-from conftest import mp_dawson, mp_gamma, mp_hyp1f1, mp_hyp2f2, richardson_derivative
+from topoqubit.specfun import (
+    DEFAULT_OPTIONS,
+    _dawson_array,
+    _dhyp2f2_array,
+    _hyp1f1_array,
+    _hyp2f2_array,
+)
+from conftest import (
+    mp_dawson,
+    mp_dhyp2f2,
+    mp_gamma,
+    mp_hyp1f1,
+    mp_hyp2f2,
+    richardson_derivative,
+)
 
 # values frozen from mpmath at 40 digits
 GAMMA_CASES = [
@@ -61,6 +75,12 @@ def test_gamma_frozen(x, want):
 def test_gamma_pole(x):
     with pytest.raises(PoleError):
         gamma(x)
+
+
+def test_gamma_overflow_is_domain_error():
+    assert gamma(171.5) == pytest.approx(mp_gamma(171.5), rel=1e-13, abs=0.0)
+    with pytest.raises(DomainError):
+        gamma(171.7)
 
 
 @pytest.mark.parametrize("a, b, z, want", HYP1F1_CASES)
@@ -128,8 +148,12 @@ def test_hyp1f1_parameter_pole(b):
 
 
 def test_hyp1f1_budget_exhaustion():
+    # below the large-u switch the Kummer series needs ~70 terms here
     with pytest.raises(ConvergenceError):
-        hyp1f1(1.0, 0.5, -900.0, EvalOptions(max_terms=10))
+        hyp1f1(1.0, 0.5, -50.0, EvalOptions(max_terms=10))
+    # above it the expansion needs 8 terms and the series ~1000: 5 fit neither
+    with pytest.raises(ConvergenceError):
+        hyp1f1(1.0, 0.5, -900.0, EvalOptions(max_terms=5))
 
 
 @pytest.mark.parametrize("z, want", HYP2F2_CASES)
@@ -212,3 +236,74 @@ def test_hyp1f1_against_reference(a, b, z):
 @given(st.floats(min_value=-2000.0, max_value=-0.001))
 def test_hyp2f2_against_reference(z):
     assert hyp2f2_11_32_2(z) == pytest.approx(mp_hyp2f2(z), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# large-u expansions (u = -z >= 60) against 40-digit references
+# ---------------------------------------------------------------------------
+
+LARGE_U = [59.9, 60.0, 80.0, 400.0, 2500.0, 6400.0, 1e6, 2.5e13]
+KERNEL_Q = [0.0, 0.5, 0.95, 1.5, 2.05, 3.0, 3.9, 6.3, 9.0, 12.0]
+
+
+def _large_u_tol(u: float) -> float:
+    # The Kummer series still serves u < 60, and u = 60 wherever the
+    # expansion's terms grow before reaching double precision (Q = 9); it
+    # is good to about u ulps there.  Everywhere else the expansion serves.
+    return 1e-13 if u < 80.0 else 1e-14
+
+
+@pytest.mark.parametrize("q", KERNEL_Q)
+def test_hyp1f1_large_u_oracle(q):
+    """Both kernel parameter pairs, scalar and array, across the switch."""
+    a = (q - 1.0) / 2.0
+    z = -np.array(LARGE_U)
+    for ab in ((a, 0.5), (a + 1.0, 1.5)):
+        arr = _hyp1f1_array(ab[0], ab[1], z, DEFAULT_OPTIONS)
+        for u, got_arr in zip(LARGE_U, arr):
+            want = mp_hyp1f1(ab[0], ab[1], -u)
+            for got in (hyp1f1(ab[0], ab[1], -u), got_arr):
+                if want == 0.0:  # even Q: e^-u times a polynomial underflows
+                    assert got == 0.0
+                else:
+                    assert got == pytest.approx(want, rel=_large_u_tol(u), abs=0.0), (ab, u)
+
+
+def test_hyp2f2_large_u_oracle():
+    """The Q = 1 branch: 2F2 and its derivative, scalar and array."""
+    z = -np.array(LARGE_U)
+    f_arr = _hyp2f2_array(z, DEFAULT_OPTIONS)
+    df_arr = _dhyp2f2_array(z, DEFAULT_OPTIONS)
+    for u, fa, dfa in zip(LARGE_U, f_arr, df_arr):
+        want, dwant = mp_hyp2f2(-u), mp_dhyp2f2(-u)
+        for got in (hyp2f2_11_32_2(-u), fa):
+            assert got == pytest.approx(want, rel=_large_u_tol(u), abs=0.0), u
+        for got in (dhyp2f2_11_32_2_dz(-u), dfa):
+            assert got == pytest.approx(dwant, rel=_large_u_tol(u), abs=0.0), u
+
+
+def test_hyp1f1_large_q_large_u_is_finite():
+    # Q = 121.3 over t gamma0 <= 1000: e^-u and u^(a-b) leave the double
+    # range on their own, u^-a underflows, the result does not
+    u = 2.5e5
+    a = (121.3 - 1.0) / 2.0
+    for ab in ((a, 0.5), (a + 1.0, 1.5)):
+        want = mp_hyp1f1(ab[0], ab[1], -u)
+        got_arr = _hyp1f1_array(ab[0], ab[1], np.array([-u]), DEFAULT_OPTIONS)[0]
+        for got in (hyp1f1(ab[0], ab[1], -u), got_arr):
+            assert math.isfinite(got)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_hyp1f1_large_u_needs_few_terms():
+    # z = -900 needs ~1000 Kummer-series terms but 8 expansion terms
+    got = hyp1f1(1.0, 0.5, -900.0, EvalOptions(max_terms=10))
+    assert got == pytest.approx(mp_hyp1f1(1.0, 0.5, -900.0), rel=1e-14, abs=0.0)
+
+
+def test_dawson_large_argument():
+    xs = [7.7, 7.8, 50.0, 1e3, 1e5, 5e6]
+    arr = _dawson_array(np.array(xs))
+    for x, got_arr in zip(xs, arr):
+        for got in (dawson(x), got_arr):
+            assert got == pytest.approx(mp_dawson(x), rel=1e-14, abs=0.0), x
