@@ -46,6 +46,12 @@ DEFAULT_NM_GAMMA0 = (0.01, 0.1, 0.5, 1.0, 1.6, 3.0)
 # A BLP measure above this flags the combo as non-Markovian in nm-scan.
 _FLAG_THRESHOLD = 1e-10
 
+# Largest time grid a spec may ask for.  A table's rows stay in memory until
+# it is written, a few hundred bytes per grid point and combination (one
+# corr-series combination at this bound peaks near 60 MB); every recipe uses
+# 2048-4096 points.
+_MAX_N_GRID = 65536
+
 _SPEC_KEYS = {
     "mode",
     "q_values",
@@ -94,8 +100,8 @@ class SweepSpec:
             raise SpecError(f"theta: must lie in [0, pi], got {self.theta}")
         if self.t_max is not None and not (math.isfinite(self.t_max) and self.t_max > 0.0):
             raise SpecError(f"t_max: must be finite and > 0, got {self.t_max}")
-        if self.n_grid < 16:
-            raise SpecError(f"n_grid: must be >= 16, got {self.n_grid}")
+        if not 16 <= self.n_grid <= _MAX_N_GRID:
+            raise SpecError(f"n_grid: must lie in [16, {_MAX_N_GRID}], got {self.n_grid}")
         if self.format not in ("csv", "json"):
             raise SpecError(f"format: expected 'csv' or 'json', got {self.format!r}")
         if self.parallel is not None and self.parallel < 1:
@@ -284,21 +290,18 @@ def _corr_rows(spec: SweepSpec, q: float, g0: float) -> list[tuple[float, ...]]:
     ts = w.times()
     avals, _ = dephasing.alpha_profile(ch, ts)
     rows = []
-    for t, a in zip(ts, avals):
-        s = states.evolved_x_state(spec.theta, float(a))
-        rows.append(
-            (
-                q,
-                g0,
-                float(t),
-                float(a),
-                correlations.concurrence_x(s),
-                correlations.discord_x(s),
-                correlations.lqu_x(s),
-                correlations.tnd_x(s),
-                correlations.coherence_l1(s),
-            )
+    for block in states._blocks(len(ts)):
+        s = states.evolved_x_state(spec.theta, avals[block])
+        cols = (
+            ts[block],
+            avals[block],
+            correlations.concurrence_x(s),
+            correlations.discord_x(s),
+            correlations.lqu_x(s),
+            correlations.tnd_x(s),
+            correlations.coherence_l1(s),
         )
+        rows.extend((q, g0, *row) for row in zip(*(c.tolist() for c in cols)))
     return rows
 
 
@@ -313,18 +316,22 @@ def _dump_rows(spec: SweepSpec, q: float, g0: float) -> list[tuple[float, ...]]:
     ts = w.times()
     avals, _ = dephasing.alpha_profile(ch, ts)
     rows = []
-    for t, a in zip(ts, avals):
-        m = states.evolved_x_state(spec.theta, float(a)).matrix
-        row = [q, g0, float(t)]
-        row.extend(m[i, i].real for i in range(4))
-        for i in range(4):
-            for j in range(i + 1, 4):
-                row.append(m[i, j].real)
-                row.append(m[i, j].imag)
-        rows.append(tuple(row))
+    for block in states._blocks(len(ts)):
+        m = states.evolved_x_state(spec.theta, avals[block]).matrix
+        upper = m[:, _UPPER[0], _UPPER[1]]
+        table = np.column_stack(
+            (
+                ts[block],
+                m.diagonal(axis1=-2, axis2=-1).real,
+                np.stack((upper.real, upper.imag), axis=-1).reshape(len(m), -1),
+            )
+        )
+        rows.extend((q, g0, *row) for row in table.tolist())
     return rows
 
 
+# Upper-triangle entries of a 4x4 state, row by row: the dump's column order.
+_UPPER = np.triu_indices(4, 1)
 _DUMP_COLUMNS = ("rho11", "rho22", "rho33", "rho44") + tuple(
     f"{part}_rho{i + 1}{j + 1}"
     for i in range(4)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateError, DomainError
-from .states import XState4, evolved_x_state
+from .errors import DomainError
+from .states import PAULIS, XState4, evolved_x_state
 
 __all__ = [
     "CorrelationReport",
@@ -34,17 +34,9 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
-_ID2 = np.eye(2, dtype=np.complex128)
-_PAULIS = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128),
-)
-
-
 @dataclass(frozen=True, slots=True)
 class CorrelationReport:
-    """All correlation measures of one state, evaluated together."""
+    """All correlation measures of one state (or one stack), evaluated together."""
 
     concurrence: float
     discord: float
@@ -53,26 +45,30 @@ class CorrelationReport:
     coherence_l1: float
 
 
-def _plog2(x: float) -> float:
+def _out(x: np.ndarray):
+    # A single state's value as a Python float; a stack's as an array.
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _plog2(x: np.ndarray) -> np.ndarray:
     # x log2 x with the continuous extension 0 log 0 = 0.
-    if x <= 0.0:
-        return 0.0
-    return x * math.log2(x)
+    pos = x > 0.0
+    return np.where(pos, x * np.log2(np.where(pos, x, 1.0)), 0.0)
 
 
-def _h2(x: float) -> float:
+def _h2(x: np.ndarray) -> np.ndarray:
     # Binary entropy; arguments can graze 0 or 1 by rounding noise.
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    inside = (x > 0.0) & (x < 1.0)
+    y = np.where(inside, x, 0.5)
+    return np.where(inside, -y * np.log2(y) - (1.0 - y) * np.log2(1.0 - y), 0.0)
 
 
 def concurrence_x(s: XState4) -> float:
     """Concurrence of an X state: 2 max(0, |rho14| - sqrt(rho22 rho33),
     |rho23| - sqrt(rho11 rho44))."""
-    l1 = abs(complex(s.rho14)) - math.sqrt(max(s.rho22 * s.rho33, 0.0))
-    l2 = abs(complex(s.rho23)) - math.sqrt(max(s.rho11 * s.rho44, 0.0))
-    return 2.0 * max(0.0, l1, l2)
+    l1 = np.abs(s.rho14) - np.sqrt(np.maximum(s.rho22 * s.rho33, 0.0))
+    l2 = np.abs(s.rho23) - np.sqrt(np.maximum(s.rho11 * s.rho44, 0.0))
+    return _out(2.0 * np.maximum(np.maximum(l1, l2), 0.0))
 
 
 def concurrence_evolved(theta: float, a: float) -> float:
@@ -94,36 +90,27 @@ def discord_x(s: XState4) -> float:
     sigma_x axis, giving the two-branch minimum evaluated here.
     """
     r11, r22, r33, r44 = s.rho11, s.rho22, s.rho33, s.rho44
-    c14 = abs(complex(s.rho14))
-    c23 = abs(complex(s.rho23))
+    c14 = np.abs(s.rho14)
+    c23 = np.abs(s.rho23)
 
     # Eigenvalues of the X state itself.
-    mid1 = math.sqrt((r11 - r44) ** 2 + 4.0 * c14 * c14)
-    mid2 = math.sqrt((r22 - r33) ** 2 + 4.0 * c23 * c23)
-    lam = (
-        0.5 * ((r11 + r44) + mid1),
-        0.5 * ((r11 + r44) - mid1),
-        0.5 * ((r22 + r33) + mid2),
-        0.5 * ((r22 + r33) - mid2),
+    mid1 = np.sqrt((r11 - r44) ** 2 + 4.0 * c14 * c14)
+    mid2 = np.sqrt((r22 - r33) ** 2 + 4.0 * c23 * c23)
+    sum_lam_log = (
+        _plog2(0.5 * ((r11 + r44) + mid1))
+        + _plog2(0.5 * ((r11 + r44) - mid1))
+        + _plog2(0.5 * ((r22 + r33) + mid2))
+        + _plog2(0.5 * ((r22 + r33) - mid2))
     )
-    sum_lam_log = sum(_plog2(max(v, 0.0)) for v in lam)
 
     h_b = _h2(r11 + r33)
 
-    d1 = _h2(
-        0.5
-        * (
-            1.0
-            + math.sqrt(
-                (1.0 - 2.0 * (r33 + r44)) ** 2 + 4.0 * (c14 + c23) ** 2
-            )
-        )
-    )
-    d2 = -sum(_plog2(max(p, 0.0)) for p in (r11, r22, r33, r44)) - h_b
+    d1 = _h2(0.5 * (1.0 + np.sqrt((1.0 - 2.0 * (r33 + r44)) ** 2 + 4.0 * (c14 + c23) ** 2)))
+    d2 = -(_plog2(r11) + _plog2(r22) + _plog2(r33) + _plog2(r44)) - h_b
 
     q1 = h_b + sum_lam_log + d1
     q2 = h_b + sum_lam_log + d2
-    return min(q1, q2)
+    return _out(np.minimum(q1, q2))
 
 
 def discord_closed(a: float) -> float:
@@ -162,19 +149,12 @@ def lqu_x(s: XState4) -> float:
     1 - max eigenvalue of the 3x3 matrix W with
     W_ij = Tr[sqrt(rho) (sigma_i x I) sqrt(rho) (sigma_j x I)].
     """
-    m = s.matrix
-    w, v = np.linalg.eigh(m)
-    w = np.clip(w, 0.0, None)
-    sq = (v * np.sqrt(w)) @ v.conj().T
-    ops = [np.kron(p, _ID2) for p in _PAULIS]
-    wmat = np.empty((3, 3))
-    for i in range(3):
-        left = sq @ ops[i] @ sq
-        for j in range(i, 3):
-            wmat[i, j] = np.trace(left @ ops[j]).real
-            wmat[j, i] = wmat[i, j]
-    lam_max = float(np.linalg.eigvalsh(wmat).max())
-    return 1.0 - lam_max
+    w, v = np.linalg.eigh(s.matrix)
+    sq = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    # W_ij = Tr(B_i B_j) with B_i = sqrt(rho) (sigma_i x I); real up to rounding.
+    b = sq[..., None, :, :] @ np.stack([np.kron(p, np.eye(2)) for p in PAULIS])
+    wmat = np.einsum("...ikl,...jlk->...ij", b, b).real
+    return _out(1.0 - np.linalg.eigvalsh(wmat)[..., -1])
 
 
 def lqu_closed(theta: float, a: float) -> float:
@@ -198,49 +178,44 @@ def tnd_x(s: XState4) -> float:
     """Trace-norm (geometric) discord of an X state.
 
     With xi_1,2 = 2(|rho23| +- |rho14|), xi_3 = 1 - 2(rho22 + rho33) and
-    x = 2(rho11 + rho22) - 1:
+    x = 2(rho11 + rho22) - 1, let ximax = max(xi_3^2, xi_2^2 + x^2) and
+    ximin = min(xi_1^2, xi_3^2).  The ratio
 
-        TND = (1/2) sqrt[(xi_1^2 ximax - xi_2^2 ximin) /
-                         (xi_1^2 - xi_2^2 + ximax - ximin)]
+        4 TND^2 = (xi_1^2 ximax - xi_2^2 ximin) / (xi_1^2 - xi_2^2 + ximax - ximin)
 
-    where ximax = max(xi_3^2, xi_2^2 + x^2) and ximin = min(xi_1^2, xi_3^2).
-
-    Raises
-    ------
-    DegenerateError
-        If the denominator vanishes while the numerator does not; the fully
-        symmetric zero/zero points evaluate to 0 by continuity.
+    is evaluated as the weighted mean (xi_1^2 A + ximin B) / (A + B) with
+    weights A = ximax - ximin >= 0 and B = xi_1^2 - xi_2^2 = 16 |rho14| |rho23|
+    >= 0, which is the same algebra without a cancelling difference.  Where
+    A + B = 0 the two weighted values coincide and TND = |xi_1| / 2.
     """
-    c14 = abs(complex(s.rho14))
-    c23 = abs(complex(s.rho23))
+    c14 = np.abs(s.rho14)
+    c23 = np.abs(s.rho23)
     xi1 = 2.0 * (c23 + c14)
-    xi2 = 2.0 * (c23 - c14)
-    xi3 = 1.0 - 2.0 * (s.rho22 + s.rho33)
-    x = 2.0 * (s.rho11 + s.rho22) - 1.0
     xi1sq = xi1 * xi1
-    xi2sq = xi2 * xi2
-    ximax = max(xi3 * xi3, xi2sq + x * x)
-    ximin = min(xi1sq, xi3 * xi3)
-    num = xi1sq * ximax - xi2sq * ximin
-    den = xi1sq - xi2sq + ximax - ximin
-    if abs(den) < 1e-14:
-        if abs(num) < 1e-14:
-            return 0.0
-        raise DegenerateError(
-            f"trace-norm discord is indeterminate here (num={num:.3e}, den={den:.3e})"
-        )
-    return 0.5 * math.sqrt(max(num / den, 0.0))
+    xi2sq = (2.0 * (c23 - c14)) ** 2
+    xi3sq = (1.0 - 2.0 * (s.rho22 + s.rho33)) ** 2
+    x = 2.0 * (s.rho11 + s.rho22) - 1.0
+    ximax = np.maximum(xi3sq, xi2sq + x * x)
+    ximin = np.minimum(xi1sq, xi3sq)
+    wa = ximax - ximin
+    wb = 16.0 * c14 * c23
+    den = wa + wb
+    pos = den > 0.0
+    safe = np.where(pos, den, 1.0)
+    mean = xi1sq * (wa / safe) + ximin * (wb / safe)
+    return _out(0.5 * np.where(pos, np.sqrt(mean), xi1))
 
 
 def coherence_l1(rho) -> float:
-    """l1 norm of coherence: sum of |off-diagonal entries| of ``rho.matrix``."""
-    m = np.asarray(rho.matrix, dtype=np.complex128)
-    absm = np.abs(m)
-    return float(absm.sum() - np.trace(absm).real)
+    """l1 norm of coherence: sum of |off-diagonal entries| of ``rho.matrix``,
+    per matrix of a ``(..., d, d)`` stack."""
+    absm = np.abs(np.asarray(rho.matrix, dtype=np.complex128))
+    return _out(absm.sum(axis=(-2, -1)) - np.trace(absm, axis1=-2, axis2=-1))
 
 
 def report(s: XState4) -> CorrelationReport:
-    """Evaluate every measure on one X state through the general routes."""
+    """Evaluate every measure on an X state (or stack) through the general
+    routes."""
     return CorrelationReport(
         concurrence=concurrence_x(s),
         discord=discord_x(s),

@@ -20,6 +20,7 @@ inside every tolerance used downstream.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,12 +90,27 @@ class DephasingChannel:
         return -beta(self.env)
 
 
+def _cutoff_power(env: OhmicEnvironment, p: float) -> float:
+    # gamma0 ** p, which must stay a normal double: an overflow would raise
+    # OverflowError, an underflow would divide by zero or lose digits.
+    try:
+        v = env.gamma0**p
+    except OverflowError:
+        v = math.inf
+    if not (sys.float_info.min <= v < math.inf):
+        raise DomainError(
+            f"gamma0 ** {p!r} = {env.gamma0!r} ** {p!r} leaves the normal double range"
+        )
+    return v
+
+
 def beta(env: OhmicEnvironment) -> float:
     """Signed coupling constant beta = -4 pi / (Gamma(Q+1) gamma0^(Q+1)) < 0.
 
-    Raises DomainError when Gamma(Q+1) overflows (Q > ~170.6).
+    Raises DomainError when Gamma(Q+1) overflows (Q > ~170.6) or when
+    gamma0^(Q+1) overflows or underflows.
     """
-    return -4.0 * math.pi / (gamma(env.q + 1.0) * env.gamma0 ** (env.q + 1.0))
+    return -4.0 * math.pi / (gamma(env.q + 1.0) * _cutoff_power(env, env.q + 1.0))
 
 
 def _is_unit_branch(q: float) -> bool:
@@ -118,7 +134,7 @@ def i_q(env: OhmicEnvironment, t: float, opts: EvalOptions = DEFAULT_OPTIONS) ->
     if _is_unit_branch(env.q):
         return x * x * hyp2f2_11_32_2(z, opts)
     a = 0.5 * (env.q - 1.0)
-    pref = 2.0 * env.gamma0 ** (env.q - 1.0) * gamma(a)
+    pref = 2.0 * _cutoff_power(env, env.q - 1.0) * gamma(a)
     return pref * (1.0 - hyp1f1(a, 0.5, z, opts))
 
 
@@ -143,7 +159,7 @@ def di_q_dt(env: OhmicEnvironment, t: float, opts: EvalOptions = DEFAULT_OPTIONS
         fp = dhyp2f2_11_32_2_dz(z, opts)
         return 2.0 * t * gg * f + (t * t * gg) * fp * (-0.5 * t * gg)
     a1 = 0.5 * (env.q + 1.0)
-    return 2.0 * gamma(a1) * g0 ** (env.q + 1.0) * t * hyp1f1(a1, 1.5, z, opts)
+    return 2.0 * gamma(a1) * _cutoff_power(env, env.q + 1.0) * t * hyp1f1(a1, 1.5, z, opts)
 
 
 def alpha(ch: DephasingChannel, t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
@@ -203,11 +219,11 @@ def i_q_profile(
         divals = 2.0 * ts * gg * f + (ts * ts * gg) * fp * (-0.5 * ts * gg)
         return ivals, divals
     a = 0.5 * (env.q - 1.0)
-    pref = 2.0 * g0 ** (env.q - 1.0) * gamma(a)
+    pref = 2.0 * _cutoff_power(env, env.q - 1.0) * gamma(a)
     m0 = _hyp1f1_array(a, 0.5, z, opts)
     m1 = _hyp1f1_array(a + 1.0, 1.5, z, opts)
     ivals = pref * (1.0 - m0)
-    divals = 2.0 * gamma(a + 1.0) * g0 ** (env.q + 1.0) * ts * m1
+    divals = 2.0 * gamma(a + 1.0) * _cutoff_power(env, env.q + 1.0) * ts * m1
     return ivals, divals
 
 

@@ -52,7 +52,9 @@ def qfi_general(rho, drho: np.ndarray, kernel_tol: float = 1e-12) -> float:
     """Spectral-decomposition QFI for a state and its parameter derivative.
 
     ``rho`` is any object exposing a density ``.matrix``; ``drho`` must be
-    Hermitian and traceless (it is d rho / d parameter).  Eigenpairs with
+    Hermitian and traceless (it is d rho / d parameter).  Both may be stacks
+    of matrices of one shape ``(..., d, d)``; the result then has shape
+    ``(...)``, and a single pair gives a float.  Eigenpairs with
     lambda_i + lambda_j <= kernel_tol lie in the channel kernel and are
     excluded from the sum.
     """
@@ -60,35 +62,44 @@ def qfi_general(rho, drho: np.ndarray, kernel_tol: float = 1e-12) -> float:
     d = np.asarray(drho, dtype=np.complex128)
     if d.shape != m.shape:
         raise DomainError(f"derivative shape {d.shape} does not match state {m.shape}")
-    herm_defect = float(np.abs(d - d.conj().T).max())
-    if herm_defect > 1e-12:
-        raise DomainError(f"drho is not Hermitian (defect {herm_defect:.3e})")
-    tr = abs(complex(np.trace(d)))
-    if tr > 1e-12:
-        raise DomainError(f"drho is not traceless (|trace| = {tr:.3e})")
+    herm = np.abs(d - d.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    bad = ~(herm <= 1e-12)
+    if bad.any():
+        raise DomainError(
+            f"drho is not Hermitian (defect {float(herm[bad].flat[0]):.3e})"
+            + states._member(bad)
+        )
+    tr = np.abs(np.trace(d, axis1=-2, axis2=-1))
+    bad = ~(tr <= 1e-12)
+    if bad.any():
+        raise DomainError(
+            f"drho is not traceless (|trace| = {float(tr[bad].flat[0]):.3e})"
+            + states._member(bad)
+        )
     lam, vec = np.linalg.eigh(m)
-    a = vec.conj().T @ d @ vec
-    s = lam[:, None] + lam[None, :]
+    a = vec.conj().swapaxes(-1, -2) @ d @ vec
+    s = lam[..., :, None] + lam[..., None, :]
     mask = s > kernel_tol
-    with np.errstate(divide="ignore", invalid="ignore"):
-        contrib = 2.0 * np.abs(a) ** 2 / s
-    return float(contrib[mask].sum())
+    contrib = 2.0 * np.abs(a) ** 2 / np.where(mask, s, 1.0)
+    f = np.where(mask, contrib, 0.0).sum(axis=(-2, -1))
+    return float(f) if f.ndim == 0 else f
 
 
-def _drho_from(theta: float, a: float, dadb: float) -> np.ndarray:
+def _drho_from(theta: float, a, dadb) -> np.ndarray:
     # Entrywise derivative of the evolved X state with respect to B, written
-    # as (d rho / d alpha) * (d alpha / dB).
+    # as (d rho / d alpha) * (d alpha / dB); a stack for arrays a and dadb.
+    a = np.asarray(a, dtype=np.float64)
     a2 = a * a
     a3 = a2 * a
     cos_t = math.cos(theta)
     sin_t = math.sin(theta)
-    d = np.zeros((4, 4), dtype=np.complex128)
-    d[0, 0] = (a3 + cos_t * a) * dadb
-    d[1, 1] = -a3 * dadb
-    d[2, 2] = -a3 * dadb
-    d[3, 3] = (a3 - cos_t * a) * dadb
-    d[0, 3] = a * sin_t * dadb
-    d[3, 0] = d[0, 3]
+    d = np.zeros(np.broadcast_shapes(a.shape, np.shape(dadb)) + (4, 4), dtype=np.complex128)
+    d[..., 0, 0] = (a3 + cos_t * a) * dadb
+    d[..., 1, 1] = -a3 * dadb
+    d[..., 2, 2] = -a3 * dadb
+    d[..., 3, 3] = (a3 - cos_t * a) * dadb
+    d[..., 0, 3] = a * sin_t * dadb
+    d[..., 3, 0] = d[..., 0, 3]
     return d
 
 
@@ -107,16 +118,18 @@ def drho_db(
     return _drho_from(theta, a, dadb)
 
 
-def _closed_from(b: float, beta_abs: float, iv: float, a: float) -> float:
-    if b == 0.0 or iv == 0.0:
-        return 0.0
-    a4 = a**4
+def _closed_from(b: float, beta_abs: float, iv, a):
+    # 128 B^2 beta^2 I_Q^2 alpha^4 / (1 - alpha^4), elementwise over arrays
+    # iv and a.  It is 0 where B or I_Q vanishes and where alpha is
+    # indistinguishable from 1 in double precision: the exact limit at t -> 0
+    # is 0 and F there is below representable noise.
+    iv = np.asarray(iv, dtype=np.float64)
+    a4 = np.asarray(a, dtype=np.float64) ** 4
     om = 1.0 - a4
-    if om == 0.0:
-        # alpha indistinguishable from 1 in double precision; the exact limit
-        # at t -> 0 is 0 and F here is below representable noise.
-        return 0.0
-    return 128.0 * b * b * beta_abs * beta_abs * iv * iv * a4 / om
+    zero = (b == 0.0) | (iv == 0.0) | (om == 0.0)
+    with np.errstate(over="ignore"):
+        f = 128.0 * b * b * beta_abs * beta_abs * iv * iv * a4 / np.where(zero, 1.0, om)
+    return np.where(zero, 0.0, f)
 
 
 def qfi_closed(
@@ -130,7 +143,7 @@ def qfi_closed(
         return 0.0
     iv = dephasing.i_q(ch.env, t, opts)
     a = math.exp(-2.0 * ch.b * ch.b * ch.beta_abs * iv)
-    return _closed_from(ch.b, ch.beta_abs, iv, a)
+    return float(_closed_from(ch.b, ch.beta_abs, iv, a))
 
 
 def qfi_series(
@@ -149,11 +162,13 @@ def qfi_series(
     with np.errstate(under="ignore"):
         avals = np.exp(-c * ivals)
     dadb_vals = -4.0 * ch.b * ch.beta_abs * ivals * avals
-    samples: list[QfiSample] = []
-    for t, a, iv, dadb in zip(ts, avals, ivals, dadb_vals):
-        rho = states.evolved_x_state(theta, float(a))
-        f_general = qfi_general(rho, _drho_from(theta, float(a), float(dadb)))
-        f_closed = _closed_from(ch.b, ch.beta_abs, float(iv), float(a))
-        gap = abs(f_general - f_closed) / max(f_general, _REL_GAP_FLOOR)
-        samples.append(QfiSample(float(t), f_general, f_closed, gap))
-    return samples
+    f_general = np.empty_like(avals)
+    for block in states._blocks(len(ts)):
+        rho = states.evolved_x_state(theta, avals[block])
+        f_general[block] = qfi_general(rho, _drho_from(theta, avals[block], dadb_vals[block]))
+    f_closed = _closed_from(ch.b, ch.beta_abs, ivals, avals)
+    gaps = np.abs(f_general - f_closed) / np.maximum(f_general, _REL_GAP_FLOOR)
+    return [
+        QfiSample(*row)
+        for row in zip(ts.tolist(), f_general.tolist(), f_closed.tolist(), gaps.tolist())
+    ]

@@ -81,6 +81,17 @@ def test_parse_spec_rejections(tmp_path):
         parse_spec(path=str(tmp_path / "missing.json"), mode="nm-scan")
 
 
+def test_n_grid_upper_bound(capsys):
+    over = {"q_values": [1.0], "gamma0_values": [0.5]}
+    assert parse_spec(mode="corr-series", overrides=dict(over, n_grid=65536)).n_grid == 65536
+    with pytest.raises(SpecError, match="n_grid"):
+        parse_spec(mode="corr-series", overrides=dict(over, n_grid=65537))
+    # rejected before any grid is allocated
+    assert main(["corr-series", "--q", "1.0", "--gamma0", "0.5",
+                 "--n-grid", "100000000"]) == 2
+    assert "spec error: n_grid" in capsys.readouterr().err
+
+
 def test_runner_rejects_foreign_mode():
     spec = SweepSpec(mode="bogus", q_values=(1.0,), gamma0_values=(1.0,))
     with pytest.raises(SpecError):
@@ -151,6 +162,24 @@ def test_exit_three_on_gamma_overflow(tmp_path, capsys):
     assert main(base + ["--q", "200", "--out", str(tmp_path / "a.csv")]) == 3
     assert "numerical error" in capsys.readouterr().err
     assert main(base + ["--q", "169.3", "--out", str(tmp_path / "b.csv")]) == 0
+
+
+def test_exit_three_on_cutoff_power_overflow(tmp_path, capsys):
+    # gamma0 ** (Q - 1) = 100 ** 168.3 overflows although the decoherence
+    # exponent 2 B^2 |beta| I_Q is finite
+    rc = main(["corr-series", "--q", "169.3", "--gamma0", "100", "--n-grid", "16",
+               "--out", str(tmp_path / "t.csv")])
+    assert rc == 3
+    assert "numerical error" in capsys.readouterr().err
+
+
+def test_exit_three_on_cutoff_power_underflow(tmp_path, capsys):
+    # gamma0 ** (Q - 1) = (1e-300) ** 2 underflows to 0, and so would the
+    # gamma0 ** (Q + 1) that beta divides by
+    rc = main(["corr-series", "--q", "3", "--gamma0", "1e-300", "--n-grid", "16",
+               "--out", str(tmp_path / "t.csv")])
+    assert rc == 3
+    assert "numerical error" in capsys.readouterr().err
 
 
 def test_main_leaves_warning_filters_alone(tmp_path):
@@ -260,6 +289,18 @@ def test_parallel_output_is_byte_identical(tmp_path):
     serial = tmp_path / "serial.csv"
     parallel = tmp_path / "parallel.csv"
     assert main(base + ["--parallel", "1", "--out", str(serial)]) == 0
+    assert main(base + ["--parallel", "2", "--out", str(parallel)]) == 0
+    assert serial.read_bytes() == parallel.read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["qfi-series", "state-dump"])
+def test_stacked_modes_parallel_byte_identical(tmp_path, mode):
+    # corr-series: test_parallel_output_is_byte_identical
+    base = [mode, "--q", "1.0", "3.0", "--gamma0", "0.5", "1.6", "--theta", "1.1",
+            "--t-max", "5.0", "--n-grid", "64"]
+    serial = tmp_path / "serial.csv"
+    parallel = tmp_path / "parallel.csv"
+    assert main(base + ["--out", str(serial)]) == 0
     assert main(base + ["--parallel", "2", "--out", str(parallel)]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
 

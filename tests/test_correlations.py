@@ -39,9 +39,9 @@ def bell_state(theta: float = HALF_PI) -> XState4:
 # ---------------------------------------------------------------------------
 
 def test_concurrence_endpoints():
-    assert concurrence_x(bell_state()) == pytest.approx(1.0, rel=1e-14)
+    assert concurrence_x(bell_state()) == pytest.approx(1.0, rel=1e-14, abs=0.0)
     assert concurrence_x(evolved_x_state(0.0, 0.7)) == 0.0
-    assert concurrence_evolved(HALF_PI, 1.0) == pytest.approx(1.0, rel=1e-14)
+    assert concurrence_evolved(HALF_PI, 1.0) == pytest.approx(1.0, rel=1e-14, abs=0.0)
 
 
 def test_concurrence_routes_agree():
@@ -85,7 +85,7 @@ def test_sudden_death_root_both_routes():
 # ---------------------------------------------------------------------------
 
 def test_discord_endpoints():
-    assert discord_x(bell_state()) == pytest.approx(1.0, rel=1e-12)
+    assert discord_x(bell_state()) == pytest.approx(1.0, rel=1e-12, abs=0.0)
     assert discord_closed(1.0) == 1.0
     # theta = 0 evolves |00> into a classical diagonal state
     assert discord_x(evolved_x_state(0.0, 0.6)) == pytest.approx(0.0, abs=1e-12)
@@ -120,8 +120,8 @@ def test_discord_brute_force_oracle_asymmetric(rng):
 # ---------------------------------------------------------------------------
 
 def test_lqu_endpoints():
-    assert lqu_x(bell_state()) == pytest.approx(1.0, rel=1e-10)
-    assert lqu_closed(HALF_PI, 1.0) == pytest.approx(1.0, rel=1e-14)
+    assert lqu_x(bell_state()) == pytest.approx(1.0, rel=1e-10, abs=0.0)
+    assert lqu_closed(HALF_PI, 1.0) == pytest.approx(1.0, rel=1e-14, abs=0.0)
     # theta = 0 gives a product state: no local quantum uncertainty
     assert lqu_x(evolved_x_state(0.0, 1.0)) == pytest.approx(0.0, abs=1e-10)
 
@@ -140,9 +140,9 @@ def test_lqu_piecewise_branches_both_visited():
     # at theta = pi/2 the isotropic branch always wins; the anisotropic
     # a^4 sin^2(theta) branch takes over once sin^2(theta) is small enough
     lo = lqu_closed(HALF_PI, 0.3)
-    assert lo == pytest.approx(1.0 - math.sqrt(1.0 - 0.3 ** 4), rel=1e-12)
+    assert lo == pytest.approx(1.0 - math.sqrt(1.0 - 0.3 ** 4), rel=1e-12, abs=0.0)
     hi = lqu_closed(math.pi / 6.0, 0.99)
-    assert hi == pytest.approx(0.99 ** 4 * 0.25, rel=1e-12)
+    assert hi == pytest.approx(0.99 ** 4 * 0.25, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +160,15 @@ def test_tnd_equals_half_coherence_on_family():
 def test_tnd_direct_value():
     s = evolved_x_state(math.pi / 3, 0.8)
     want = 0.5 * 0.64 * math.sin(math.pi / 3)
-    assert tnd_x(s) == pytest.approx(want, rel=1e-12)
+    assert tnd_x(s) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_tnd_degenerate_corners_return_zero():
-    # at these corners the ratio formula is 0/0; for every valid X state the
-    # numerator vanishes at least as fast, so the policy value is 0.0
+    # the ratio formula is 0/0 at the last two corners; its weighted-mean
+    # form gives |xi_1| / 2 there: 0 for the maximally mixed state, and
+    # coherence_l1 / 2 = 1/2 for the Bell state
     assert tnd_x(evolved_x_state(0.0, 0.5)) == 0.0
-    assert tnd_x(evolved_x_state(HALF_PI, 1.0)) == 0.0
+    assert tnd_x(evolved_x_state(HALF_PI, 1.0)) == 0.5
     assert tnd_x(XState4(0.25, 0.25, 0.25, 0.25)) == 0.0
 
 
@@ -176,10 +177,10 @@ def test_tnd_degenerate_corners_return_zero():
 # ---------------------------------------------------------------------------
 
 def test_coherence_values():
-    assert coherence_l1(bell_state()) == pytest.approx(1.0, rel=1e-14)
+    assert coherence_l1(bell_state()) == pytest.approx(1.0, rel=1e-14, abs=0.0)
     for theta, a in [(HALF_PI, 0.5), (math.pi / 4, 0.8)]:
         s = evolved_x_state(theta, a)
-        assert coherence_l1(s) == pytest.approx(a * a * math.sin(theta), rel=1e-13)
+        assert coherence_l1(s) == pytest.approx(a * a * math.sin(theta), rel=1e-13, abs=0.0)
     assert coherence_l1(evolved_x_state(HALF_PI, 0.0)) == 0.0
 
 

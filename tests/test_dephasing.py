@@ -61,9 +61,9 @@ def test_kappa_to_q():
 
 def test_beta_examples():
     # 4 pi / (Gamma(q+1) gamma0^(q+1)), with the overall minus sign
-    assert beta(env(1.0, 1.0)) == pytest.approx(-4.0 * math.pi, rel=1e-15)
-    assert beta(env(3.0, 1.0)) == pytest.approx(-2.0 * math.pi / 3.0, rel=1e-15)
-    assert beta(env(0.0, 2.0)) == pytest.approx(-2.0 * math.pi, rel=1e-15)
+    assert beta(env(1.0, 1.0)) == pytest.approx(-4.0 * math.pi, rel=1e-15, abs=0.0)
+    assert beta(env(3.0, 1.0)) == pytest.approx(-2.0 * math.pi / 3.0, rel=1e-15, abs=0.0)
+    assert beta(env(0.0, 2.0)) == pytest.approx(-2.0 * math.pi, rel=1e-15, abs=0.0)
     e = env(2.2, 0.7)
     assert DephasingChannel(e, 1.0).beta_abs == -beta(e)
     assert beta(e) < 0.0
@@ -83,15 +83,15 @@ def test_i_q_at_zero_and_domain():
 def test_i_q_frozen():
     # 40-digit references, both branches
     assert i_q(env(3.0, 1.0), 1.0) == pytest.approx(
-        0.8488727670040445918680847049793391421929, rel=1e-12)
+        0.8488727670040445918680847049793391421929, rel=1e-12, abs=0.0)
     assert i_q(env(1.0, 1.0), 2.0) == pytest.approx(
-        4.0 * 0.7394416300990793005006488964281928880339, rel=1e-12)
+        4.0 * 0.7394416300990793005006488964281928880339, rel=1e-12, abs=0.0)
 
 
 def test_i_q_small_time_quadratic():
     # leading term of the unit-exponent branch is (t gamma0)^2
     v = i_q(env(1.0, 1.0), 1e-4)
-    assert v == pytest.approx(1e-8, rel=1e-7)
+    assert v == pytest.approx(1e-8, rel=1e-7, abs=0.0)
 
 
 def test_i_q_oracle_grid():
@@ -120,16 +120,16 @@ def test_branch_continuity_near_unit_exponent():
         mid = i_q(env(1.0, 1.0), tg)
         lo = i_q(env(1.0 - 1e-4, 1.0), tg)
         hi = i_q(env(1.0 + 1e-4, 1.0), tg)
-        assert lo == pytest.approx(mid, rel=1e-2)
-        assert hi == pytest.approx(mid, rel=1e-2)
-        assert mid == pytest.approx(0.5 * (lo + hi), rel=1e-4)
+        assert lo == pytest.approx(mid, rel=1e-2, abs=0.0)
+        assert hi == pytest.approx(mid, rel=1e-2, abs=0.0)
+        assert mid == pytest.approx(0.5 * (lo + hi), rel=1e-4, abs=0.0)
 
 
 def test_di_q_dt_matches_finite_difference():
     for q, g0, t in [(3.0, 1.0, 0.7), (0.5, 1.6, 2.0), (2.0, 0.5, 4.0), (1.0, 1.0, 1.5)]:
         got = di_q_dt(env(q, g0), t)
         want = richardson_derivative(lambda x: i_q(env(q, g0), x), t, h=1e-3)
-        assert got == pytest.approx(want, rel=1e-6)
+        assert got == pytest.approx(want, rel=1e-6, abs=0.0)
 
 
 def test_di_q_dt_unit_branch_dawson_identity():
@@ -138,7 +138,7 @@ def test_di_q_dt_unit_branch_dawson_identity():
         for t in [0.1, 1.0, 4.0, 20.0]:
             got = di_q_dt(env(1.0, g0), t)
             want = 4.0 * g0 * dawson(t * g0 / 2.0)
-            assert got == pytest.approx(want, rel=1e-12)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +148,10 @@ def test_di_q_dt_unit_branch_dawson_identity():
 def test_alpha_frozen_and_edges():
     ch = chan(3.0, 1.0, 1.0)
     assert alpha(ch, 0.0) == 1.0
-    assert alpha(ch, 1.0) == pytest.approx(0.028559948876911509915, rel=1e-12)
+    assert alpha(ch, 1.0) == pytest.approx(0.028559948876911509915, rel=1e-12, abs=0.0)
     # exponent = 2 b^2 |beta| I
     want = math.exp(-2.0 * ch.beta_abs * i_q(ch.env, 1.0))
-    assert alpha(ch, 1.0) == pytest.approx(want, rel=1e-14)
+    assert alpha(ch, 1.0) == pytest.approx(want, rel=1e-14, abs=0.0)
     assert alpha(chan(3.0, 1.0, 0.0), 5.0) == 1.0
 
 
@@ -182,7 +182,7 @@ def test_dalpha_dt_matches_finite_difference():
         if abs(got) < 1e-12:
             continue
         want = richardson_derivative(lambda x: alpha(ch, x), t, h=1e-4)
-        assert got == pytest.approx(want, rel=1e-6)
+        assert got == pytest.approx(want, rel=1e-6, abs=0.0)
 
 
 def test_dalpha_db_matches_finite_difference():
@@ -191,7 +191,7 @@ def test_dalpha_db_matches_finite_difference():
         ch = chan(q, g0, b)
         got = dalpha_db(ch, t)
         want = richardson_derivative(lambda x: alpha(chan(q, g0, x), t), b, h=1e-4)
-        assert got == pytest.approx(want, rel=1e-6)
+        assert got == pytest.approx(want, rel=1e-6, abs=0.0)
         assert got <= 0.0
 
 

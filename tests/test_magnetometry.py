@@ -96,7 +96,7 @@ def test_qfi_closed_equals_derivative_form():
         a = alpha(ch, t)
         dadb = dalpha_db(ch, t)
         want = 8.0 * a * a * dadb * dadb / (1.0 - a ** 4)
-        assert qfi_closed(ch, t) == pytest.approx(want, rel=1e-12)
+        assert qfi_closed(ch, t) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,7 @@ def test_blp_zero_at_or_below_threshold_exponent():
 
 def test_blp_frozen_value_above_threshold():
     got = blp(chan(3.0, 1.6, 1.0), TimeWindow.for_cutoff(1.6))
-    assert got == pytest.approx(1.2124975807433506e-3, rel=1e-9)
+    assert got == pytest.approx(1.2124975807433506e-3, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -129,7 +129,7 @@ def test_blp_positive_at_weak_cutoff_full_field():
 def test_blp_positive_at_weak_cutoff_weak_field():
     # the same environment fires once the field no longer flattens alpha
     got = blp(chan(3.0, 0.01, 0.002175), TimeWindow(1500.0, 3001))
-    assert got == pytest.approx(0.08818894325022991, rel=1e-9)
+    assert got == pytest.approx(0.08818894325022991, rel=1e-9, abs=0.0)
 
 
 def test_blp_grid_refinement_stable():
@@ -151,7 +151,7 @@ def test_lpp_positive_but_smaller_than_blp():
     ch = chan(3.0, 1.6, 1.0)
     v_lpp = lpp(ch, w)
     v_blp = blp(ch, w)
-    assert v_lpp == pytest.approx(2.0107476985926902e-6, rel=1e-9)
+    assert v_lpp == pytest.approx(2.0107476985926902e-6, rel=1e-9, abs=0.0)
     assert 0.0 < v_lpp < v_blp
 
     w2 = TimeWindow(1500.0, 3001)
@@ -197,7 +197,7 @@ def test_report_intervals_and_cross_consistency():
     assert len(r.revival_intervals) == 1
     a, b = r.revival_intervals[0]
     assert 0.0 < a < b <= w.t_max
-    assert a == pytest.approx(1.8774690853310287, rel=1e-9)
+    assert a == pytest.approx(1.8774690853310287, rel=1e-9, abs=0.0)
 
 
 def test_markovian_report_has_no_intervals():
@@ -225,7 +225,7 @@ def test_pair_scan_equatorial_axis_wins_at_low_coherence():
     w = TimeWindow(62.5, 4096)
     axis, val = blp_pair_scan(ch, w, n_angles=3)
     assert axis == (0.5 * math.pi, 0.0)
-    assert val == pytest.approx(0.02295625333286648, rel=1e-9)
+    assert val == pytest.approx(0.02295625333286648, rel=1e-9, abs=0.0)
     assert val > 10.0 * blp(ch, w)
 
 

@@ -68,7 +68,7 @@ DAWSON_CASES = [
 
 @pytest.mark.parametrize("x, want", GAMMA_CASES)
 def test_gamma_frozen(x, want):
-    assert gamma(x) == pytest.approx(want, rel=1e-14)
+    assert gamma(x) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("x", [0.0, -1.0, -7.0, -3.0 + 1e-13])
@@ -85,7 +85,7 @@ def test_gamma_overflow_is_domain_error():
 
 @pytest.mark.parametrize("a, b, z, want", HYP1F1_CASES)
 def test_hyp1f1_frozen(a, b, z, want):
-    assert hyp1f1(a, b, z) == pytest.approx(want, rel=1e-12)
+    assert hyp1f1(a, b, z) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("a, b", [(0.5, 0.5), (-0.3, 1.5), (3.0, 0.5)])
@@ -122,7 +122,7 @@ def test_hyp1f1_kummer_symmetry():
     for a, b, z in [(0.5, 1.5, 3.0), (1.0, 0.5, 8.0), (-0.25, 0.5, 2.0)]:
         lhs = math.exp(-z) * hyp1f1(a, b, z)
         rhs = hyp1f1(b - a, b, -z)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
 
 
 def test_hyp1f1_deep_underflow_is_zero():
@@ -131,7 +131,7 @@ def test_hyp1f1_deep_underflow_is_zero():
     opts = EvalOptions(max_terms=200_000)
     val = hyp1f1(1.0, 0.5, -1.0e4, opts)
     want = mp_hyp1f1(1.0, 0.5, -1.0e4)
-    assert val == pytest.approx(want, rel=1e-10)
+    assert val == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("a, b, z", [(0.5, 0.5, -3.0), (1.5, 1.5, -40.0), (2.0, 0.5, 6.0)])
@@ -158,15 +158,15 @@ def test_hyp1f1_budget_exhaustion():
 
 @pytest.mark.parametrize("z, want", HYP2F2_CASES)
 def test_hyp2f2_frozen(z, want):
-    assert hyp2f2_11_32_2(z) == pytest.approx(want, rel=1e-12)
+    assert hyp2f2_11_32_2(z) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_hyp2f2_oracle_sweep():
     # straddles the direct/resummed switchover at |z| = 8
     for z in [-0.01, -0.5, -1.0, -5.0, -7.9, -8.1, -20.0, -50.0, -400.0, -2500.0]:
-        assert hyp2f2_11_32_2(z) == pytest.approx(mp_hyp2f2(z), rel=1e-10)
+        assert hyp2f2_11_32_2(z) == pytest.approx(mp_hyp2f2(z), rel=1e-10, abs=0.0)
     big = hyp2f2_11_32_2(-1.0e4, EvalOptions(max_terms=40_000))
-    assert big == pytest.approx(mp_hyp2f2(-1.0e4), rel=1e-10)
+    assert big == pytest.approx(mp_hyp2f2(-1.0e4), rel=1e-10, abs=0.0)
 
 
 def test_hyp2f2_at_zero_and_domain():
@@ -182,22 +182,22 @@ def test_dhyp2f2_matches_reference(z):
     got = dhyp2f2_11_32_2_dz(z)
     want = float(mpmath.diff(
         lambda x: mpmath.hyper([1, 1], [mpmath.mpf(3) / 2, 2], x), z))
-    assert got == pytest.approx(want, rel=1e-9)
+    assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 def test_dhyp2f2_at_zero():
     # leading series coefficient
-    assert dhyp2f2_11_32_2_dz(0.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert dhyp2f2_11_32_2_dz(0.0) == pytest.approx(1.0 / 3.0, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("x, want", DAWSON_CASES)
 def test_dawson_frozen(x, want):
-    assert dawson(x) == pytest.approx(want, rel=1e-12)
+    assert dawson(x) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_dawson_sweep_and_oddness():
     for x in [0.01, 0.2, 0.49, 0.51, 1.0, 3.7, 10.0, 25.0, 50.0]:
-        assert dawson(x) == pytest.approx(mp_dawson(x), rel=1e-10)
+        assert dawson(x) == pytest.approx(mp_dawson(x), rel=1e-10, abs=0.0)
         assert dawson(-x) == -dawson(x)
     assert dawson(0.0) == 0.0
 
@@ -214,7 +214,7 @@ def test_eval_options_validation():
 @settings(deadline=None, max_examples=60)
 @given(st.floats(min_value=0.05, max_value=40.0))
 def test_gamma_recurrence(x):
-    assert gamma(x + 1.0) == pytest.approx(x * gamma(x), rel=1e-12)
+    assert gamma(x + 1.0) == pytest.approx(x * gamma(x), rel=1e-12, abs=0.0)
 
 
 @settings(deadline=None, max_examples=40)
@@ -229,13 +229,13 @@ def test_hyp1f1_against_reference(a, b, z):
     if abs(want) < 1e-250:
         assert abs(got) < 1e-240
     else:
-        assert got == pytest.approx(want, rel=5e-10)
+        assert got == pytest.approx(want, rel=5e-10, abs=0.0)
 
 
 @settings(deadline=None, max_examples=40)
 @given(st.floats(min_value=-2000.0, max_value=-0.001))
 def test_hyp2f2_against_reference(z):
-    assert hyp2f2_11_32_2(z) == pytest.approx(mp_hyp2f2(z), rel=1e-9)
+    assert hyp2f2_11_32_2(z) == pytest.approx(mp_hyp2f2(z), rel=1e-9, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,181 @@
+"""Stacked per-sample layer: one call over a stack equals the per-state calls."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from topoqubit import (
+    DephasingChannel,
+    DomainError,
+    OhmicEnvironment,
+    TimeWindow,
+    XState4,
+    alpha_profile,
+    coherence_l1,
+    concurrence_x,
+    discord_x,
+    evolved_x_state,
+    i_q_profile,
+    lqu_x,
+    qfi_general,
+    qfi_series,
+    report,
+    tnd_x,
+)
+from topoqubit.cli import main
+from topoqubit.magnetometry import _drho_from
+from conftest import random_x_state
+
+MEASURES = (concurrence_x, discord_x, lqu_x, tnd_x, coherence_l1)
+FIELDS = ("rho11", "rho22", "rho33", "rho44", "rho14", "rho23")
+
+# corners (alpha = 0 and 1) and the bulk of the family
+ALPHAS = np.concatenate([[0.0, 1e-5, 3e-4, 1.0], np.linspace(0.01, 0.999, 61)])
+
+
+def family_stack(theta: float) -> XState4:
+    return evolved_x_state(theta, ALPHAS)
+
+
+def random_stack(rng, n: int = 200) -> tuple[XState4, list[XState4]]:
+    singles = [random_x_state(rng) for _ in range(n)]
+    stack = XState4(*(np.array([getattr(s, f) for s in singles]) for f in FIELDS))
+    return stack, singles
+
+
+def random_drho(rng) -> np.ndarray:
+    # Hermitian and traceless, complex off-diagonal entries
+    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    h = h + h.conj().T
+    return h - np.trace(h) / 4.0 * np.eye(4)
+
+
+def test_family_stack_fields_and_matrix():
+    s = family_stack(1.1)
+    assert s.shape == ALPHAS.shape
+    assert s.matrix.shape == ALPHAS.shape + (4, 4)
+    for i, a in enumerate(ALPHAS):
+        one = evolved_x_state(1.1, float(a))
+        assert one.shape == ()
+        assert np.array_equal(s.matrix[i], one.matrix)
+
+
+@pytest.mark.parametrize("measure", MEASURES, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("theta", [0.0, 0.4, math.pi / 2.0, 2.9])
+def test_measures_stacked_equal_scalar_on_family(measure, theta):
+    got = measure(family_stack(theta))
+    assert got.shape == ALPHAS.shape
+    for g, a in zip(got, ALPHAS):
+        want = measure(evolved_x_state(theta, float(a)))
+        assert type(want) is float
+        assert abs(g - want) <= 1e-15
+
+
+@pytest.mark.parametrize("measure", MEASURES, ids=lambda f: f.__name__)
+def test_measures_stacked_equal_scalar_on_random_states(rng, measure):
+    stack, singles = random_stack(rng)
+    assert np.iscomplexobj(stack.rho14) and np.abs(stack.rho23.imag).max() > 0.1
+    got = measure(stack)
+    want = np.array([measure(s) for s in singles])
+    assert np.abs(got - want).max() <= 1e-15
+
+
+def test_report_on_a_stack():
+    r = report(family_stack(0.7))
+    assert r.lqu.shape == ALPHAS.shape
+    assert np.array_equal(r.tnd, tnd_x(family_stack(0.7)))
+
+
+def test_qfi_general_stacked_equals_scalar_on_family():
+    theta = 1.1
+    dadb = -0.3 * ALPHAS * np.linspace(0.0, 2.0, ALPHAS.size)
+    got = qfi_general(family_stack(theta), _drho_from(theta, ALPHAS, dadb))
+    for g, a, d in zip(got, ALPHAS, dadb):
+        want = qfi_general(evolved_x_state(theta, float(a)), _drho_from(theta, float(a), float(d)))
+        assert type(want) is float
+        assert abs(g - want) <= 1e-15
+
+
+def test_qfi_general_stacked_equals_scalar_on_random_states(rng):
+    stack, singles = random_stack(rng, 100)
+    drho = np.array([random_drho(rng) for _ in singles])
+    got = qfi_general(stack, drho)
+    want = np.array([qfi_general(s, d) for s, d in zip(singles, drho)])
+    assert np.abs(got - want).max() <= 1e-15
+
+
+def test_x_state_rejects_one_bad_member():
+    pops = np.full((5, 4), 0.25)
+    rho14 = np.full(5, 0.1 + 0.1j)
+    XState4(*pops.T, rho14=rho14)
+    bad = rho14.copy()
+    bad[3] = 0.3                                          # |rho14|^2 > rho11 rho44
+    with pytest.raises(DomainError, match="rho14.*member 3"):
+        XState4(*pops.T, rho14=bad)
+    bad23 = np.zeros((2, 3), dtype=complex)
+    bad23[1, 2] = 0.26j
+    with pytest.raises(DomainError, match="rho23.*member 1, 2"):
+        XState4(0.25, 0.25, 0.25, 0.25, rho23=bad23)
+    neg = pops.copy()
+    neg[2] = (0.5, 0.5, 0.2, -0.2)
+    with pytest.raises(DomainError, match="rho44.*member 2"):
+        XState4(*neg.T)
+    off = pops.copy()
+    off[4, 0] = 0.26
+    with pytest.raises(DomainError, match="sum.*member 4"):
+        XState4(*off.T)
+
+
+def test_x_state_fields_are_frozen_copies():
+    a = np.array([0.2, 0.3, 0.25])
+    s = XState4(a, 0.25, 0.25, 1.0 - 0.5 - a)
+    a[0] = 5.0
+    assert s.rho11[0] == 0.2
+    with pytest.raises(ValueError):
+        s.rho11[0] = 0.3
+
+
+def test_evolved_x_state_rejects_one_bad_factor():
+    with pytest.raises(DomainError, match="1.5"):
+        evolved_x_state(1.0, np.array([0.2, 1.5, 0.3]))
+
+
+def test_qfi_general_rejects_one_bad_derivative():
+    theta = 1.1
+    rho = family_stack(theta)
+    drho = _drho_from(theta, ALPHAS, np.full(ALPHAS.size, -0.2))
+    qfi_general(rho, drho)
+    not_hermitian = drho.copy()
+    not_hermitian[7, 0, 1] = 1e-9
+    with pytest.raises(DomainError, match="Hermitian.*member 7"):
+        qfi_general(rho, not_hermitian)
+    not_traceless = drho.copy()
+    not_traceless[9, 1, 1] += 1e-9
+    with pytest.raises(DomainError, match="traceless.*member 9"):
+        qfi_general(rho, not_traceless)
+    with pytest.raises(DomainError, match="shape"):
+        qfi_general(rho, drho[:-1])
+
+
+def test_series_blocks_equal_one_whole_stack(tmp_path):
+    # 600 samples span three blocks, the last one partial
+    ch = DephasingChannel(OhmicEnvironment(3.0, 0.5), 1.0)
+    w = TimeWindow(5.0, 600)
+    ts = w.times()
+    avals, _ = alpha_profile(ch, ts)
+    s = evolved_x_state(1.1, avals)
+    out = tmp_path / "corr.csv"
+    assert main(["corr-series", "--q", "3.0", "--gamma0", "0.5", "--theta", "1.1",
+                 "--t-max", "5.0", "--n-grid", "600", "--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", comments="#", skiprows=3)
+    want = np.column_stack([ts, avals] + [f(s) for f in MEASURES])
+    assert rows.shape == (600, 9)
+    assert np.array_equal(rows[:, 2:], want)
+
+    samples = qfi_series(ch, 1.1, w)
+    dadb = -4.0 * ch.b * ch.beta_abs * i_q_profile(ch.env, ts)[0] * avals
+    f_whole = qfi_general(s, _drho_from(1.1, avals, dadb))
+    assert np.array_equal([x.f_general for x in samples], f_whole)

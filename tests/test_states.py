@@ -83,7 +83,7 @@ def test_bloch_affine_map_validation():
     with pytest.raises(DomainError):
         BlochAffineMap(np.eye(2))
     am = BlochAffineMap(0.5 * np.eye(3))
-    assert am.det == pytest.approx(0.125, rel=1e-15)
+    assert am.det == pytest.approx(0.125, rel=1e-15, abs=0.0)
     assert np.all(am.c == 0.0)
 
 
@@ -100,10 +100,10 @@ def test_evolve_single_identity_at_full_coherence():
 def test_evolve_single_formulas():
     out = evolve_single(KET0, 0.6)
     # populations relax toward 1/2 with weight a^2
-    assert out.matrix[0, 0] == pytest.approx(0.5 * (1.0 + 0.36), rel=1e-15)
+    assert out.matrix[0, 0] == pytest.approx(0.5 * (1.0 + 0.36), rel=1e-15, abs=0.0)
     out = evolve_single(PLUS, 0.6)
-    assert out.matrix[0, 1] == pytest.approx(0.5 * 0.6, rel=1e-15)
-    assert out.matrix[0, 0] == pytest.approx(0.5, rel=1e-15)
+    assert out.matrix[0, 1] == pytest.approx(0.5 * 0.6, rel=1e-15, abs=0.0)
+    assert out.matrix[0, 0] == pytest.approx(0.5, rel=1e-15, abs=0.0)
 
 
 def test_evolve_single_domain():
@@ -157,8 +157,8 @@ def test_bell_like_endpoints():
     assert np.allclose(bell_like(0.0).matrix, np.diag([1.0, 0, 0, 0]), atol=1e-15)
     assert np.allclose(bell_like(math.pi).matrix, np.diag([0, 0, 0, 1.0]), atol=1e-15)
     m = bell_like(math.pi / 2).matrix
-    assert m[0, 0] == pytest.approx(0.5, rel=1e-15)
-    assert m[0, 3] == pytest.approx(0.5, rel=1e-15)
+    assert m[0, 0] == pytest.approx(0.5, rel=1e-15, abs=0.0)
+    assert m[0, 3] == pytest.approx(0.5, rel=1e-15, abs=0.0)
     with pytest.raises(DomainError):
         bell_like(-0.1)
     with pytest.raises(DomainError):
@@ -170,10 +170,11 @@ def test_evolved_x_state_entries():
     s = evolved_x_state(theta, a)
     m = s.matrix
     a2, a4 = a * a, a ** 4
-    assert m[0, 0].real == pytest.approx(0.25 * (1 + a4) + 0.5 * a2 * math.cos(theta), rel=1e-14)
-    assert m[1, 1].real == pytest.approx(0.25 * (1 - a4), rel=1e-14)
-    assert m[2, 2].real == pytest.approx(0.25 * (1 - a4), rel=1e-14)
-    assert m[0, 3].real == pytest.approx(0.5 * a2 * math.sin(theta), rel=1e-14)
+    assert m[0, 0].real == pytest.approx(0.25 * (1 + a4) + 0.5 * a2 * math.cos(theta),
+                                         rel=1e-14, abs=0.0)
+    assert m[1, 1].real == pytest.approx(0.25 * (1 - a4), rel=1e-14, abs=0.0)
+    assert m[2, 2].real == pytest.approx(0.25 * (1 - a4), rel=1e-14, abs=0.0)
+    assert m[0, 3].real == pytest.approx(0.5 * a2 * math.sin(theta), rel=1e-14, abs=0.0)
     assert evolved_x_state(theta, 0.0).matrix[0, 3] == 0.0
 
 
@@ -183,15 +184,15 @@ def test_evolved_x_state_entries():
 
 def test_trace_distance_basics():
     assert trace_distance(KET0, KET0) == pytest.approx(0.0, abs=1e-15)
-    assert trace_distance(KET0, KET1) == pytest.approx(1.0, rel=1e-15)
-    assert trace_distance(KET0, PLUS) == pytest.approx(math.sqrt(0.5), rel=1e-12)
+    assert trace_distance(KET0, KET1) == pytest.approx(1.0, rel=1e-15, abs=0.0)
+    assert trace_distance(KET0, PLUS) == pytest.approx(math.sqrt(0.5), rel=1e-12, abs=0.0)
 
 
 def test_trace_distance_of_evolved_poles():
     # antipodal initial states keep distance a^2 under the channel
     for a in (0.1, 0.5, 0.9):
         d = trace_distance(evolve_single(KET0, a), evolve_single(KET1, a))
-        assert d == pytest.approx(a * a, rel=1e-13)
+        assert d == pytest.approx(a * a, rel=1e-13, abs=0.0)
 
 
 def test_trace_distance_contractivity(rng):
@@ -231,7 +232,7 @@ def test_bloch_affine_map_structure():
         am = bloch_affine_map(a)
         assert np.allclose(am.m, np.diag([a, a, a * a]), atol=1e-13)
         assert np.allclose(am.c, 0.0, atol=1e-13)
-        assert am.det == pytest.approx(a ** 4, rel=1e-12)
+        assert am.det == pytest.approx(a ** 4, rel=1e-12, abs=0.0)
 
 
 @settings(deadline=None, max_examples=50)
