@@ -46,11 +46,22 @@ DEFAULT_NM_GAMMA0 = (0.01, 0.1, 0.5, 1.0, 1.6, 3.0)
 # A BLP measure above this flags the combo as non-Markovian in nm-scan.
 _FLAG_THRESHOLD = 1e-10
 
-# Largest time grid a spec may ask for.  A table's rows stay in memory until
-# it is written, a few hundred bytes per grid point and combination (one
-# corr-series combination at this bound peaks near 60 MB); every recipe uses
-# 2048-4096 points.
+# Largest time grid a spec may ask for; every recipe uses 2048-4096 points.
+# A table stays in memory until it is written, as float64 rows of 8 bytes per
+# column: 72 bytes per grid point and combination in corr-series, 152 in
+# state-dump, so one combination at this bound holds 4.7 MB or 10 MB (its run
+# peaks at 41 MB or 51 MB resident).
 _MAX_N_GRID = 65536
+
+# Largest number of grid points over all (Q, gamma0) combinations,
+# len(q_values) * len(gamma0_values) * n_grid; fig1, the largest recipe, asks
+# for 663,552.  It bounds the run time of every mode, and a series table at
+# the bound holds 302 MB (corr-series) to 638 MB (state-dump).
+_MAX_GRID_POINTS = 2**22
+
+# Most worker processes a spec may ask for; a fixed number, so a spec
+# validates alike on every machine.
+_MAX_PARALLEL = 64
 
 _SPEC_KEYS = {
     "mode",
@@ -102,10 +113,16 @@ class SweepSpec:
             raise SpecError(f"t_max: must be finite and > 0, got {self.t_max}")
         if not 16 <= self.n_grid <= _MAX_N_GRID:
             raise SpecError(f"n_grid: must lie in [16, {_MAX_N_GRID}], got {self.n_grid}")
+        points = len(self.q_values) * len(self.gamma0_values) * self.n_grid
+        if points > _MAX_GRID_POINTS:
+            raise SpecError(
+                f"len(q_values) * len(gamma0_values) * n_grid: must be at most "
+                f"{_MAX_GRID_POINTS}, got {points}"
+            )
         if self.format not in ("csv", "json"):
             raise SpecError(f"format: expected 'csv' or 'json', got {self.format!r}")
-        if self.parallel is not None and self.parallel < 1:
-            raise SpecError(f"parallel: must be >= 1, got {self.parallel}")
+        if self.parallel is not None and not 1 <= self.parallel <= _MAX_PARALLEL:
+            raise SpecError(f"parallel: must lie in [1, {_MAX_PARALLEL}], got {self.parallel}")
 
     def echo_dict(self) -> dict:
         """Result-defining parameters, echoed into output metadata.  Execution
@@ -124,34 +141,42 @@ class SweepSpec:
 
 @dataclass(frozen=True, slots=True)
 class SeriesTable:
-    """One flat result table plus its metadata."""
+    """One flat result table plus its metadata.  ``rows`` is a float64 array
+    of shape (number of rows, number of columns)."""
 
     columns: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...]
+    rows: np.ndarray
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", np.asarray(self.rows, dtype=np.float64))
+
     def _check_finite(self) -> None:
-        for i, row in enumerate(self.rows):
-            for name, v in zip(self.columns, row):
-                if not math.isfinite(v):
-                    raise ConvergenceError(
-                        f"non-finite value {v!r} in column {name!r}, row {i}"
-                    )
+        bad = ~np.isfinite(self.rows)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ConvergenceError(
+                f"non-finite value {float(self.rows[i, j])!r} in column "
+                f"{self.columns[j]!r}, row {i}"
+            )
 
     def to_csv(self, fh) -> None:
         self._check_finite()
         fh.write(f"# tool: topoqubit {__version__}\n")
         fh.write("# spec: " + json.dumps(self.meta.get("spec", {}), sort_keys=True) + "\n")
         fh.write(",".join(self.columns) + "\n")
-        for row in self.rows:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+        # One %-format call per block of rows; '%.17g' % v is format(v, '.17g').
+        line = ",".join(["%.17g"] * len(self.columns)) + "\n"
+        for block in states._blocks(len(self.rows)):
+            values = self.rows[block]
+            fh.write((line * len(values)) % tuple(values.ravel().tolist()))
 
     def to_json(self, fh) -> None:
         self._check_finite()
         obj = {
             "meta": {"tool": "topoqubit", "version": __version__, "spec": self.meta.get("spec", {})},
             "columns": list(self.columns),
-            "rows": [list(row) for row in self.rows],
+            "rows": self.rows.tolist(),
         }
         json.dump(obj, fh, sort_keys=True)
         fh.write("\n")
@@ -265,7 +290,8 @@ def parse_spec(path: str | None = None, mode: str | None = None, overrides: dict
 # ---------------------------------------------------------------------------
 # Per-combo workers.  Top-level functions so they pickle cleanly into a
 # process pool; each returns the finished rows for one (q, gamma0)
-# combination of the spec, and combos are reassembled in grid order.
+# combination of the spec as one float64 array, and combos are reassembled in
+# grid order.
 # ---------------------------------------------------------------------------
 
 
@@ -277,57 +303,60 @@ def _combo(
     return ch, w
 
 
-def _nm_rows(spec: SweepSpec, q: float, g0: float) -> list[tuple[float, ...]]:
+def _new_rows(q: float, g0: float, n_rows: int, n_cols: int) -> np.ndarray:
+    # An (n_rows, n_cols) table whose first two columns hold the combination.
+    out = np.empty((n_rows, n_cols))
+    out[:, 0] = q
+    out[:, 1] = g0
+    return out
+
+
+def _nm_rows(spec: SweepSpec, q: float, g0: float) -> np.ndarray:
     ch, w = _combo(spec, q, g0)
     n_blp = blp(ch, w)
     n_lpp = lpp(ch, w)
     flag = 1.0 if n_blp > _FLAG_THRESHOLD else 0.0
-    return [(q, g0, n_blp, n_lpp, flag)]
+    return np.array([[q, g0, n_blp, n_lpp, flag]])
 
 
-def _corr_rows(spec: SweepSpec, q: float, g0: float) -> list[tuple[float, ...]]:
+def _corr_rows(spec: SweepSpec, q: float, g0: float) -> np.ndarray:
     ch, w = _combo(spec, q, g0)
     ts = w.times()
     avals, _ = dephasing.alpha_profile(ch, ts)
-    rows = []
+    out = _new_rows(q, g0, len(ts), 9)
+    out[:, 2] = ts
+    out[:, 3] = avals
     for block in states._blocks(len(ts)):
         s = states.evolved_x_state(spec.theta, avals[block])
-        cols = (
-            ts[block],
-            avals[block],
-            correlations.concurrence_x(s),
-            correlations.discord_x(s),
-            correlations.lqu_x(s),
-            correlations.tnd_x(s),
-            correlations.coherence_l1(s),
-        )
-        rows.extend((q, g0, *row) for row in zip(*(c.tolist() for c in cols)))
-    return rows
+        out[block, 4] = correlations.concurrence_x(s)
+        out[block, 5] = correlations.discord_x(s)
+        out[block, 6] = correlations.lqu_x(s)
+        out[block, 7] = correlations.tnd_x(s)
+        out[block, 8] = correlations.coherence_l1(s)
+    return out
 
 
-def _qfi_rows(spec: SweepSpec, q: float, g0: float) -> list[tuple[float, ...]]:
+def _qfi_rows(spec: SweepSpec, q: float, g0: float) -> np.ndarray:
     ch, w = _combo(spec, q, g0)
     samples = magnetometry.qfi_series(ch, spec.theta, w)
-    return [(q, g0, s.t, s.f_closed, s.f_general, s.rel_gap) for s in samples]
+    out = _new_rows(q, g0, len(samples), 6)
+    out[:, 2:] = [(s.t, s.f_closed, s.f_general, s.rel_gap) for s in samples]
+    return out
 
 
-def _dump_rows(spec: SweepSpec, q: float, g0: float) -> list[tuple[float, ...]]:
+def _dump_rows(spec: SweepSpec, q: float, g0: float) -> np.ndarray:
     ch, w = _combo(spec, q, g0)
     ts = w.times()
     avals, _ = dephasing.alpha_profile(ch, ts)
-    rows = []
+    out = _new_rows(q, g0, len(ts), 3 + len(_DUMP_COLUMNS))
+    out[:, 2] = ts
     for block in states._blocks(len(ts)):
         m = states.evolved_x_state(spec.theta, avals[block]).matrix
         upper = m[:, _UPPER[0], _UPPER[1]]
-        table = np.column_stack(
-            (
-                ts[block],
-                m.diagonal(axis1=-2, axis2=-1).real,
-                np.stack((upper.real, upper.imag), axis=-1).reshape(len(m), -1),
-            )
-        )
-        rows.extend((q, g0, *row) for row in table.tolist())
-    return rows
+        out[block, 3:7] = m.diagonal(axis1=-2, axis2=-1).real
+        out[block, 7::2] = upper.real
+        out[block, 8::2] = upper.imag
+    return out
 
 
 # Upper-triangle entries of a 4x4 state, row by row: the dump's column order.
@@ -376,7 +405,7 @@ def run(spec: SweepSpec) -> SeriesTable:
             chunks = list(pool.map(worker, repeat(spec), qs, g0s))
     else:
         chunks = list(map(worker, repeat(spec), qs, g0s))
-    rows = tuple(row for chunk in chunks for row in chunk)
+    rows = np.concatenate(chunks)
     meta = {"spec": spec.echo_dict(), "format": spec.format}
     return SeriesTable(columns=columns, rows=rows, meta=meta)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .states import PAULIS, XState4, evolved_x_state
+from .states import XState4, evolved_x_state
 
 __all__ = [
     "CorrelationReport",
@@ -143,18 +143,33 @@ def discord_closed(a: float) -> float:
     return min(q1, q2)
 
 
+def _block_sqrt(p: np.ndarray, q: np.ndarray, r: np.ndarray, det: np.ndarray):
+    # Diagonal entries and off-diagonal modulus of the square root of the PSD
+    # block [[p, z], [z*, q]] with |z| = r and determinant det:
+    # sqrt(M) = (M + sqrt(det) I) / sqrt(tr M + 2 sqrt(det)), and 0 for M = 0.
+    sd = np.sqrt(det)
+    norm = np.sqrt(np.maximum(p + q + 2.0 * sd, 0.0))
+    inv = np.where(norm > 0.0, 1.0 / np.where(norm > 0.0, norm, 1.0), 0.0)
+    return (p + sd) * inv, (q + sd) * inv, r * inv
+
+
 def lqu_x(s: XState4) -> float:
     """Local quantum uncertainty of an X state.
 
     1 - max eigenvalue of the 3x3 matrix W with
-    W_ij = Tr[sqrt(rho) (sigma_i x I) sqrt(rho) (sigma_j x I)].
+    W_ij = Tr[sqrt(rho) (sigma_i x I) sqrt(rho) (sigma_j x I)]
+    (Girolami, Tufarelli & Adesso, PRL 110, 240402 (2013)).  sqrt(rho) is X
+    form, built blockwise from the state's block determinants: diagonal
+    a, b, e, f and anti-diagonal moduli c (block 14) and d (block 23).  W is
+    then block diagonal with eigenvalues 2(ae + bf) +- 4cd and
+    a^2 + b^2 + e^2 + f^2 - 2(c^2 + d^2); the coherence phases drop out, as
+    LQU is invariant under local phase rotations.
     """
-    w, v = np.linalg.eigh(s.matrix)
-    sq = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    # W_ij = Tr(B_i B_j) with B_i = sqrt(rho) (sigma_i x I); real up to rounding.
-    b = sq[..., None, :, :] @ np.stack([np.kron(p, np.eye(2)) for p in PAULIS])
-    wmat = np.einsum("...ikl,...jlk->...ij", b, b).real
-    return _out(1.0 - np.linalg.eigvalsh(wmat)[..., -1])
+    a, f, c = _block_sqrt(s.rho11, s.rho44, np.abs(s.rho14), s.det14)
+    b, e, d = _block_sqrt(s.rho22, s.rho33, np.abs(s.rho23), s.det23)
+    w_xy = 2.0 * (a * e + b * f) + 4.0 * c * d
+    w_zz = a * a + b * b + e * e + f * f - 2.0 * (c * c + d * d)
+    return _out(1.0 - np.maximum(w_xy, w_zz))
 
 
 def lqu_closed(theta: float, a: float) -> float:

@@ -114,10 +114,16 @@ class XState4:
     """Two-qubit X-form state: diagonal plus the two anti-diagonal coherences.
 
     Parameters are the populations rho11..rho44 (basis |00>,|01>,|10>,|11>)
-    and the coherences rho14 = <00|rho|11>, rho23 = <01|rho|10>.  Each may be
-    a number or an array; the six broadcast to one stack shape, which is ()
-    for a single state.  The fields are stored as read-only arrays of that
-    shape (float populations, complex coherences), every member validated.
+    and the coherences rho14 = <00|rho|11>, rho23 = <01|rho|10>.  ``det14``
+    and ``det23`` are the determinants of the two 2x2 blocks,
+    rho11 rho44 - |rho14|^2 and rho22 rho33 - |rho23|^2.  ``None`` computes
+    them from the entries (clipped at 0); a caller that knows them exactly
+    passes them, because the difference of rounded entries can be off by
+    ~1e-17 and its square root, which the LQU takes, by ~3e-9.  Each
+    parameter may be a number or an array; all broadcast to one stack shape,
+    which is () for a single state.  The fields are stored as read-only arrays
+    of that shape (float populations and determinants, complex coherences),
+    every member validated.
     """
 
     rho11: float
@@ -126,11 +132,14 @@ class XState4:
     rho44: float
     rho14: complex = 0.0
     rho23: complex = 0.0
+    det14: float | None = None
+    det23: float | None = None
 
     def __post_init__(self) -> None:
         names = ("rho11", "rho22", "rho33", "rho44", "rho14", "rho23")
+        names += tuple(n for n in ("det14", "det23") if getattr(self, n) is not None)
         values = [
-            np.array(getattr(self, n), dtype=np.float64 if i < 4 else np.complex128)
+            np.array(getattr(self, n), dtype=np.complex128 if i in (4, 5) else np.float64)
             for i, n in enumerate(names)
         ]
         shape = np.broadcast_shapes(*(v.shape for v in values))
@@ -163,6 +172,24 @@ class XState4:
             raise DomainError(
                 f"|rho23|^2 exceeds rho22*rho33: not positive semidefinite{_member(bad)}"
             )
+        for name, (p, q, r) in (
+            ("det14", (self.rho11, self.rho44, r14)),
+            ("det23", (self.rho22, self.rho33, r23)),
+        ):
+            entries = p * q - r * r
+            det = getattr(self, name)
+            if det is None:
+                det = np.maximum(entries, 0.0)
+                det.setflags(write=False)
+                object.__setattr__(self, name, det)
+                continue
+            bad = ~((det >= 0.0) & (np.abs(det - entries) <= _ATOL))
+            if bad.any():
+                raise DomainError(
+                    f"{name}={float(det[bad].flat[0])!r} must be >= 0 and within {_ATOL} "
+                    f"of its block's entries, which give {float(entries[bad].flat[0])!r}"
+                    f"{_member(bad)}"
+                )
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -293,7 +320,9 @@ def evolved_x_state(theta: float, a) -> XState4:
     rho44 = quarter * (1.0 + a4) - 0.5 * a2 * c
     rho22 = quarter * (1.0 - a4)
     rho14 = 0.5 * a2 * math.sin(theta)
-    return XState4(rho11, rho22, rho22, rho44, rho14, 0.0)
+    # Both block determinants equal rho22^2 = ((1 - a^4)/4)^2 exactly.
+    det = rho22 * rho22
+    return XState4(rho11, rho22, rho22, rho44, rho14, 0.0, det, det)
 
 
 def trace_distance(rho, sigma) -> float:

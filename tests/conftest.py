@@ -8,7 +8,8 @@ independent references defined here:
 * Richardson-extrapolated central differences for every analytic
   derivative,
 * a Kraus operator-sum construction for the two-qubit channel,
-* a brute-force projective-measurement minimizer for quantum discord.
+* a brute-force projective-measurement minimizer for quantum discord,
+* a 4x4 eigendecomposition route for the local quantum uncertainty.
 
 None of these share code with the package internals.
 """
@@ -195,6 +196,30 @@ def brute_discord(rho4: np.ndarray, n_theta: int = 181, n_phi: int = 361) -> flo
     rho_b = np.einsum("abad->bd", rho4.reshape(2, 2, 2, 2))
     eig_b = np.linalg.eigvalsh(rho_b)
     return _entropy_eigs(eig_b) - _entropy_eigs(eig_ab) + best
+
+
+# ---------------------------------------------------------------------------
+# brute-force local quantum uncertainty
+# ---------------------------------------------------------------------------
+
+_PAULI_A = np.stack([np.kron(p, _I2) for p in (_X, _Y, _Z)])
+
+
+def brute_lqu(matrix: np.ndarray) -> np.ndarray:
+    """LQU of a stack of 4x4 states from the full eigendecomposition.
+
+    1 - max eigenvalue of W_ij = Tr(B_i B_j), B_i = sqrt(rho) (sigma_i x I),
+    with sqrt(rho) from one batched eigh.  Eigenvalues within eigh's own
+    rounding of zero (16 eps of the largest) are taken as exactly zero: the
+    square root would turn that ~1e-17 noise into ~3e-9, and the LQU of a
+    state with a rank-deficient block with it.
+    """
+    w, v = np.linalg.eigh(matrix)
+    w = np.where(w > 16.0 * np.finfo(float).eps * w.max(axis=-1, keepdims=True), w, 0.0)
+    sq = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    b = sq[..., None, :, :] @ _PAULI_A
+    wmat = np.einsum("...ikl,...jlk->...ij", b, b).real
+    return 1.0 - np.linalg.eigvalsh(wmat)[..., -1]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.metadata
+import io
 import json
 import math
 import shutil
@@ -14,9 +15,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from topoqubit import DephasingChannel, OhmicEnvironment, SpecError, __version__
+from topoqubit import (
+    ConvergenceError,
+    DephasingChannel,
+    OhmicEnvironment,
+    SpecError,
+    __version__,
+)
 from topoqubit.cli import (
     DEFAULT_NM_GAMMA0,
+    SeriesTable,
     SweepSpec,
     main,
     parse_spec,
@@ -90,6 +98,28 @@ def test_n_grid_upper_bound(capsys):
     assert main(["corr-series", "--q", "1.0", "--gamma0", "0.5",
                  "--n-grid", "100000000"]) == 2
     assert "spec error: n_grid" in capsys.readouterr().err
+
+
+def test_grid_points_upper_bound(capsys):
+    # 64 * 64 * 1024 = 2**22 grid points pass; one more grid point per combo does not
+    over = {"q_values": [1.0] * 64, "gamma0_values": [0.5] * 64}
+    assert parse_spec(mode="corr-series", overrides=dict(over, n_grid=1024)).n_grid == 1024
+    with pytest.raises(SpecError, match="n_grid: must be at most 4194304, got 4198400"):
+        parse_spec(mode="corr-series", overrides=dict(over, n_grid=1025))
+    with pytest.raises(SpecError, match="got 5242880"):
+        parse_spec(mode="nm-scan", overrides={"q_values": [1.0] * 1280, "gamma0_values": [1.6],
+                                              "n_grid": 4096})
+
+
+def test_parallel_upper_bound():
+    # checked by validation alone: no worker pool is started
+    over = {"q_values": [1.0], "gamma0_values": [0.5]}
+    assert parse_spec(mode="qfi-series", overrides=dict(over, parallel=64)).parallel == 64
+    for bad in (0, 65, 10**6):
+        with pytest.raises(SpecError, match=r"parallel: must lie in \[1, 64\]"):
+            parse_spec(mode="qfi-series", overrides=dict(over, parallel=bad))
+    with pytest.raises(SpecError, match="parallel"):
+        SweepSpec(mode="nm-scan", q_values=(1.0,), gamma0_values=(1.0,), parallel=65).validate()
 
 
 def test_runner_rejects_foreign_mode():
@@ -293,7 +323,7 @@ def test_parallel_output_is_byte_identical(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
-@pytest.mark.parametrize("mode", ["qfi-series", "state-dump"])
+@pytest.mark.parametrize("mode", ["nm-scan", "qfi-series", "state-dump"])
 def test_stacked_modes_parallel_byte_identical(tmp_path, mode):
     # corr-series: test_parallel_output_is_byte_identical
     base = [mode, "--q", "1.0", "3.0", "--gamma0", "0.5", "1.6", "--theta", "1.1",
@@ -303,6 +333,68 @@ def test_stacked_modes_parallel_byte_identical(tmp_path, mode):
     assert main(base + ["--out", str(serial)]) == 0
     assert main(base + ["--parallel", "2", "--out", str(parallel)]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# table writer
+# ---------------------------------------------------------------------------
+
+def _reference_csv(table: SeriesTable) -> str:
+    # The per-value writer: one format(v, ".17g") per cell.
+    fh = io.StringIO()
+    fh.write(f"# tool: topoqubit {__version__}\n")
+    fh.write("# spec: " + json.dumps(table.meta.get("spec", {}), sort_keys=True) + "\n")
+    fh.write(",".join(table.columns) + "\n")
+    for row in table.rows.tolist():
+        fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    return fh.getvalue()
+
+
+def _writer_table(rng) -> SeriesTable:
+    # 700 rows: two full 256-row blocks and a partial one
+    rows = rng.normal(size=(700, 4)) * 10.0 ** rng.integers(-300, 300, size=(700, 4))
+    rows[0] = (-0.0, 5e-324, 1e308, 3.0)
+    rows[255] = (-1.0, 0.0, 2.0**53, -1e-308)
+    rows[256] = (0.1, 1.0 / 3.0, -5e-324, 12345.0)
+    rows[699] = (-1e308, 1.0, 0.0, -0.0)
+    spec = {"mode": "corr-series", "theta": 0.5}
+    return SeriesTable(("q", "gamma0", "t", "lqu"), rows, {"spec": spec})
+
+
+def test_csv_matches_per_value_writer(rng):
+    table = _writer_table(rng)
+    fh = io.StringIO()
+    table.to_csv(fh)
+    text = fh.getvalue()
+    assert text == _reference_csv(table)
+    assert "\n-0,4.9406564584124654e-324,1e+308,3\n" in text
+    assert np.array_equal(np.loadtxt(io.StringIO(text), delimiter=",", skiprows=3), table.rows)
+
+
+def test_json_rows_are_the_table_values(rng):
+    table = _writer_table(rng)
+    fh = io.StringIO()
+    table.to_json(fh)
+    doc = json.loads(fh.getvalue())
+    assert doc["rows"] == [list(row) for row in table.rows.tolist()]
+    assert np.array_equal(np.array(doc["rows"]), table.rows)
+
+
+@pytest.mark.parametrize("cells, want", [
+    ({(517, 3): math.nan, (600, 0): -math.inf}, "non-finite value nan in column 'lqu', row 517"),
+    ({(517, 3): math.nan, (517, 1): math.inf}, "non-finite value inf in column 'gamma0', row 517"),
+    ({(699, 2): -math.inf}, "non-finite value -inf in column 't', row 699"),
+])
+def test_non_finite_cell_named_in_both_formats(rng, cells, want):
+    table = _writer_table(rng)
+    for (i, j), v in cells.items():
+        table.rows[i, j] = v
+    for write in (table.to_csv, table.to_json):
+        fh = io.StringIO()
+        with pytest.raises(ConvergenceError) as exc:
+            write(fh)
+        assert str(exc.value) == want
+        assert fh.getvalue() == ""
 
 
 def test_metadata_line_reproduces_run(tmp_path):

@@ -20,12 +20,11 @@ from topoqubit import (
     report,
     tnd_x,
 )
-from conftest import brute_discord, random_x_state
+from conftest import brute_discord, brute_lqu, random_x_state
 
 HALF_PI = math.pi / 2.0
 
-# dense alpha grid stopping short of the pure-state corner, where the
-# eigendecomposition inside the general LQU route loses ~1e-8
+# dense alpha grid; the pure-state corner alpha = 1 has tests of its own
 ALPHAS = np.linspace(0.05, 0.995, 64)
 THETAS = np.linspace(0.05, math.pi - 0.05, 13)
 
@@ -134,6 +133,41 @@ def test_lqu_routes_agree():
             want = lqu_closed(float(theta), float(a))
             worst = max(worst, abs(got - want))
     assert worst <= 1e-10
+
+
+def test_lqu_pure_state_matches_closed():
+    # alpha = 1: a pure state, both block determinants 0, block 23 empty
+    for theta in np.linspace(0.0, math.pi, 181):
+        got = lqu_x(evolved_x_state(float(theta), 1.0))
+        assert abs(got - lqu_closed(float(theta), 1.0)) <= 1e-12
+
+
+def _lqu_oracle_stack(rng, n: int = 64) -> XState4:
+    # Six groups of n random X states with complex coherences: full rank,
+    # block 14 of rank 1, block 23 of rank 1, both of rank 1, block 23 all
+    # zero (rho22 = rho33 = 0), and block 14 all zero with block 23 of rank 1.
+    # Rank-1 blocks carry their exact determinant 0.
+    pops = rng.dirichlet(np.ones(4), size=(6, n))
+    pops[4, :, 1:3] = 0.0
+    pops[5, :, [0, 3]] = 0.0
+    pops /= pops.sum(axis=-1, keepdims=True)
+    frac = rng.uniform(0.0, 0.98, size=(6, n, 2))
+    frac[[1, 3], :, 0] = 1.0
+    frac[[2, 3, 5], :, 1] = 1.0
+    phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=(6, n, 2)))
+    p11, p22, p33, p44 = np.moveaxis(pops, -1, 0)
+    rho14 = frac[..., 0] * np.sqrt(p11 * p44) * phase[..., 0]
+    rho23 = frac[..., 1] * np.sqrt(p22 * p33) * phase[..., 1]
+    det14 = np.where(frac[..., 0] == 1.0, 0.0, p11 * p44 - np.abs(rho14) ** 2)
+    det23 = np.where(frac[..., 1] == 1.0, 0.0, p22 * p33 - np.abs(rho23) ** 2)
+    return XState4(p11, p22, p33, p44, rho14, rho23, det14, det23)
+
+
+def test_lqu_matches_eigh_oracle(rng):
+    s = _lqu_oracle_stack(rng)
+    got = lqu_x(s)
+    assert got.shape == (6, 64)
+    assert np.abs(got - brute_lqu(s.matrix)).max() <= 1e-12
 
 
 def test_lqu_piecewise_branches_both_visited():

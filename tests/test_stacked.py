@@ -129,6 +129,43 @@ def test_x_state_rejects_one_bad_member():
         XState4(*off.T)
 
 
+def test_x_state_rejects_one_bad_determinant():
+    pops = np.full((5, 4), 0.25)
+    rho14 = np.full(5, 0.1 + 0.1j)
+    det14 = np.full(5, 0.0625 - 0.02)                     # rho11 rho44 - |rho14|^2
+    s = XState4(*pops.T, rho14=rho14, det14=det14)
+    assert np.array_equal(s.det14, det14)
+    bad = det14.copy()
+    bad[3] += 1e-9
+    with pytest.raises(DomainError, match="det14.*member 3"):
+        XState4(*pops.T, rho14=rho14, det14=bad)
+    det23 = np.full((2, 3), 0.0625)
+    det23[1, 2] = -1e-13                                  # within _ATOL, but negative
+    with pytest.raises(DomainError, match="det23.*member 1, 2"):
+        XState4(0.25, 0.25, 0.25, 0.25, det23=det23)
+    with pytest.raises(DomainError, match="det14"):
+        XState4(0.25, 0.25, 0.25, 0.25, det14=float("nan"))
+
+
+def test_x_state_determinants_from_entries():
+    rho14 = np.array([0.1 + 0.1j, 0.25, 0.25 + 1e-14])    # last: |rho14|^2 > rho11 rho44
+    s = XState4(0.25, 0.25, 0.25, 0.25, rho14=rho14, rho23=0.2j)
+    assert s.det14.shape == s.det23.shape == (3,)
+    assert np.array_equal(s.det14, np.maximum(0.0625 - np.abs(rho14) ** 2, 0.0))
+    assert s.det14[1] == 0.0 and s.det14[2] == 0.0
+    assert np.array_equal(s.det23, np.full(3, 0.0625 - 0.2 * 0.2))
+    with pytest.raises(ValueError):
+        s.det14[0] = 0.0
+
+
+def test_evolved_x_state_carries_exact_determinants():
+    # ((1 - alpha^4) / 4)^2 for both blocks, 0 at the pure state alpha = 1
+    s = family_stack(0.4)
+    assert np.array_equal(s.det14, s.rho22 * s.rho22)
+    assert np.array_equal(s.det23, s.rho22 * s.rho22)
+    assert s.det14[ALPHAS == 1.0] == 0.0
+
+
 def test_x_state_fields_are_frozen_copies():
     a = np.array([0.2, 0.3, 0.25])
     s = XState4(a, 0.25, 0.25, 1.0 - 0.5 - a)
