@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .specfun import (
     DEFAULT_OPTIONS,
     EvalOptions,
@@ -202,15 +202,22 @@ def i_q_profile(
     opts: EvalOptions = DEFAULT_OPTIONS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (I_Q(t), dI_Q/dt) over a time grid; same branches as the
-    scalar functions, agreeing with them to series tolerance."""
+    scalar functions, agreeing with them to series tolerance.
+
+    Raises ConvergenceError, before summing any series, when
+    u = (t gamma0)^2/4 is not finite somewhere on the grid.
+    """
     ts = np.asarray(ts, dtype=np.float64)
     if ts.ndim != 1:
         raise DomainError("time grid must be one-dimensional")
     if ts.size and float(ts.min()) < 0.0:
         raise DomainError("time grid must be nonnegative")
     g0 = env.gamma0
-    x = ts * g0
-    z = -0.25 * x * x
+    with np.errstate(over="ignore"):
+        x = ts * g0
+        z = -0.25 * x * x
+    if not np.isfinite(z).all():
+        raise ConvergenceError("kernel argument (t gamma0)^2/4 leaves the double range")
     if _is_unit_branch(env.q):
         gg = g0 * g0
         f = _hyp2f2_array(z, opts)

@@ -13,8 +13,9 @@ For this channel family every witness is a strictly increasing function of
 alpha, so revival intervals coincide across measures.  They are located once
 per channel and window (on d(alpha^2)/dt) and cached; each witness only
 telescopes its own function of alpha over them.  All measures vanish
-identically for spectral exponents Q <= 2 and a revival requires Q > 2 plus a
-field weak enough that the coherence floor stays representable.
+identically for spectral exponents Q <= 2, where the search returns without
+building a profile, and a revival requires Q > 2 plus a field weak enough
+that the coherence floor stays representable.
 """
 
 from __future__ import annotations
@@ -116,24 +117,22 @@ def _rising_intervals(
     changes.  The flag is True when the derivative is still positive at the
     window end, i.e. the last interval is cut off by the window.
     """
-    signs = np.sign(d_grid)
-    nz = np.flatnonzero(signs)
+    nz = np.flatnonzero(d_grid)
+    signs = np.sign(d_grid[nz])
     intervals: list[tuple[float, float]] = []
     truncated = False
     if nz.size:
-        cur_start = float(ts[0]) if signs[nz[0]] > 0 else None
-        prev = nz[0]
-        for cur in nz[1:]:
-            if signs[cur] != signs[prev]:
-                root = _bisect_sign_change(
-                    dfdt, float(ts[prev]), float(ts[cur]), float(signs[prev]), refine_tol
-                )
-                if signs[cur] > 0:
-                    cur_start = root
-                elif cur_start is not None:
-                    intervals.append((cur_start, root))
-                    cur_start = None
-            prev = cur
+        cur_start = float(ts[0]) if signs[0] > 0 else None
+        # Positions i in nz where the sign differs from that at i + 1.
+        for i in np.flatnonzero(signs[1:] != signs[:-1]).tolist():
+            root = _bisect_sign_change(
+                dfdt, float(ts[nz[i]]), float(ts[nz[i + 1]]), float(signs[i]), refine_tol
+            )
+            if signs[i + 1] > 0:
+                cur_start = root
+            elif cur_start is not None:
+                intervals.append((cur_start, root))
+                cur_start = None
         if cur_start is not None:
             intervals.append((cur_start, float(ts[-1])))
             truncated = bool(d_grid[-1] > 0.0)
@@ -192,6 +191,18 @@ def _profile(
     )
 
 
+def _alpha_sq_slope(ch: dephasing.DephasingChannel):
+    """Scalar d(alpha^2)/dt = 2 alpha d(alpha)/dt with one I_Q evaluation per
+    point, the same products as ``2 alpha(t) dalpha_dt(t)``."""
+    c = 2.0 * ch.b * ch.b * ch.beta_abs
+
+    def slope(t: float) -> float:
+        a = math.exp(-c * dephasing.i_q(ch.env, t))
+        return 2.0 * a * (-c * dephasing.di_q_dt(ch.env, t) * a)
+
+    return slope
+
+
 @lru_cache(maxsize=128)
 def _revival(
     ch: dephasing.DephasingChannel, w: TimeWindow
@@ -202,13 +213,18 @@ def _revival(
     Sign changes are located on d(alpha^2)/dt, sampled on the cached profile
     and refined with the scalar kernel.  Every witness is a strictly
     increasing function of alpha, so all three share this one search.
+
+    For Q <= 2 no profile is built: dI/dt is proportional to
+    t M((Q+1)/2; 3/2; -u) = t e^-u M(1 - Q/2; 3/2; u) (Kummer's
+    transformation), a series of nonnegative terms led by 1, so alpha
+    decreases monotonically and never revives.
     """
+    if ch.env.q <= 2.0:
+        return (), (), False
     ts, avals, davals = _profile(ch, w, DEFAULT_OPTIONS)
-
-    def slope(t: float) -> float:
-        return 2.0 * dephasing.alpha(ch, t) * dephasing.dalpha_dt(ch, t)
-
-    intervals, truncated = _rising_intervals(ts, 2.0 * avals * davals, slope, w.refine_tol)
+    intervals, truncated = _rising_intervals(
+        ts, 2.0 * avals * davals, _alpha_sq_slope(ch), w.refine_tol
+    )
     ends = tuple((dephasing.alpha(ch, a), dephasing.alpha(ch, b)) for a, b in intervals)
     return intervals, ends, truncated
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -36,6 +37,11 @@ _SQRT_PI = math.sqrt(math.pi)
 # shifted exponent is reassembled in log space at the end.
 _RESCALE_LIMIT = 1e250
 _RESCALE_BITS = 1024
+# The array loops test convergence and rescaling once per block of this many
+# terms; in between, a term costs one ratio, one product and one Kahan step.
+_SERIES_BLOCK = 8
+# Bound kept on every array accumulator between two rescale tests.
+_OVERFLOW_GUARD = 1e307
 
 # exp() underflows to zero a little below exp(-745); products e^z * total are
 # formed directly only when safely inside the normal range.
@@ -272,15 +278,17 @@ def hyp1f1(a: float, b: float, z: float, opts: EvalOptions = DEFAULT_OPTIONS) ->
     ParameterError
         If ``b`` is within 1e-12 of a non-positive integer.
     ConvergenceError
-        If the series budget is exhausted.
+        If ``z`` is not finite or the series budget is exhausted.
     """
     _require_no_pole(b, ParameterError, "b")
+    if not math.isfinite(z):
+        raise ConvergenceError(f"1F1 (a={a}, b={b}) has no series at z={z}")
     if z == 0.0:
         return 1.0
     if z >= -1.0:
         total, n2 = _series_1f1(a, b, z, opts)
         return math.ldexp(total, n2)
-    if -math.inf < z <= -_ASYMPTOTIC_LIMIT:
+    if z <= -_ASYMPTOTIC_LIMIT:
         val = _hyp1f1_asymptotic(a, b, -z, opts)
         if val is not None:
             return val
@@ -332,7 +340,9 @@ def _f22_resummed(u: float, opts: EvalOptions) -> float:
 def _f22_far(u: float, opts: EvalOptions) -> float:
     # 2F2({1,1};{3/2,2};-u) = (2/u) int_0^sqrt(u) D(y) dy, whose large-u
     # expansion is (2/u) [ln(u)/4 + (gamma_E + 2 ln 2)/4 - tail].
-    if _ASYMPTOTIC_LIMIT <= u < math.inf:
+    if not math.isfinite(u):
+        raise ConvergenceError(f"2F2 has no series at z={-u}")
+    if u >= _ASYMPTOTIC_LIMIT:
         tail = _asymptotic(_dawson_integral_ratio(u), 0.125 / u, opts)
         if tail is not None:
             return 2.0 * (0.25 * math.log(u) + _DAWSON_INTEGRAL_CONST - tail) / u
@@ -353,7 +363,7 @@ def hyp2f2_11_32_2(z: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
     DomainError
         If z > 0.
     ConvergenceError
-        If the series budget is exhausted.
+        If ``z`` is not finite or the series budget is exhausted.
     """
     if z > 0.0:
         raise DomainError(f"hyp2f2_11_32_2 requires z <= 0, got {z}")
@@ -432,31 +442,67 @@ def dawson(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _series_array(
-    ratio, first: np.ndarray, kmin: float, opts: EvalOptions, describe
-) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise :func:`_series` with initial terms ``first``.
+def _block_len(growth: float) -> int:
+    """Terms summed between two rescale tests of :func:`_series_array`.
 
-    An element is done once two consecutive terms are small; the loop stops
-    when every element is done and k >= ``kmin``.
+    With no term exceeding the one before it by more than g = max(growth, 1),
+    accumulators at most _RESCALE_LIMIT at one test are at most
+    _RESCALE_LIMIT (m + 1) g^m after m more terms; m is the longest block up
+    to _SERIES_BLOCK that keeps this below _OVERFLOW_GUARD.  Every term is
+    tested (m = 1) when the growth has no finite bound.
     """
-    total = first
+    if not math.isfinite(growth):
+        return 1
+    lg = math.log(max(growth, 1.0))
+    headroom = math.log(_OVERFLOW_GUARD / _RESCALE_LIMIT)
+    m = _SERIES_BLOCK
+    while m > 1 and m * lg + math.log(m + 1.0) >= headroom:
+        m -= 1
+    return m
+
+
+def _series_array(
+    ratio, first: np.ndarray, kmin: float, growth: float, opts: EvalOptions, describe
+) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise :func:`_series` with initial terms ``first``; ``growth``
+    bounds |ratio(k)| over every k and element (inf if unknown).
+
+    A term costs one ratio, one product and one Kahan step; the stop and
+    rescale tests run once per block of :func:`_block_len` terms.  An element
+    is done once the last two terms of a block are small, each against the
+    sum it ended; the loop stops when every element is done and
+    k >= ``kmin``, so it may sum a few terms past the scalar stop.
+    """
+    rel_tol = opts.rel_tol
+    block = _block_len(growth)
+    last = opts.max_terms - 1
+    total = first.copy()
     term = first.copy()
     comp = np.zeros_like(first)
+    s = np.empty_like(first)
     n2 = np.zeros(first.shape, dtype=np.int64)
     done = np.zeros(first.shape, dtype=bool)
     small_prev = np.zeros(first.shape, dtype=bool)
     for k in range(opts.max_terms):
-        term = term * ratio(k)
-        y = term - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        small = np.abs(term) <= opts.rel_tol * np.abs(total)
-        done |= small & small_prev
+        term *= ratio(k)
+        # Kahan step in three buffers: comp takes y = term - comp, the old
+        # sum's buffer takes s - sum, then comp = (s - sum) - y.
+        np.subtract(term, comp, out=comp)
+        np.add(total, comp, out=s)
+        np.subtract(s, total, out=total)
+        np.subtract(total, comp, out=comp)
+        total, s = s, total
+        at_test = (k + 1) % block == 0 or k == last
+        if at_test or (k + 2) % block == 0 or k + 1 == last:
+            # The last two terms of a block, each against the sum it ended.
+            small = np.abs(term) <= rel_tol * np.abs(total)
+            if at_test:
+                done |= small & small_prev
+            small_prev = small
+        if not at_test:
+            continue
         if done.all() and k >= kmin:
             return total, n2
-        small_prev = small
         big = (np.abs(total) > _RESCALE_LIMIT) | (np.abs(term) > _RESCALE_LIMIT)
         if big.any():
             total[big] = np.ldexp(total[big], -_RESCALE_BITS)
@@ -469,25 +515,72 @@ def _series_array(
 
 
 def _asymptotic_array(
-    ratio, first: np.ndarray, opts: EvalOptions
+    make_ratio, arg: np.ndarray, first: np.ndarray, opts: EvalOptions
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise :func:`_asymptotic`: (sums, ok), ``ok`` False where the
-    terms grew before reaching ``_ASYMPTOTIC_TOL`` of the sum."""
-    total = first.copy()
-    term = first.copy()
-    active = np.ones(first.shape, dtype=bool)
+    """Elementwise :func:`_asymptotic` with term ratios ``make_ratio(arg)``
+    over 1-D arrays: (sums, ok), ``ok`` False where the terms grew before
+    reaching ``_ASYMPTOTIC_TOL`` of the sum (the sum is then ``first``).
+
+    Every term gets the growth test, every ``_SERIES_BLOCK`` terms the
+    tolerance test, after which finished elements leave the working set.
+    A block in which an element's terms grew is summed again term by term
+    for it, so that an element that reached the tolerance first stays ok,
+    with its sum at that term.
+    """
+    out = first.copy()
     ok = np.zeros(first.shape, dtype=bool)
-    for k in range(opts.max_terms):
-        nxt = term * ratio(k)
-        active &= np.abs(nxt) <= np.abs(term)
-        term = np.where(active, nxt, 0.0)
-        total = total + term
-        done = active & (np.abs(term) <= _ASYMPTOTIC_TOL * np.abs(total))
-        ok |= done
-        active &= ~done
-        if not active.any():
-            break
-    return total, ok
+    idx = np.arange(first.size)
+    term, total, mag = first, first, np.abs(first)
+    # Terms past an element's first growth are never read; they may overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(0, opts.max_terms, _SERIES_BLOCK):
+            if not idx.size:
+                break
+            stop = min(k + _SERIES_BLOCK, opts.max_terms)
+            ratio = make_ratio(arg)
+            term0, total0 = term, total
+            live = np.ones(idx.shape, dtype=bool)
+            for j in range(k, stop):
+                term = term * ratio(j)
+                nmag = np.abs(term)
+                live &= nmag <= mag
+                total = total + term
+                mag = nmag
+            done = live & (mag <= _ASYMPTOTIC_TOL * np.abs(total))
+            grew = np.flatnonzero(~live)
+            if grew.size:
+                ratio = make_ratio(arg[grew])
+                t, s = term0[grew], total0[grew]
+                alive = np.ones(grew.shape, dtype=bool)
+                for j in range(k, stop):
+                    nxt = t * ratio(j)
+                    alive &= np.abs(nxt) <= np.abs(t)
+                    t = np.where(alive, nxt, 0.0)
+                    s = s + t
+                    reached = alive & (np.abs(t) <= _ASYMPTOTIC_TOL * np.abs(s))
+                    done[grew[reached]] = True
+                    total[grew[reached]] = s[reached]
+                    alive &= ~reached
+            out[idx[done]] = total[done]
+            ok[idx[done]] = True
+            keep = live & ~done
+            idx, arg = idx[keep], arg[keep]
+            term, total, mag = term[keep], total[keep], mag[keep]
+    return out, ok
+
+
+def _require_finite_array(z: np.ndarray, name: str) -> None:
+    # A non-finite argument has no series value: fail before summing NaNs.
+    if not np.isfinite(z).all():
+        raise ConvergenceError(f"vectorized {name} path has no series at non-finite z")
+
+
+def _kummer_growth(a: float, b: float, z: np.ndarray) -> float:
+    # Bound on |_kummer_ratio(a, b, z)(k)| over k >= 0: for b > 0,
+    # |a + k|/(b + k) <= max(1, |a|/b) and |z|/(k + 1) <= |z|.
+    if b <= 0.0:
+        return math.inf
+    return max(1.0, abs(a) / b) * float(np.abs(z).max())
 
 
 def _series_1f1_array(
@@ -497,6 +590,7 @@ def _series_1f1_array(
         _kummer_ratio(a, b, z),
         np.ones_like(z),
         0.0,
+        _kummer_growth(a, b, z),
         opts,
         lambda: f"1F1 series (a={a}, b={b}); worst |z|={np.abs(z).max():g}",
     )
@@ -511,8 +605,9 @@ def _hyp1f1_asymptotic_array(
     if coefs is None:
         return np.zeros_like(u), np.zeros(u.shape, dtype=bool)
     dom, sub = coefs
-    s1, ok1 = _asymptotic_array(_f20_ratio(a, a - b + 1.0, 1.0 / u), np.ones_like(u), opts)
-    s2, ok2 = _asymptotic_array(_f20_ratio(b - a, 1.0 - a, -1.0 / u), np.ones_like(u), opts)
+    ones = np.ones_like(u)
+    s1, ok1 = _asymptotic_array(partial(_f20_ratio, a, a - b + 1.0), 1.0 / u, ones, opts)
+    s2, ok2 = _asymptotic_array(partial(_f20_ratio, b - a, 1.0 - a), -1.0 / u, ones, opts)
     lnu = np.log(u)
     lmag = math.log(abs(dom)) - a * lnu
     direct = (np.abs(a * lnu) < -_DIRECT_EXP_LIMIT) & (np.abs(lmag) < -_DIRECT_EXP_LIMIT)
@@ -534,13 +629,14 @@ def _hyp1f1_array(a: float, b: float, z: np.ndarray, opts: EvalOptions) -> np.nd
     _require_no_pole(b, ParameterError, "b")
     if np.any(z > 0.0):
         raise DomainError("vectorized 1F1 path expects z <= 0")
+    _require_finite_array(z, "1F1")
     out = np.empty_like(z)
     near = z >= -1.0
     if near.any():
         total, n2 = _series_1f1_array(a, b, z[near], opts)
         out[near] = np.ldexp(total, n2.astype(np.int32))
     far = ~near
-    big = np.flatnonzero((z <= -_ASYMPTOTIC_LIMIT) & np.isfinite(z))
+    big = np.flatnonzero(z <= -_ASYMPTOTIC_LIMIT)
     if big.size:
         vals, ok = _hyp1f1_asymptotic_array(a, b, -z[big], opts)
         out[big[ok]] = vals[ok]
@@ -592,10 +688,10 @@ def _f22_far_array(u: np.ndarray, opts: EvalOptions) -> np.ndarray:
     # Elementwise _f22_far.
     out = np.empty_like(u)
     rest = np.ones(u.shape, dtype=bool)
-    big = np.flatnonzero((u >= _ASYMPTOTIC_LIMIT) & np.isfinite(u))
+    big = np.flatnonzero(u >= _ASYMPTOTIC_LIMIT)
     if big.size:
         ub = u[big]
-        tail, ok = _asymptotic_array(_dawson_integral_ratio(ub), 0.125 / ub, opts)
+        tail, ok = _asymptotic_array(_dawson_integral_ratio, ub, 0.125 / ub, opts)
         out[big] = 2.0 * (0.25 * np.log(ub) + _DAWSON_INTEGRAL_CONST - tail) / ub
         rest[big[ok]] = False
     if rest.any():
@@ -606,12 +702,15 @@ def _f22_far_array(u: np.ndarray, opts: EvalOptions) -> np.ndarray:
 def _hyp2f2_array(z: np.ndarray, opts: EvalOptions) -> np.ndarray:
     if np.any(z > 0.0):
         raise DomainError("vectorized 2F2 path expects z <= 0")
+    _require_finite_array(z, "2F2")
     out = np.ones_like(z)
     near = (z < 0.0) & (z >= -_F22_DIRECT_LIMIT)
     if near.any():
         zn = z[near]
+        # The term ratios stay below |z|, the sums need k >= |z|.
+        zmax = float(np.abs(zn).max())
         out[near], _ = _series_array(
-            _f22_ratio(zn), np.ones_like(zn), float(np.abs(zn).max()), opts, lambda: "2F2 series"
+            _f22_ratio(zn), np.ones_like(zn), zmax, zmax, opts, lambda: "2F2 series"
         )
     far = z < -_F22_DIRECT_LIMIT
     if far.any():
@@ -622,14 +721,17 @@ def _hyp2f2_array(z: np.ndarray, opts: EvalOptions) -> np.ndarray:
 def _dhyp2f2_array(z: np.ndarray, opts: EvalOptions) -> np.ndarray:
     if np.any(z > 0.0):
         raise DomainError("vectorized 2F2 derivative path expects z <= 0")
+    _require_finite_array(z, "2F2 derivative")
     out = np.full_like(z, 1.0 / 3.0)
     near = (z < 0.0) & (z >= -_F22_DIRECT_LIMIT)
     if near.any():
         zn = z[near]
+        zmax = float(np.abs(zn).max())
         out[near], _ = _series_array(
             _df22_ratio(zn),
             np.full_like(zn, 1.0 / 3.0),
-            float(np.abs(zn).max()),
+            zmax,
+            zmax,
             opts,
             lambda: "2F2 derivative series",
         )
@@ -650,7 +752,7 @@ def _dawson_array(x: np.ndarray) -> np.ndarray:
     if big.size:
         xb = x[big]
         total, ok = _asymptotic_array(
-            _f20_ratio(0.5, 1.0, 1.0 / (xb * xb)), np.ones_like(xb), DEFAULT_OPTIONS
+            partial(_f20_ratio, 0.5, 1.0), 1.0 / (xb * xb), np.ones_like(xb), DEFAULT_OPTIONS
         )
         out[big] = 0.5 * total / xb
         rest[big[ok]] = False

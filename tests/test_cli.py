@@ -160,8 +160,8 @@ def test_exit_two_on_bad_spec(capsys):
 
 
 def test_exit_three_on_convergence_failure(tmp_path, capsys):
-    # t gamma0 = 1e200 squares past the double range: z = -inf is no argument
-    # for the large-u expansion, and the Kummer series runs out of terms
+    # t gamma0 = 1e200 squares past the double range: the kernel has no
+    # series at u = inf and fails before summing any
     out = tmp_path / "t.csv"
     rc = main(["corr-series", "--q", "3.0", "--gamma0", "1.0",
                "--t-max", "1e200", "--n-grid", "16", "--out", str(out)])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import mpmath
 from hypothesis import assume, given, settings, strategies as st
 
 from topoqubit import (
+    ConvergenceError,
     DephasingChannel,
     DomainError,
     EvalOptions,
@@ -296,3 +298,32 @@ def test_profile_matches_scalars_across_large_u_switch(q, u, g0):
     for k, t in enumerate(ts):
         assert iv[k] == pytest.approx(i_q(e, float(t)), rel=1e-12, abs=1e-300)
         assert div[k] == pytest.approx(di_q_dt(e, float(t)), rel=1e-12, abs=1e-300)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.sampled_from([0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0]),
+    st.floats(min_value=40.0, max_value=80.0),
+    st.sampled_from([0.01, 1.0, 1.6]),
+)
+def test_profile_matches_scalars_across_large_u_switch_even_q(q, u, g0):
+    # For even Q >= 2, b - a is a pole of Gamma: the Kummer series serves on
+    # both sides of u = 60 and sums e^-u times a polynomial.  Q = 0 switches.
+    e = env(q, g0)
+    us = np.array([u, 59.0, 60.0, 61.0])
+    ts = 2.0 * np.sqrt(us) / g0
+    iv, div = i_q_profile(e, ts)
+    for k, t in enumerate(ts):
+        assert iv[k] == pytest.approx(i_q(e, float(t)), rel=1e-12, abs=1e-300)
+        assert div[k] == pytest.approx(di_q_dt(e, float(t)), rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("q", [3.0, 1.0])
+def test_profile_non_finite_argument_fails_at_once(q):
+    # t gamma0 = 1e200 squares past the double range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="leaves the double range"):
+            i_q_profile(env(q, 1.0), np.array([0.0, 1.0, 1e200]))
+        with pytest.raises(ConvergenceError, match="no series"):
+            i_q(env(q, 1.0), 1e200)

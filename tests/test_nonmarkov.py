@@ -15,17 +15,28 @@ from topoqubit import (
     HorizonWarning,
     OhmicEnvironment,
     TimeWindow,
+    alpha,
     alpha_profile,
     blp,
     blp_pair_scan,
     cb,
     critical_q_scan,
+    dalpha_dt,
     lpp,
     evolve_single,
     nm_report,
     positive_variation,
     trace_distance,
 )
+from topoqubit import dephasing
+from topoqubit.nonmarkov import (
+    _alpha_sq_slope,
+    _bisect_sign_change,
+    _cached_profile,
+    _revival,
+    _rising_intervals,
+)
+from topoqubit.specfun import DEFAULT_OPTIONS
 from topoqubit.states import PAULIS
 
 # asymptotic recoveries (Q > 2) legitimately outlast any finite window,
@@ -280,3 +291,134 @@ def test_critical_q_none_without_field():
 def test_critical_q_range_validation():
     with pytest.raises(DomainError):
         critical_q_scan(1.6, q_range=(3.0, 1.0))
+
+
+def test_critical_q_default_range_pinned():
+    # bisection over (0, 12); every step is a cold witness call at a new Q
+    pinned = {0.5: 3.7060546875, 1.0: 2.797119140625, 1.6: 2.232421875, 3.0: 2.000244140625}
+    for g0, want in pinned.items():
+        assert critical_q_scan(g0) == want
+
+
+# ---------------------------------------------------------------------------
+# revival search against the per-sample walk
+# ---------------------------------------------------------------------------
+
+def _rising_intervals_walk(ts, d_grid, dfdt, refine_tol):
+    """Reference: visit every nonzero sample and bisect wherever its sign
+    differs from the previous nonzero sample's."""
+    signs = np.sign(d_grid)
+    nz = np.flatnonzero(signs)
+    intervals = []
+    truncated = False
+    if nz.size:
+        cur_start = float(ts[0]) if signs[nz[0]] > 0 else None
+        prev = nz[0]
+        for cur in nz[1:]:
+            if signs[cur] != signs[prev]:
+                root = _bisect_sign_change(
+                    dfdt, float(ts[prev]), float(ts[cur]), float(signs[prev]), refine_tol
+                )
+                if signs[cur] > 0:
+                    cur_start = root
+                elif cur_start is not None:
+                    intervals.append((cur_start, root))
+                    cur_start = None
+            prev = cur
+        if cur_start is not None:
+            intervals.append((cur_start, float(ts[-1])))
+            truncated = bool(d_grid[-1] > 0.0)
+    return tuple(intervals), truncated
+
+
+def _synthetic_grids():
+    ts = np.linspace(0.0, 10.0, 257)
+    grids = {
+        "all_positive": np.full(ts.shape, 0.5),
+        "all_negative": -np.linspace(1.0, 2.0, ts.size),
+        "all_zero": np.zeros(ts.shape),
+        "many_flips": np.sin(40.0 * ts + 0.3),
+        "truncated_end": -np.cos(ts),
+        "falls_at_end": -np.sin(ts - 0.05),
+    }
+    g = np.sin(3.0 * ts)
+    g[:7] = 0.0
+    grids["leading_zeros"] = g.copy()
+    g[-5:] = 0.0
+    grids["leading_trailing_zeros"] = g.copy()
+    g = np.cos(2.0 * ts)
+    g[40:47] = 0.0  # a run of zeros across a sign change
+    g[100] = 0.0
+    g[-1] = 0.0
+    grids["interior_zeros"] = g
+    rng = np.random.default_rng(2024)
+    for seed in range(8):
+        signs = rng.integers(-1, 2, ts.size)
+        grids[f"random_{seed}"] = signs * rng.uniform(0.1, 2.0, ts.size)
+    return ts, grids
+
+
+@pytest.mark.parametrize("name", sorted(_synthetic_grids()[1]))
+def test_rising_intervals_match_per_sample_walk(name):
+    ts, grids = _synthetic_grids()
+    d_grid = grids[name]
+
+    def dfdt(t):
+        return float(np.interp(t, ts, d_grid))
+
+    got = _rising_intervals(ts, d_grid, dfdt, 1e-10)
+    assert got == _rising_intervals_walk(ts, d_grid, dfdt, 1e-10)
+    if name == "truncated_end":
+        assert got[1] is True
+
+
+# ---------------------------------------------------------------------------
+# Q <= 2: alpha is monotone by the numerics, not only by the shortcut
+# ---------------------------------------------------------------------------
+
+_FIG1_MARKOVIAN_Q = [round(0.05 * k, 2) for k in range(41)] + [1.0 - 1e-7, 1.0 + 1e-7, 2.0 - 1e-9]
+
+
+@pytest.mark.parametrize("g0", [0.01, 1.6, 100.0])
+def test_markovian_exponents_never_revive_numerically(g0, monkeypatch):
+    """No positive sample of d(alpha^2)/dt, on the alpha profile the revival
+    search scans and from its scalar slope, for every Q <= 2 case."""
+    # alpha_profile evaluates the kernel once per (Q, window), not per field
+    kernel = {}
+    i_q_profile = dephasing.i_q_profile
+
+    def kernel_once(env, ts, opts=DEFAULT_OPTIONS):
+        key = (env, float(ts[-1]), ts.size)
+        if key not in kernel:
+            kernel[key] = i_q_profile(env, ts, opts)
+        return kernel[key]
+
+    monkeypatch.setattr(dephasing, "i_q_profile", kernel_once)
+    for q in _FIG1_MARKOVIAN_Q:
+        for w in (TimeWindow.for_cutoff(g0), TimeWindow(1500.0)):
+            ts = w.times()
+            for b in (0.002175, 1.0, 5.0):
+                ch = chan(q, g0, b)
+                avals, davals = alpha_profile(ch, ts)
+                assert not np.any(2.0 * avals * davals > 0.0), (q, g0, b, w.t_max)
+                slope = _alpha_sq_slope(ch)
+                for t in ts[128::256]:
+                    assert slope(float(t)) <= 0.0, (q, g0, b, float(t))
+
+
+def test_markovian_revival_search_builds_no_profile():
+    _cached_profile.cache_clear()
+    ch = chan(1.5, 1.6, 1.0)
+    w = TimeWindow.for_cutoff(1.6)
+    assert _revival(ch, w) == ((), (), False)
+    assert _cached_profile.cache_info().currsize == 0
+
+
+def test_revival_slope_equals_alpha_times_derivative():
+    # one I_Q evaluation per point, the same products as 2 alpha dalpha/dt
+    for q, g0, b in ((3.0, 1.6, 1.0), (2.5, 0.01, 0.002175), (5.3, 100.0, 5.0)):
+        ch = chan(q, g0, b)
+        slope = _alpha_sq_slope(ch)
+        for t in np.linspace(0.0, 100.0 / g0, 17):
+            t = float(t)
+            assert slope(t) == 2.0 * alpha(ch, t) * dalpha_dt(ch, t)

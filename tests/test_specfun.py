@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,11 +24,20 @@ from topoqubit import (
     hyp2f2_11_32_2,
 )
 from topoqubit.specfun import (
+    _OVERFLOW_GUARD,
+    _RESCALE_LIMIT,
+    _SERIES_BLOCK,
     DEFAULT_OPTIONS,
+    _asymptotic,
+    _asymptotic_array,
+    _block_len,
     _dawson_array,
     _dhyp2f2_array,
+    _f20_ratio,
     _hyp1f1_array,
+    _hyp1f1_asymptotic_array,
     _hyp2f2_array,
+    _series_1f1_array,
 )
 from conftest import (
     mp_dawson,
@@ -307,3 +318,87 @@ def test_dawson_large_argument():
     for x, got_arr in zip(xs, arr):
         for got in (dawson(x), got_arr):
             assert got == pytest.approx(mp_dawson(x), rel=1e-14, abs=0.0), x
+
+
+# ---------------------------------------------------------------------------
+# array loops against the scalar reference: seams, rescaling, bad arguments
+# ---------------------------------------------------------------------------
+
+@settings(deadline=None, max_examples=60)
+@given(st.floats(min_value=0.0, max_value=12.0), st.floats(min_value=0.5, max_value=1.5))
+def test_hyp1f1_array_matches_scalar_across_kummer_seam(q, u):
+    """z = -1 splits the direct series from the Kummer-transformed one."""
+    a = (q - 1.0) / 2.0
+    us = np.array([u, 0.9, 1.0 - 1e-12, 1.0, np.nextafter(1.0, 2.0), 1.0 + 1e-12, 1.1])
+    for ab in ((a, 0.5), (a + 1.0, 1.5)):
+        arr = _hyp1f1_array(ab[0], ab[1], -us, DEFAULT_OPTIONS)
+        for x, got in zip(us, arr):
+            assert got == pytest.approx(hyp1f1(ab[0], ab[1], -x), rel=1e-12, abs=0.0), (ab, x)
+
+
+def test_hyp1f1_array_rescale_branch_matches_scalar():
+    # At large Q the expansion's terms grow before double precision up to
+    # u ~ 1000, so the Kummer series serves there; its terms pass 1e250 and
+    # the array loop rescales those elements by 2**-1024.
+    u = np.linspace(100.0, 3000.0, 30)
+    for q, n_rescaled in ((60.5, 4), (80.3, 17)):
+        a = (q - 1.0) / 2.0
+        count = 0
+        for ab in ((a, 0.5), (a + 1.0, 1.5)):
+            _, ok = _hyp1f1_asymptotic_array(ab[0], ab[1], u, DEFAULT_OPTIONS)
+            _, n2 = _series_1f1_array(ab[1] - ab[0], ab[1], u[~ok], DEFAULT_OPTIONS)
+            count += int(np.count_nonzero(n2))
+            arr = _hyp1f1_array(ab[0], ab[1], -u, DEFAULT_OPTIONS)
+            for x, got in zip(u, arr):
+                assert got == pytest.approx(hyp1f1(ab[0], ab[1], -x), rel=1e-12, abs=0.0), (q, x)
+        assert count == n_rescaled
+
+
+@pytest.mark.parametrize("bad", [-math.inf, math.nan, math.inf])
+def test_non_finite_argument_fails_at_once(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="no series"):
+            hyp1f1(1.0, 0.5, bad)
+        if bad <= 0.0 or math.isnan(bad):
+            for f in (hyp2f2_11_32_2, dhyp2f2_11_32_2_dz):
+                with pytest.raises(ConvergenceError, match="no series"):
+                    f(bad)
+            z = np.array([-0.5, -30.0, bad])
+            for f in (
+                lambda z: _hyp1f1_array(1.0, 0.5, z, DEFAULT_OPTIONS),
+                lambda z: _hyp2f2_array(z, DEFAULT_OPTIONS),
+                lambda z: _dhyp2f2_array(z, DEFAULT_OPTIONS),
+            ):
+                with pytest.raises(ConvergenceError, match="non-finite"):
+                    f(z)
+
+
+def test_block_len_keeps_accumulators_finite():
+    # m terms growing by g each take _RESCALE_LIMIT to at most
+    # _RESCALE_LIMIT (m + 1) g^m, which must stay below the guard
+    assert _block_len(0.5) == _block_len(1.0) == _SERIES_BLOCK
+    assert _block_len(math.inf) == _block_len(1e60) == 1
+    for g in (8.0, 1e5, 3e7, 1e10, 1e20):
+        m = _block_len(g)
+        assert 1 <= m <= _SERIES_BLOCK
+        assert _RESCALE_LIMIT * (m + 1) * g**m < _OVERFLOW_GUARD or m == 1
+        assert m == _SERIES_BLOCK or _RESCALE_LIMIT * (m + 2) * g ** (m + 1) >= _OVERFLOW_GUARD
+
+
+def test_asymptotic_array_assigns_branches_like_scalar():
+    # Near the switch the expansion's smallest term sits close to the 1e-17
+    # stop: some elements reach it a term or two before their terms grow
+    # (Q = 9.1 at u = 67.9), which a once-per-block test alone would miss.
+    u = np.linspace(60.0, 100.0, 401)
+    for q in (5.3, 9.1, 12.3, 20.5):
+        a = (q - 1.0) / 2.0
+        for p, r, sign in ((a, a + 0.5, 1.0), (0.5 - a, 1.0 - a, -1.0), (a + 1.0, a + 0.5, 1.0),
+                           (0.5 - a, -a, -1.0)):
+            sums, ok = _asymptotic_array(partial(_f20_ratio, p, r), sign / u, np.ones_like(u),
+                                         DEFAULT_OPTIONS)
+            for x, s, o in zip(u, sums, ok):
+                want = _asymptotic(_f20_ratio(p, r, sign / x), 1.0, DEFAULT_OPTIONS)
+                assert o == (want is not None), (q, p, r, x)
+                if o:
+                    assert s == pytest.approx(want, rel=1e-16, abs=0.0)
