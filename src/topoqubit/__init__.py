@@ -43,7 +43,7 @@ from .errors import (
     SpecError,
     TopoqubitError,
 )
-from .magnetometry import QfiSample, drho_db, qfi_closed, qfi_general, qfi_series
+from .magnetometry import QfiSeries, drho_db, qfi_closed, qfi_general, qfi_series
 from .nonmarkov import (
     NonMarkovReport,
     TimeWindow,

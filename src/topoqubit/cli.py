@@ -338,9 +338,9 @@ def _corr_rows(spec: SweepSpec, q: float, g0: float) -> np.ndarray:
 
 def _qfi_rows(spec: SweepSpec, q: float, g0: float) -> np.ndarray:
     ch, w = _combo(spec, q, g0)
-    samples = magnetometry.qfi_series(ch, spec.theta, w)
-    out = _new_rows(q, g0, len(samples), 6)
-    out[:, 2:] = [(s.t, s.f_closed, s.f_general, s.rel_gap) for s in samples]
+    series = magnetometry.qfi_series(ch, spec.theta, w)
+    out = _new_rows(q, g0, len(series.t), 6)
+    out[:, 2:] = np.column_stack((series.t, series.f_closed, series.f_general, series.rel_gap))
     return out
 
 

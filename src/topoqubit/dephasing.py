@@ -8,13 +8,10 @@ dephasing channel whose single-qubit coherence factor is
 
 with beta a negative Q-dependent coupling constant and I_Q(t) the integrated
 noise kernel.  Everything here reduces to the confluent hypergeometric
-machinery in :mod:`topoqubit.specfun`.
-
-The Q = 1 kernel is an analytic limit of the general expression and is
-evaluated through a dedicated 2F2 branch; the switch happens inside a band
-|Q - 1| < 1e-6.  Between 1e-6 and ~1e-3 the general branch loses roughly
-three digits to the Gamma((Q-1)/2) pole cancellation, which is still far
-inside every tolerance used downstream.
+machinery in :mod:`topoqubit.specfun`: with a = (Q-1)/2, u = (t gamma0)^2/4,
+I_Q = 2 gamma0^(Q-1) Gamma(a+1) K(a, u), one pole-free K for every Q.  The
+exponent 2 B^2 |beta| I_Q is formed in reduced units, in which the cutoff
+powers of beta and I_Q cancel (:func:`_exponent_scales`).
 """
 
 from __future__ import annotations
@@ -29,13 +26,11 @@ from .errors import ConvergenceError, DomainError
 from .specfun import (
     DEFAULT_OPTIONS,
     EvalOptions,
-    _dhyp2f2_array,
     _hyp1f1_array,
-    _hyp2f2_array,
-    dhyp2f2_11_32_2_dz,
+    _kernel,
+    _kernel_array,
     gamma,
     hyp1f1,
-    hyp2f2_11_32_2,
 )
 
 __all__ = [
@@ -51,9 +46,6 @@ __all__ = [
     "i_q_profile",
     "alpha_profile",
 ]
-
-# Width of the band around Q = 1 handled by the dedicated 2F2 branch.
-_Q_BRANCH_TOL = 1e-6
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,80 +105,97 @@ def beta(env: OhmicEnvironment) -> float:
     return -4.0 * math.pi / (gamma(env.q + 1.0) * _cutoff_power(env, env.q + 1.0))
 
 
-def _is_unit_branch(q: float) -> bool:
-    return abs(q - 1.0) < _Q_BRANCH_TOL
+def _check_time(t: float) -> None:
+    if t < 0.0:
+        raise DomainError(f"time must be >= 0, got {t}")
 
 
 def i_q(env: OhmicEnvironment, t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
     """Integrated noise kernel I_Q(t); nonnegative, I_Q(0) = 0.
 
-    General branch:
-        I_Q = 2 gamma0^(Q-1) Gamma((Q-1)/2) [1 - M((Q-1)/2; 1/2; -t^2 gamma0^2/4)]
-    Q = 1 branch (analytic limit of the above):
-        I_1 = t^2 gamma0^2 2F2({1,1}; {3/2,2}; -t^2 gamma0^2/4)
+        I_Q = 2 gamma0^(Q-1) Gamma((Q-1)/2) [1 - M((Q-1)/2; 1/2; -t^2 gamma0^2/4)],
+
+    evaluated as 2 gamma0^(Q-1) Gamma(a+1) K(a, u), which at Q = 1 is its
+    analytic limit t^2 gamma0^2 2F2({1,1}; {3/2,2}; -t^2 gamma0^2/4).
     """
-    if t < 0.0:
-        raise DomainError(f"time must be >= 0, got {t}")
+    _check_time(t)
     if t == 0.0:
         return 0.0
     x = t * env.gamma0
-    z = -0.25 * x * x
-    if _is_unit_branch(env.q):
-        return x * x * hyp2f2_11_32_2(z, opts)
     a = 0.5 * (env.q - 1.0)
-    pref = 2.0 * _cutoff_power(env, env.q - 1.0) * gamma(a)
-    return pref * (1.0 - hyp1f1(a, 0.5, z, opts))
+    pref = 2.0 * _cutoff_power(env, env.q - 1.0) * gamma(a + 1.0)
+    return pref * _kernel(a, 0.25 * x * x, opts)
 
 
 def di_q_dt(env: OhmicEnvironment, t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
     """Time derivative of the integrated kernel, dI_Q/dt.
 
-    General branch (one contiguous relation, smooth through Q -> 1):
+    One contiguous relation, smooth through Q -> 1:
         dI_Q/dt = 2 Gamma((Q+1)/2) gamma0^(Q+1) t M((Q+1)/2; 3/2; -t^2 gamma0^2/4)
-    Q = 1 branch, by the product rule on I_1 = t^2 gamma0^2 2F2(z(t)):
-        dI_1/dt = 2 t gamma0^2 2F2(z) + t^2 gamma0^2 (d2F2/dz) dz/dt
     """
-    if t < 0.0:
-        raise DomainError(f"time must be >= 0, got {t}")
+    _check_time(t)
     if t == 0.0:
         return 0.0
-    g0 = env.gamma0
-    x = t * g0
-    z = -0.25 * x * x
-    if _is_unit_branch(env.q):
-        gg = g0 * g0
-        f = hyp2f2_11_32_2(z, opts)
-        fp = dhyp2f2_11_32_2_dz(z, opts)
-        return 2.0 * t * gg * f + (t * t * gg) * fp * (-0.5 * t * gg)
+    x = t * env.gamma0
     a1 = 0.5 * (env.q + 1.0)
+    z = -0.25 * x * x
     return 2.0 * gamma(a1) * _cutoff_power(env, env.q + 1.0) * t * hyp1f1(a1, 1.5, z, opts)
+
+
+def _exponent_scales(ch: DephasingChannel) -> tuple[float, float]:
+    """(s_i, s_d) with E = 2 B^2 |beta| I_Q = s_i K(a, u) and
+    dE/dt = s_d t M(a+1; 3/2; -u): s_d = 16 pi B^2 Gamma(a+1)/Gamma(Q+1),
+    from lgamma, and s_i = s_d / gamma0^2, finite or a DomainError."""
+    q = ch.env.q
+    g0 = ch.env.gamma0
+    try:
+        ratio = math.exp(math.lgamma(0.5 * (q + 1.0)) - math.lgamma(q + 1.0))
+    except OverflowError:
+        raise DomainError(f"lnGamma(Q+1) overflows the double range at Q={q!r}") from None
+    s_d = 16.0 * math.pi * ch.b * ch.b * ratio
+    s_i = s_d / g0 / g0
+    if not math.isfinite(s_i):
+        raise DomainError(f"exponent scale B^2/gamma0^2 overflows at B={ch.b!r}, gamma0={g0!r}")
+    return s_i, s_d
+
+
+def _exponent(ch: DephasingChannel, t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+    # E(t) = 2 B^2 |beta| I_Q(t).
+    _check_time(t)
+    x = t * ch.env.gamma0
+    return _exponent_scales(ch)[0] * _kernel(0.5 * (ch.env.q - 1.0), 0.25 * x * x, opts)
+
+
+def _exponent_slope(ch: DephasingChannel, t: float, opts: EvalOptions = DEFAULT_OPTIONS):
+    # (E(t), dE/dt).
+    _check_time(t)
+    s_i, s_d = _exponent_scales(ch)
+    x = t * ch.env.gamma0
+    u, a = 0.25 * x * x, 0.5 * (ch.env.q - 1.0)
+    return s_i * _kernel(a, u, opts), s_d * t * hyp1f1(a + 1.0, 1.5, -u, opts)
 
 
 def alpha(ch: DephasingChannel, t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
     """Single-qubit coherence factor alpha(t) = exp(-2 B^2 |beta| I_Q(t))."""
-    exponent = 2.0 * ch.b * ch.b * ch.beta_abs * i_q(ch.env, t, opts)
-    return math.exp(-exponent)
+    return math.exp(-_exponent(ch, t, opts))
 
 
 def dalpha_dt(ch: DephasingChannel, t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
     """d alpha / dt = -2 B^2 |beta| (dI_Q/dt) alpha(t)."""
+    _check_time(t)
     if ch.b == 0.0 or t == 0.0:
-        if t < 0.0:
-            raise DomainError(f"time must be >= 0, got {t}")
         return 0.0
-    c = 2.0 * ch.b * ch.b * ch.beta_abs
-    return -c * di_q_dt(ch.env, t, opts) * math.exp(-c * i_q(ch.env, t, opts))
+    e, de = _exponent_slope(ch, t, opts)
+    return -de * math.exp(-e)
 
 
 def dalpha_db(ch: DephasingChannel, t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
-    """Field sensitivity d alpha / dB = -4 B |beta| I_Q(t) alpha(t)."""
+    """Field sensitivity d alpha / dB = -4 B |beta| I_Q(t) alpha(t) = -(2E/B) alpha."""
+    _check_time(t)
     if ch.b == 0.0 or t == 0.0:
-        if t < 0.0:
-            raise DomainError(f"time must be >= 0, got {t}")
         return 0.0
-    iv = i_q(ch.env, t, opts)
-    c = 2.0 * ch.b * ch.b * ch.beta_abs
-    return -4.0 * ch.b * ch.beta_abs * iv * math.exp(-c * iv)
+    e = _exponent(ch, t, opts)
+    return -2.0 * (e / ch.b) * math.exp(-e)
 
 
 def kappa_to_q(kappa: float) -> float:
@@ -196,42 +205,45 @@ def kappa_to_q(kappa: float) -> float:
     return 2.0 * kappa - 1.0
 
 
-def i_q_profile(
-    env: OhmicEnvironment,
-    ts: np.ndarray,
-    opts: EvalOptions = DEFAULT_OPTIONS,
+def _kernel_profile(
+    env: OhmicEnvironment, ts: np.ndarray, opts: EvalOptions, c_i: float, c_d: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (I_Q(t), dI_Q/dt) over a time grid; same branches as the
-    scalar functions, agreeing with them to series tolerance.
-
-    Raises ConvergenceError, before summing any series, when
-    u = (t gamma0)^2/4 is not finite somewhere on the grid.
-    """
+    # (c_i K(a, u), c_d t M(a+1; 3/2; -u)) over a validated time grid.
     ts = np.asarray(ts, dtype=np.float64)
     if ts.ndim != 1:
         raise DomainError("time grid must be one-dimensional")
     if ts.size and float(ts.min()) < 0.0:
         raise DomainError("time grid must be nonnegative")
-    g0 = env.gamma0
     with np.errstate(over="ignore"):
-        x = ts * g0
-        z = -0.25 * x * x
-    if not np.isfinite(z).all():
+        x = ts * env.gamma0
+        u = 0.25 * x * x
+    if not np.isfinite(u).all():
         raise ConvergenceError("kernel argument (t gamma0)^2/4 leaves the double range")
-    if _is_unit_branch(env.q):
-        gg = g0 * g0
-        f = _hyp2f2_array(z, opts)
-        fp = _dhyp2f2_array(z, opts)
-        ivals = ts * ts * gg * f
-        divals = 2.0 * ts * gg * f + (ts * ts * gg) * fp * (-0.5 * ts * gg)
-        return ivals, divals
     a = 0.5 * (env.q - 1.0)
-    pref = 2.0 * _cutoff_power(env, env.q - 1.0) * gamma(a)
-    m0 = _hyp1f1_array(a, 0.5, z, opts)
-    m1 = _hyp1f1_array(a + 1.0, 1.5, z, opts)
-    ivals = pref * (1.0 - m0)
-    divals = 2.0 * gamma(a + 1.0) * _cutoff_power(env, env.q + 1.0) * ts * m1
-    return ivals, divals
+    return c_i * _kernel_array(a, u, opts), c_d * ts * _hyp1f1_array(a + 1.0, 1.5, -u, opts)
+
+
+def i_q_profile(
+    env: OhmicEnvironment,
+    ts: np.ndarray,
+    opts: EvalOptions = DEFAULT_OPTIONS,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized (I_Q(t), dI_Q/dt) over a time grid; the same branches as
+    the scalar functions, agreeing with them to series tolerance.
+
+    Raises ConvergenceError, before summing any series, when
+    u = (t gamma0)^2/4 is not finite somewhere on the grid.
+    """
+    ga1 = gamma(0.5 * (env.q + 1.0))
+    c_i = 2.0 * _cutoff_power(env, env.q - 1.0) * ga1
+    return _kernel_profile(env, ts, opts, c_i, 2.0 * ga1 * _cutoff_power(env, env.q + 1.0))
+
+
+def _exponent_profile(
+    ch: DephasingChannel, ts: np.ndarray, opts: EvalOptions = DEFAULT_OPTIONS
+) -> tuple[np.ndarray, np.ndarray]:
+    # (E(t), dE/dt) over a time grid, E = 2 B^2 |beta| I_Q.
+    return _kernel_profile(ch.env, ts, opts, *_exponent_scales(ch))
 
 
 def alpha_profile(
@@ -240,9 +252,7 @@ def alpha_profile(
     opts: EvalOptions = DEFAULT_OPTIONS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (alpha(t), d alpha/dt) over a time grid."""
-    ivals, divals = i_q_profile(ch.env, ts, opts)
-    c = 2.0 * ch.b * ch.b * ch.beta_abs
+    evals, devals = _exponent_profile(ch, ts, opts)
     with np.errstate(under="ignore"):
-        avals = np.exp(-c * ivals)
-    davals = -c * divals * avals
-    return avals, davals
+        avals = np.exp(-evals)
+    return avals, -devals * avals

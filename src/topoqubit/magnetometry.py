@@ -4,10 +4,10 @@ The field strength B enters the evolved state only through the coherence
 factor alpha(t; B), so the QFI for estimating B admits a closed form on the
 Bell-like family at theta = pi/2:
 
-    F(t) = 128 B^2 beta^2 I_Q(t)^2 alpha^4 / (1 - alpha^4),
+    F(t) = 128 B^2 beta^2 I_Q(t)^2 alpha^4 / (1 - alpha^4) = 32 (E/B)^2 alpha^4 / (1 - alpha^4),
 
-valid because the eigenvectors of the evolved state are B-independent there.
-The general spectral formula
+with E = 2 B^2 |beta| I_Q = -ln alpha, valid because the eigenvectors of the
+evolved state are B-independent there.  The general spectral formula
 
     F = 2 sum_{i,j} |<i| d_B rho |j>|^2 / (lambda_i + lambda_j)
 
@@ -28,7 +28,7 @@ from .nonmarkov import TimeWindow
 from .specfun import DEFAULT_OPTIONS, EvalOptions
 
 __all__ = [
-    "QfiSample",
+    "QfiSeries",
     "qfi_general",
     "drho_db",
     "qfi_closed",
@@ -39,13 +39,13 @@ _REL_GAP_FLOOR = 1e-30
 
 
 @dataclass(frozen=True, slots=True)
-class QfiSample:
-    """One time sample with both QFI routes and their relative gap."""
+class QfiSeries:
+    """Both QFI routes and their relative gap over a time grid, one array each."""
 
-    t: float
-    f_general: float
-    f_closed: float
-    rel_gap: float
+    t: np.ndarray
+    f_general: np.ndarray
+    f_closed: np.ndarray
+    rel_gap: np.ndarray
 
 
 def qfi_general(rho, drho: np.ndarray, kernel_tol: float = 1e-12) -> float:
@@ -118,17 +118,17 @@ def drho_db(
     return _drho_from(theta, a, dadb)
 
 
-def _closed_from(b: float, beta_abs: float, iv, a):
-    # 128 B^2 beta^2 I_Q^2 alpha^4 / (1 - alpha^4), elementwise over arrays
-    # iv and a.  It is 0 where B or I_Q vanishes and where alpha is
+def _closed_from(eb, a):
+    # 32 (E/B)^2 alpha^4 / (1 - alpha^4), elementwise over arrays eb = E/B
+    # and a.  It is 0 where E/B vanishes (B = 0 or t = 0) and where alpha is
     # indistinguishable from 1 in double precision: the exact limit at t -> 0
     # is 0 and F there is below representable noise.
-    iv = np.asarray(iv, dtype=np.float64)
+    eb = np.asarray(eb, dtype=np.float64)
     a4 = np.asarray(a, dtype=np.float64) ** 4
     om = 1.0 - a4
-    zero = (b == 0.0) | (iv == 0.0) | (om == 0.0)
+    zero = (eb == 0.0) | (om == 0.0)
     with np.errstate(over="ignore"):
-        f = 128.0 * b * b * beta_abs * beta_abs * iv * iv * a4 / np.where(zero, 1.0, om)
+        f = 32.0 * eb * eb * a4 / np.where(zero, 1.0, om)
     return np.where(zero, 0.0, f)
 
 
@@ -141,9 +141,8 @@ def qfi_closed(
         raise DomainError(f"time must be >= 0, got {t}")
     if t == 0.0 or ch.b == 0.0:
         return 0.0
-    iv = dephasing.i_q(ch.env, t, opts)
-    a = math.exp(-2.0 * ch.b * ch.b * ch.beta_abs * iv)
-    return float(_closed_from(ch.b, ch.beta_abs, iv, a))
+    e = dephasing._exponent(ch, t, opts)
+    return float(_closed_from(e / ch.b, math.exp(-e)))
 
 
 def qfi_series(
@@ -151,24 +150,21 @@ def qfi_series(
     theta: float,
     w: TimeWindow,
     opts: EvalOptions = DEFAULT_OPTIONS,
-) -> list[QfiSample]:
+) -> QfiSeries:
     """Both QFI routes over a time window; the closed form is compared at
     theta = pi/2 regardless of the state angle used for the general route."""
     if not (0.0 <= theta <= math.pi):
         raise DomainError(f"theta must lie in [0, pi], got {theta}")
     ts = w.times()
-    ivals, _ = dephasing.i_q_profile(ch.env, ts, opts)
-    c = 2.0 * ch.b * ch.b * ch.beta_abs
+    evals, _ = dephasing._exponent_profile(ch, ts, opts)
     with np.errstate(under="ignore"):
-        avals = np.exp(-c * ivals)
-    dadb_vals = -4.0 * ch.b * ch.beta_abs * ivals * avals
+        avals = np.exp(-evals)
+    eb = evals / ch.b if ch.b > 0.0 else np.zeros_like(evals)
+    dadb_vals = -2.0 * eb * avals  # d alpha/dB = -(2E/B) alpha
     f_general = np.empty_like(avals)
     for block in states._blocks(len(ts)):
         rho = states.evolved_x_state(theta, avals[block])
         f_general[block] = qfi_general(rho, _drho_from(theta, avals[block], dadb_vals[block]))
-    f_closed = _closed_from(ch.b, ch.beta_abs, ivals, avals)
+    f_closed = _closed_from(eb, avals)
     gaps = np.abs(f_general - f_closed) / np.maximum(f_general, _REL_GAP_FLOOR)
-    return [
-        QfiSample(*row)
-        for row in zip(ts.tolist(), f_general.tolist(), f_closed.tolist(), gaps.tolist())
-    ]
+    return QfiSeries(ts, f_general, f_closed, gaps)

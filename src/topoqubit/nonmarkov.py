@@ -194,11 +194,11 @@ def _profile(
 def _alpha_sq_slope(ch: dephasing.DephasingChannel):
     """Scalar d(alpha^2)/dt = 2 alpha d(alpha)/dt with one I_Q evaluation per
     point, the same products as ``2 alpha(t) dalpha_dt(t)``."""
-    c = 2.0 * ch.b * ch.b * ch.beta_abs
 
     def slope(t: float) -> float:
-        a = math.exp(-c * dephasing.i_q(ch.env, t))
-        return 2.0 * a * (-c * dephasing.di_q_dt(ch.env, t) * a)
+        e, de = dephasing._exponent_slope(ch, t)
+        a = math.exp(-e)
+        return 2.0 * a * (-de * a)
 
     return slope
 
@@ -307,7 +307,8 @@ def blp_pair_scan(
             dist = np.zeros(ts.shape)
             dist[live] = 0.5 * np.abs(np.linalg.eigvalsh(plus - minus)).sum(axis=-1)
             val = float(np.clip(np.diff(dist), 0.0, None).sum())
-            if val > best_val:
+            # Phase covariance ties the axes at one theta: keep the first.
+            if val > best_val + 1e-12 * abs(best_val):
                 best_val = val
                 best_axis = (float(th), float(ph))
     return best_axis, best_val

@@ -1,10 +1,11 @@
 """Real-argument special functions with controlled accuracy.
 
-Gamma, Kummer's confluent hypergeometric M(a;b;z), the specialized
-hypergeometric 2F2({1,1};{3/2,2};z), their z-derivatives, and the Dawson
-integral: everything the dephasing kernel needs, in plain double precision
-with compensated series summation.  Arbitrary-precision cross-checks live in
-the test suite, never here, so the runtime footprint stays numpy-only.
+Gamma, Kummer's confluent hypergeometric M(a;b;z) and its z-derivative, and
+the dephasing kernel K(a, u) = (1 - M(a; 1/2; -u))/a without the pole of its
+1/a, for every a; 2F2({1,1};{3/2,2};z), its derivative and the Dawson
+integral are thin wrappers around these.  Plain double precision with
+compensated series summation: arbitrary-precision cross-checks live in the
+test suite, never here, so the runtime footprint stays numpy-only.
 
 All functions are pure; concurrent use is unrestricted.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import count
 
 import numpy as np
 
@@ -31,7 +33,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_SQRT_PI = math.sqrt(math.pi)
+_LN_SQRT_PI = 0.5 * math.log(math.pi)
 
 # Series accumulators are rescaled by 2**-1024 past this magnitude; the
 # shifted exponent is reassembled in log space at the end.
@@ -48,8 +50,8 @@ _OVERFLOW_GUARD = 1e307
 _EXP_UNDERFLOW = -745.0
 _DIRECT_EXP_LIMIT = -700.0
 
-# Direct alternating series for the specialized 2F2 is well conditioned only
-# for small |z|; beyond this the all-positive resummation takes over.
+# The direct series of the 2F2 derivative serves |z| <= this, where the
+# identity through K(0, u) and the Dawson integral cancels.
 _F22_DIRECT_LIMIT = 8.0
 
 # From u = -z >= this on, large-u expansions replace the series, which need
@@ -58,15 +60,19 @@ _F22_DIRECT_LIMIT = 8.0
 _ASYMPTOTIC_LIMIT = 60.0
 # An asymptotic sum is truncated at its first term below this share of it.
 _ASYMPTOTIC_TOL = 1e-17
-# int_0^X D(y) dy - (ln X)/2 -> (gamma_E + 2 ln 2)/4 as X -> infinity.
-_DAWSON_INTEGRAL_CONST = (np.euler_gamma + 2.0 * _LN2) / 4.0
 
-# Rybicki sampling parameters for the Dawson integral: step h and half-width
-# (in units of h) of the window kept around x.  The sampling error scales as
-# exp(-pi^2/(4 h^2)) ~ 2e-27, the truncation error as exp(-(window*h)^2).
-_DAWSON_H = 0.2
-_DAWSON_TAYLOR_LIMIT = 0.5
-_DAWSON_WINDOW = 60
+# Below this |a|, (lnGamma(1/2 - a) - lnGamma(1/2))/a comes from its Taylor
+# series sum_n c_n a^(n-1), c_1 = -psi(1/2) = gamma_E + 2 ln 2 and
+# c_n = (2^n - 1) zeta(n)/n; the 18 terms reach 3e-17 at the limit.  Above
+# it the lgamma difference over a is good to ~1e-15 of the kernel.
+_LGAMMA_TAYLOR_LIMIT = 0.0625
+_LGAMMA_HALF_TAYLOR = (
+    1.9635100260214235, 2.4674011002723395, 2.80479944070572, 4.0587121264167685,
+    6.428952081888894, 10.682102150836716, 18.294336889643457, 32.00496572880947,
+    56.89180985934755, 102.40174503557579, 186.18287309751204, 341.33397703631636,
+    630.1542419253858, 1170.2859591569047, 2184.5334856492714, 4096.000095179396,
+    7710.117706772447, 14563.555593150464,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,6 +99,8 @@ class EvalOptions:
 
 
 DEFAULT_OPTIONS = EvalOptions()
+# At the default rel_tol a Kummer series can stop ~4e-14 short below u = 60.
+_FULL_PRECISION = EvalOptions(rel_tol=1e-16)
 
 
 def _require_no_pole(x: float, exc: type, name: str) -> None:
@@ -120,27 +128,32 @@ def gamma(x: float) -> float:
         raise DomainError(f"Gamma({x!r}) overflows the double range") from None
 
 
-def _series(ratio, first: float, kmin: float, opts: EvalOptions, describe) -> tuple[float, int]:
+def _series(
+    ratio, first: float, kmin: float, opts: EvalOptions, describe, weights=None
+) -> tuple[float, int]:
     """Kahan-summed ratio series: term_0 = ``first``, term_{k+1} = term_k * ratio(k).
 
-    Stops once two consecutive terms drop below ``rel_tol`` times the running
-    sum and k >= ``kmin``.  Returns (total, n2) meaning total * 2**n2.
-    ``describe()`` names the series in the error raised when the term budget
-    runs out; it is a callable so that no message is formatted otherwise.
+    With ``weights``, an iterator of scalars w_0, w_1, ..., the sum is of
+    w_k term_k.  Stops once two consecutive summands drop below ``rel_tol``
+    times the running sum and k >= ``kmin``.  Returns (total, n2) meaning
+    total * 2**n2.  ``describe()`` names the series in the error raised when
+    the term budget runs out; it is a callable so that no message is
+    formatted otherwise.
     """
     rel_tol = opts.rel_tol
-    total = first
+    total = first if weights is None else first * next(weights)
     term = first
     comp = 0.0
     n2 = 0
     small_run = 0
     for k in range(opts.max_terms):
         term *= ratio(k)
-        y = term - comp
+        t = term if weights is None else term * next(weights)
+        y = t - comp
         s = total + y
         comp = (s - total) - y
         total = s
-        abs_term = abs(term)
+        abs_term = abs(t)
         abs_total = abs(total)
         if abs_term <= rel_tol * abs_total:
             small_run += 1
@@ -148,7 +161,7 @@ def _series(ratio, first: float, kmin: float, opts: EvalOptions, describe) -> tu
                 return total, n2
         else:
             small_run = 0
-        if abs_total > _RESCALE_LIMIT or abs_term > _RESCALE_LIMIT:
+        if abs_total > _RESCALE_LIMIT or abs(term) > _RESCALE_LIMIT:
             total = math.ldexp(total, -_RESCALE_BITS)
             term = math.ldexp(term, -_RESCALE_BITS)
             comp = math.ldexp(comp, -_RESCALE_BITS)
@@ -156,6 +169,21 @@ def _series(ratio, first: float, kmin: float, opts: EvalOptions, describe) -> tu
     raise ConvergenceError(
         f"{describe()} did not reach rel_tol={opts.rel_tol} within {opts.max_terms} terms"
     )
+
+
+def _kmin(p: float, q: float, r: float, x: float) -> float:
+    """First k with |p + k| x / ((q + k)(r + k)) < 1 at every later k, where
+    the two-small-terms stop may act: before it a term can be tiny (p + k
+    within ulps of 0) and the tail not.  The larger root of
+    k^2 + (q + r - x) k + q r - p x, past max(0, -p, -q, -r); -p at p = 0, -1, ..."""
+    if p <= 0.0 and float(p).is_integer():
+        return -p
+    k0 = max(0.0, -p, -q, -r)
+    s = q + r - x
+    disc = s * s - 4.0 * (q * r - p * x)
+    if disc > 0.0:
+        k0 = max(k0, 0.5 * (math.sqrt(disc) - s))
+    return k0
 
 
 # Term ratios term_{k+1} / term_k of the summed series.  Each accepts a float
@@ -166,8 +194,9 @@ def _kummer_ratio(a: float, b: float, z):
     return lambda k: (a + k) * z / ((b + k) * (k + 1.0))
 
 
-def _f22_ratio(z):
-    return lambda k: (1.0 + k) * z / ((1.5 + k) * (2.0 + k))
+def _kernel_ratio(a: float, z):
+    # K(a, -z) / (-2z) = 2F2(a+1, 1; 3/2, 2; z), the direct series of K.
+    return lambda k: (a + 1.0 + k) * z / ((1.5 + k) * (2.0 + k))
 
 
 def _df22_ratio(z):
@@ -180,9 +209,10 @@ def _f20_ratio(p: float, q: float, w):
     return lambda k: (p + k) * (q + k) * w / (k + 1.0)
 
 
-def _dawson_integral_ratio(u):
-    # Tail of int_0^X D(y) dy at X = sqrt(u): terms (1/2)_k / (4k u^k), k >= 1.
-    return lambda k: (k + 1.5) * (k + 1.0) / ((k + 2.0) * u)
+def _kernel_tail_ratio(a: float, w):
+    # (2F0(a, a+1/2;; w) - 1)/a = sum_{s>=1} (a+1)_{s-1} (a+1/2)_s w^s / s!,
+    # which carries no 1/a: term ratios from s = 1 on.
+    return lambda k: (a + 1.0 + k) * (a + 1.5 + k) * w / (k + 2.0)
 
 
 def _kummer_asymptotic_coefs(a: float, b: float) -> tuple[float, float] | None:
@@ -229,7 +259,8 @@ def _asymptotic(ratio, first: float, opts: EvalOptions) -> float | None:
 
 def _series_1f1(a: float, b: float, z: float, opts: EvalOptions) -> tuple[float, int]:
     return _series(
-        _kummer_ratio(a, b, z), 1.0, 0.0, opts, lambda: f"1F1 series for (a={a}, b={b}, z={z})"
+        _kummer_ratio(a, b, z), 1.0, _kmin(a, b, 1.0, abs(z)), opts,
+        lambda: f"1F1 series for (a={a}, b={b}, z={z})",
     )
 
 
@@ -309,54 +340,105 @@ def dhyp1f1_dz(a: float, b: float, z: float, opts: EvalOptions = DEFAULT_OPTIONS
     return (a / b) * hyp1f1(a + 1.0, b + 1.0, z, opts)
 
 
-def _f22_resummed(u: float, opts: EvalOptions) -> float:
-    # 2F2({1,1};{3/2,2};-u) = (1/u) * sum_k P(k+1, u)/(2k+1) with P the
-    # regularized lower incomplete gamma (equivalently 1 - Poisson CDF).
-    # Every term is positive, so no cancellation occurs for any u.
-    lnu = math.log(u)
-    total = 0.0
-    comp = 0.0
-    cdf = 0.0
-    for k in range(opts.max_terms):
-        lp = -u + k * lnu - math.lgamma(k + 1.0)
-        if lp > _EXP_UNDERFLOW:
-            cdf += math.exp(lp)
-        p = 1.0 - cdf
-        if p < 0.0:
-            p = 0.0
-        term = p / (2.0 * k + 1.0)
-        y = term - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        if k > u and term <= opts.rel_tol * total:
-            return total / u
-    raise ConvergenceError(
-        f"2F2 resummation at z={-u} did not converge within {opts.max_terms} "
-        f"terms; enlarge max_terms for |z| this large"
-    )
+def _kummer_brackets(a: float):
+    """C_k = [1 - (1/2-a)_k / (1/2)_k] / a for k = 1, 2, ..., one scalar a term.
+
+    For |a| < 1/4, C_k = -expm1(L_k)/a with L_k = sum_{j<k} log1p(-a/(j+1/2))
+    = -a s_k, so C_k = (expm1(L_k)/L_k) s_k, s_k = sum_{j<k} (log1p(y_j)/y_j)
+    /(j+1/2): both ratios are exactly 1 at a = 0 and nothing divides by a.
+    Elsewhere the Pochhammer ratio is a plain product with no pole to cancel.
+    """
+    if abs(a) < 0.25:
+        s = 0.0
+        for j in count():
+            h = j + 0.5
+            y = -a / h
+            s += (math.log1p(y) / y if a else 1.0) / h
+            yield (math.expm1(-a * s) / (-a * s) if a else 1.0) * s
+    else:
+        r = 1.0
+        for j in count():
+            h = j + 0.5
+            r *= (h - a) / h
+            yield (1.0 - r) / a
 
 
-def _f22_far(u: float, opts: EvalOptions) -> float:
-    # 2F2({1,1};{3/2,2};-u) = (2/u) int_0^sqrt(u) D(y) dy, whose large-u
-    # expansion is (2/u) [ln(u)/4 + (gamma_E + 2 ln 2)/4 - tail].
+def _kernel_asymptotic_parts(a: float, u, lib):
+    """DLMF 13.7.2 for K at u >= 60: K = (1 - R)/a - R T + S, where
+    R = Gamma(1/2) u^-a / Gamma(1/2 - a), T = (2F0(a, a+1/2;; 1/u) - 1)/a and
+    S = sin(pi a) Gamma(1/2)/Gamma(a+1) e^-u u^(a-1/2) 2F0(1/2-a, 1-a;; -1/u).
+    Returns (1 - R)/a, R and the bound on S without its sine and 2F0, for a
+    float u with ``lib`` = math or an ndarray with ``lib`` = numpy.
+
+    Where Gamma(1/2 - a) > 0, (1 - R)/a = (expm1(L)/L) l with L = -a l and
+    l = ln u + (lnGamma(1/2 - a) - lnGamma(1/2))/a, which is l at a = 0.
+    S stays below 1e-17 of K unless a > ~6.
+    """
+    lnu = lib.log(u)
+    s_bound = lib.exp(_LN_SQRT_PI - math.lgamma(a + 1.0) - u + (a - 0.5) * lnu)
+    c = 0.5 - a
+    if c > 0.0:
+        # (lnGamma(1/2 - a) - lnGamma(1/2))/a, -psi(1/2) at a = 0
+        if abs(a) < _LGAMMA_TAYLOR_LIMIT:
+            slope = 0.0
+            for coef in reversed(_LGAMMA_HALF_TAYLOR):
+                slope = slope * a + coef
+        else:
+            slope = (math.lgamma(c) - _LN_SQRT_PI) / a
+        ell = lnu + slope
+        if a == 0.0:
+            return ell, 1.0, s_bound
+        return lib.expm1(-a * ell) / (-a * ell) * ell, lib.exp(-a * ell), s_bound
+    # a > 1/2: |R| < 0.02, no cancellation; Gamma(c) < 0 on (-1, 0), (-3, -2), ...
+    sign = 1.0 if math.floor(c) % 2 == 0 else -1.0
+    r = sign * lib.exp(_LN_SQRT_PI - math.lgamma(c) - a * lnu)
+    return (1.0 - r) / a, r, s_bound
+
+
+def _kernel(a: float, u: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+    """K(a, u) = (1 - M(a; 1/2; -u))/a = F(a, u)/Gamma(a+1) for u >= 0 and
+    a >= -1/2, with the 1/a of the Gamma((Q-1)/2) pole cancelled in every branch:
+
+        direct      u <= 1       K = 2u sum_j (a+1)_j (-u)^j / ((3/2)_j (2)_j)
+        Kummer      1 < u < 60   K = e^-u sum_{k>=1} C_k u^k / k!
+        asymptotic  u >= 60      DLMF 13.7.2 (:func:`_kernel_asymptotic_parts`)
+
+    with C_k from :func:`_kummer_brackets`.  At even Q >= 2 (a - 1/2 = 0, 1,
+    ...) M is e^-u times a polynomial and hyp1f1 sums K = (1 - M)/a for u > 1.
+    Raises ConvergenceError if ``u`` is not finite or a budget runs out.
+    """
     if not math.isfinite(u):
-        raise ConvergenceError(f"2F2 has no series at z={-u}")
-    if u >= _ASYMPTOTIC_LIMIT:
-        tail = _asymptotic(_dawson_integral_ratio(u), 0.125 / u, opts)
+        raise ConvergenceError(f"kernel (a={a}) has no series at u={u}")
+    if u == 0.0:
+        return 0.0
+    describe = lambda: f"kernel series for (a={a}, u={u})"  # noqa: E731
+    if u <= 1.0:
+        total, _ = _series(_kernel_ratio(a, -u), 1.0, _kmin(a + 1.0, 1.5, 2.0, u), opts, describe)
+        return 2.0 * u * total
+    if not (a >= 0.5 and float(a - 0.5).is_integer()):
+        if u < _ASYMPTOTIC_LIMIT:
+            # Terms C_{k+1} u^(k+1)/(k+1)!, far below the rescale limit.
+            ratio = lambda k: u / (k + 2.0)  # noqa: E731
+            total, _ = _series(ratio, u, u, opts, describe, _kummer_brackets(a))
+            return math.exp(-u) * total
+        tail = _asymptotic(_kernel_tail_ratio(a, 1.0 / u), (a + 0.5) / u, opts)
         if tail is not None:
-            return 2.0 * (0.25 * math.log(u) + _DAWSON_INTEGRAL_CONST - tail) / u
-    return _f22_resummed(u, opts)
+            deficit, r, s_bound = _kernel_asymptotic_parts(a, u, math)
+            val = deficit - r * tail
+            if s_bound <= _ASYMPTOTIC_TOL * abs(val):
+                return val
+    # Even Q, or an expansion that fails or whose e^-u part counts: only for
+    # a > ~4, far from the pole, or a term budget too small for it.
+    if a == 0.0:
+        raise ConvergenceError(f"{describe()} did not converge within {opts.max_terms} terms")
+    return (1.0 - hyp1f1(a, 0.5, -u, opts)) / a
 
 
 def hyp2f2_11_32_2(z: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
     """The specialized hypergeometric 2F2({1,1}; {3/2,2}; z) for z <= 0.
 
-    Direct compensated series for z >= -8; for more negative arguments an
-    exact all-positive resummation in terms of regularized incomplete gamma
-    functions, immune to the e^{|z|} cancellation of the raw series; for
-    z <= -60 the large-argument expansion of the Dawson-integral form
-    2F2(-u) = (2/u) int_0^sqrt(u) D(y) dy.
+    It is K(0, u)/(2u) at u = -z, the Ohmic dephasing kernel; see the
+    branch table of K.
 
     Raises
     ------
@@ -369,19 +451,15 @@ def hyp2f2_11_32_2(z: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
         raise DomainError(f"hyp2f2_11_32_2 requires z <= 0, got {z}")
     if z == 0.0:
         return 1.0
-    if z >= -_F22_DIRECT_LIMIT:
-        # Alternating series, safe for |z| <= _F22_DIRECT_LIMIT.
-        total, _ = _series(_f22_ratio(z), 1.0, abs(z), opts, lambda: f"2F2 series at z={z}")
-        return total
-    return _f22_far(-z, opts)
+    return _kernel(0.0, -z, opts) / (-2.0 * z)
 
 
 def dhyp2f2_11_32_2_dz(z: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
     """d/dz of 2F2({1,1};{3/2,2};z) for z <= 0.
 
-    Shifted-parameter series near zero; for z < -8 the exact identity
-    d/dz 2F2(z)|_{z=-u} = 2F2(-u)/u - D(sqrt(u))/u^{3/2}, with D the Dawson
-    integral, avoids the ill-conditioned direct series.
+    Shifted-parameter series for |z| <= 8, where the identity used beyond,
+    d/dz 2F2(z)|_{z=-u} = K(0, u)/(2u^2) - D(sqrt(u))/u^{3/2} with D the
+    Dawson integral, D(sqrt(u)) = sqrt(u) M(1; 3/2; -u), would cancel.
     """
     if z > 0.0:
         raise DomainError(f"dhyp2f2_11_32_2_dz requires z <= 0, got {z}")
@@ -392,53 +470,26 @@ def dhyp2f2_11_32_2_dz(z: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
             _df22_ratio(z), 1.0 / 3.0, abs(z), opts, lambda: f"2F2 derivative series at z={z}"
         )
         return total
-    u = -z
-    return _f22_far(u, opts) / u - dawson(math.sqrt(u)) / u**1.5
+    return _kernel(0.0, -z, opts) / (2.0 * z * z) + hyp1f1(1.0, 1.5, z, opts) / z
 
 
 def dawson(x: float) -> float:
-    """Dawson integral D(x) = e^{-x^2} integral_0^x e^{t^2} dt.
-
-    Taylor series for |x| <= 0.5, Rybicki's equally-spaced sampling method
-    up to x^2 = 60, and beyond it the asymptotic series
-    D(x) ~ (1/2x) 2F0(1/2, 1;; 1/x^2); all accurate to a few ulps over the
-    real line.
-    """
-    if x < 0.0:
-        return -dawson(-x)
+    """Dawson integral D(x) = e^{-x^2} integral_0^x e^{t^2} dt = x M(1; 3/2; -x^2),
+    summed to a few ulps over the real line."""
     u = x * x
-    if u >= _ASYMPTOTIC_LIMIT and x < math.inf:
-        total = _asymptotic(_f20_ratio(0.5, 1.0, 1.0 / u), 1.0, DEFAULT_OPTIONS)
-        if total is not None:
-            return 0.5 * total / x
-    if x <= _DAWSON_TAYLOR_LIMIT:
-        total = term = x
-        k = 0
-        while abs(term) > 1e-18 * abs(total):
-            term *= -2.0 * x * x / (2.0 * k + 3.0)
-            total += term
-            k += 1
-        return total
-    h = _DAWSON_H
-    span = _DAWSON_WINDOW * h
-    n_lo = int(math.floor((x - span) / h))
-    n_hi = int(math.ceil((x + span) / h))
-    total = 0.0
-    for n in range(n_lo, n_hi + 1):
-        if n % 2 == 0:
-            continue
-        d = x - n * h
-        total += math.exp(-d * d) / n
-    return total / _SQRT_PI
+    if u == math.inf:
+        # D(x) = (1/2x)(1 + 1/(2x^2) + ...): the correction is below an ulp.
+        return 0.5 / x
+    return x * hyp1f1(1.0, 1.5, -u, _FULL_PRECISION)
 
 
 # ---------------------------------------------------------------------------
 # Vectorized counterparts used by the dense-profile evaluator.  The same
 # algorithms, elementwise over a numpy array of nonpositive arguments; term
 # rescaling is applied per element so small-|z| entries are never squashed.
-# They share only the term ratios and the expansion weights with the scalar
-# loops above, which serve bisection and check this path's loops, stopping
-# and branch assembly.
+# They share only the term ratios, the stopping bounds, the Kummer brackets
+# and the expansion weights with the scalar loops above, which serve
+# bisection and check this path's loops, stopping and branch assembly.
 # ---------------------------------------------------------------------------
 
 
@@ -462,22 +513,27 @@ def _block_len(growth: float) -> int:
 
 
 def _series_array(
-    ratio, first: np.ndarray, kmin: float, growth: float, opts: EvalOptions, describe
+    ratio, first: np.ndarray, kmin: float, growth: float, opts: EvalOptions, describe,
+    weights=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise :func:`_series` with initial terms ``first``; ``growth``
-    bounds |ratio(k)| over every k and element (inf if unknown).
+    """Elementwise :func:`_series` with initial terms ``first`` and scalar
+    ``weights``; ``growth`` bounds |ratio(k)| over every k and element (inf
+    if unknown).
 
     A term costs one ratio, one product and one Kahan step; the stop and
-    rescale tests run once per block of :func:`_block_len` terms.  An element
-    is done once the last two terms of a block are small, each against the
-    sum it ended; the loop stops when every element is done and
-    k >= ``kmin``, so it may sum a few terms past the scalar stop.
+    rescale tests run once per block of :func:`_block_len` terms, and once
+    right past ``kmin`` (a terminating series ends there).  An element is
+    done once the last two terms of a block ending at k >= ``kmin`` are
+    small, each against the sum it ended; the loop stops when every element
+    is done, so it may sum a few terms past the scalar stop.
     """
     rel_tol = opts.rel_tol
     block = _block_len(growth)
     last = opts.max_terms - 1
-    total = first.copy()
+    k_first = math.ceil(kmin) + 1
+    total = first.copy() if weights is None else first * next(weights)
     term = first.copy()
+    wt = term if weights is None else np.empty_like(first)  # the summand
     comp = np.zeros_like(first)
     s = np.empty_like(first)
     n2 = np.zeros(first.shape, dtype=np.int64)
@@ -485,23 +541,25 @@ def _series_array(
     small_prev = np.zeros(first.shape, dtype=bool)
     for k in range(opts.max_terms):
         term *= ratio(k)
-        # Kahan step in three buffers: comp takes y = term - comp, the old
+        if weights is not None:
+            np.multiply(term, next(weights), out=wt)
+        # Kahan step in three buffers: comp takes y = wt - comp, the old
         # sum's buffer takes s - sum, then comp = (s - sum) - y.
-        np.subtract(term, comp, out=comp)
+        np.subtract(wt, comp, out=comp)
         np.add(total, comp, out=s)
         np.subtract(s, total, out=total)
         np.subtract(total, comp, out=comp)
         total, s = s, total
-        at_test = (k + 1) % block == 0 or k == last
-        if at_test or (k + 2) % block == 0 or k + 1 == last:
+        at_test = (k + 1) % block == 0 or k == last or k == k_first
+        if at_test or (k + 2) % block == 0 or k + 1 == last or k + 1 == k_first:
             # The last two terms of a block, each against the sum it ended.
-            small = np.abs(term) <= rel_tol * np.abs(total)
-            if at_test:
+            small = np.abs(wt) <= rel_tol * np.abs(total)
+            if at_test and k >= kmin:
                 done |= small & small_prev
             small_prev = small
         if not at_test:
             continue
-        if done.all() and k >= kmin:
+        if done.all():
             return total, n2
         big = (np.abs(total) > _RESCALE_LIMIT) | (np.abs(term) > _RESCALE_LIMIT)
         if big.any():
@@ -575,24 +633,25 @@ def _require_finite_array(z: np.ndarray, name: str) -> None:
         raise ConvergenceError(f"vectorized {name} path has no series at non-finite z")
 
 
-def _kummer_growth(a: float, b: float, z: np.ndarray) -> float:
-    # Bound on |_kummer_ratio(a, b, z)(k)| over k >= 0: for b > 0,
-    # |a + k|/(b + k) <= max(1, |a|/b) and |z|/(k + 1) <= |z|.
-    if b <= 0.0:
+def _growth(p: float, q: float, r: float, x: float) -> float:
+    # Bound on |p + k| x / ((q + k)(r + k)) over k >= 0: for q, r > 0,
+    # |p + k|/(q + k) <= max(1, |p|/q) and x/(r + k) <= x/r.
+    if q <= 0.0 or r <= 0.0:
         return math.inf
-    return max(1.0, abs(a) / b) * float(np.abs(z).max())
+    return max(1.0, abs(p) / q) * x / r
 
 
 def _series_1f1_array(
     a: float, b: float, z: np.ndarray, opts: EvalOptions
 ) -> tuple[np.ndarray, np.ndarray]:
+    zmax = float(np.abs(z).max())
     return _series_array(
         _kummer_ratio(a, b, z),
         np.ones_like(z),
-        0.0,
-        _kummer_growth(a, b, z),
+        _kmin(a, b, 1.0, zmax),
+        _growth(a, b, 1.0, zmax),
         opts,
-        lambda: f"1F1 series (a={a}, b={b}); worst |z|={np.abs(z).max():g}",
+        lambda: f"1F1 series (a={a}, b={b}); worst |z|={zmax:g}",
     )
 
 
@@ -660,113 +719,45 @@ def _hyp1f1_array(a: float, b: float, z: np.ndarray, opts: EvalOptions) -> np.nd
     return out
 
 
-def _f22_resummed_array(u: np.ndarray, opts: EvalOptions) -> np.ndarray:
-    lnu = np.log(u)
-    total = np.zeros_like(u)
-    comp = np.zeros_like(u)
-    cdf = np.zeros_like(u)
-    umax = float(u.max())
-    for k in range(opts.max_terms):
-        lp = -u + k * lnu - math.lgamma(k + 1.0)
-        with np.errstate(under="ignore"):
-            cdf = cdf + np.where(lp > _EXP_UNDERFLOW, np.exp(np.minimum(lp, 0.0)), 0.0)
-        p = np.clip(1.0 - cdf, 0.0, None)
-        term = p / (2.0 * k + 1.0)
-        y = term - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        if k > umax and (term <= opts.rel_tol * total).all():
-            return total / u
-    raise ConvergenceError(
-        f"vectorized 2F2 resummation did not converge within {opts.max_terms} "
-        f"terms; worst |z|={umax:g}"
-    )
-
-
-def _f22_far_array(u: np.ndarray, opts: EvalOptions) -> np.ndarray:
-    # Elementwise _f22_far.
+def _kernel_array(a: float, u: np.ndarray, opts: EvalOptions) -> np.ndarray:
+    """Elementwise :func:`_kernel` over an array of u >= 0."""
+    _require_finite_array(u, "kernel")
     out = np.empty_like(u)
-    rest = np.ones(u.shape, dtype=bool)
-    big = np.flatnonzero(u >= _ASYMPTOTIC_LIMIT)
-    if big.size:
-        ub = u[big]
-        tail, ok = _asymptotic_array(_dawson_integral_ratio, ub, 0.125 / ub, opts)
-        out[big] = 2.0 * (0.25 * np.log(ub) + _DAWSON_INTEGRAL_CONST - tail) / ub
-        rest[big[ok]] = False
-    if rest.any():
-        out[rest] = _f22_resummed_array(u[rest], opts)
-    return out
-
-
-def _hyp2f2_array(z: np.ndarray, opts: EvalOptions) -> np.ndarray:
-    if np.any(z > 0.0):
-        raise DomainError("vectorized 2F2 path expects z <= 0")
-    _require_finite_array(z, "2F2")
-    out = np.ones_like(z)
-    near = (z < 0.0) & (z >= -_F22_DIRECT_LIMIT)
+    describe = lambda: f"vectorized kernel series (a={a})"  # noqa: E731
+    near = u <= 1.0
     if near.any():
-        zn = z[near]
-        # The term ratios stay below |z|, the sums need k >= |z|.
-        zmax = float(np.abs(zn).max())
-        out[near], _ = _series_array(
-            _f22_ratio(zn), np.ones_like(zn), zmax, zmax, opts, lambda: "2F2 series"
-        )
-    far = z < -_F22_DIRECT_LIMIT
-    if far.any():
-        out[far] = _f22_far_array(-z[far], opts)
-    return out
-
-
-def _dhyp2f2_array(z: np.ndarray, opts: EvalOptions) -> np.ndarray:
-    if np.any(z > 0.0):
-        raise DomainError("vectorized 2F2 derivative path expects z <= 0")
-    _require_finite_array(z, "2F2 derivative")
-    out = np.full_like(z, 1.0 / 3.0)
-    near = (z < 0.0) & (z >= -_F22_DIRECT_LIMIT)
-    if near.any():
-        zn = z[near]
-        zmax = float(np.abs(zn).max())
-        out[near], _ = _series_array(
-            _df22_ratio(zn),
-            np.full_like(zn, 1.0 / 3.0),
-            zmax,
-            zmax,
-            opts,
-            lambda: "2F2 derivative series",
-        )
-    far = z < -_F22_DIRECT_LIMIT
-    if far.any():
-        u = -z[far]
-        out[far] = _f22_far_array(u, opts) / u - _dawson_array(np.sqrt(u)) / u**1.5
-    return out
-
-
-def _dawson_array(x: np.ndarray) -> np.ndarray:
-    # Rybicki sampling, vectorized, below x^2 = 60 and the asymptotic series
-    # above; callers only reach this for x > 2.8 so no small-x Taylor branch
-    # is needed.
-    out = np.empty_like(x)
-    rest = np.ones(x.shape, dtype=bool)
-    big = np.flatnonzero((x * x >= _ASYMPTOTIC_LIMIT) & np.isfinite(x))
-    if big.size:
-        xb = x[big]
-        total, ok = _asymptotic_array(
-            partial(_f20_ratio, 0.5, 1.0), 1.0 / (xb * xb), np.ones_like(xb), DEFAULT_OPTIONS
-        )
-        out[big] = 0.5 * total / xb
-        rest[big[ok]] = False
+        un = u[near]
+        x = float(un.max())
+        kmin, growth = _kmin(a + 1.0, 1.5, 2.0, x), _growth(a + 1.0, 1.5, 2.0, x)
+        ratio = _kernel_ratio(a, -un)
+        total, _ = _series_array(ratio, np.ones_like(un), kmin, growth, opts, describe)
+        out[near] = 2.0 * un * total
+    rest = ~near
+    if not (a >= 0.5 and float(a - 0.5).is_integer()):
+        mid = rest & (u < _ASYMPTOTIC_LIMIT)
+        if mid.any():
+            um = u[mid]
+            x = float(um.max())
+            total, _ = _series_array(
+                lambda k: um / (k + 2.0), um.copy(), x, x / 2.0, opts, describe,
+                _kummer_brackets(a),
+            )
+            out[mid] = np.exp(-um) * total
+        big = np.flatnonzero(u >= _ASYMPTOTIC_LIMIT)
+        rest = np.zeros(u.shape, dtype=bool)
+        if big.size:
+            ub = u[big]
+            tail, ok = _asymptotic_array(
+                partial(_kernel_tail_ratio, a), 1.0 / ub, (a + 0.5) / ub, opts
+            )
+            deficit, r, s_bound = _kernel_asymptotic_parts(a, ub, np)
+            vals = deficit - r * tail
+            ok &= s_bound <= _ASYMPTOTIC_TOL * np.abs(vals)
+            out[big[ok]] = vals[ok]
+            rest[big[~ok]] = True
     if rest.any():
-        out[rest] = _dawson_sampled_array(x[rest])
+        # As in _kernel.
+        if a == 0.0:
+            raise ConvergenceError(f"{describe()} did not converge within {opts.max_terms} terms")
+        out[rest] = (1.0 - _hyp1f1_array(a, 0.5, -u[rest], opts)) / a
     return out
-
-
-def _dawson_sampled_array(x: np.ndarray) -> np.ndarray:
-    h = _DAWSON_H
-    center = 2.0 * np.floor(x / (2.0 * h)) + 1.0
-    offsets = np.arange(-_DAWSON_WINDOW, _DAWSON_WINDOW + 2, 2, dtype=np.float64)
-    n = center[None, :] + offsets[:, None]
-    d = x[None, :] - n * h
-    with np.errstate(under="ignore"):
-        total = (np.exp(-d * d) / n).sum(axis=0)
-    return total / _SQRT_PI

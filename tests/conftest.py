@@ -51,17 +51,42 @@ def mp_gamma(x: float) -> float:
     return float(mpmath.gamma(x))
 
 
-def mp_i_q(q: float, gamma0: float, t: float) -> float:
-    """Reference bath integral, evaluated at 40 digits in both branches."""
-    q = mpmath.mpf(q)
-    g = mpmath.mpf(gamma0)
-    t = mpmath.mpf(t)
+def _mp_i_q(q, g, t):
+    # I_Q at mpmath precision: the general formula at every Q != 1, its 2F2
+    # limit at Q = 1 exactly.  1 - M loses the digits of u at small u, and
+    # Gamma(a) (1 - M) those of a near Q = 1: both are added to the working
+    # precision.
     z = -(t * g) ** 2 / 4
-    if abs(q - 1) < mpmath.mpf("1e-8"):
-        return float((t * g) ** 2 * mpmath.hyper([1, 1], [mpmath.mpf(3) / 2, 2], z))
+    if z == 0:
+        return mpmath.mpf(0)
+    if q == 1:
+        return (t * g) ** 2 * mpmath.hyper([1, 1], [mpmath.mpf(3) / 2, 2], z)
     a = (q - 1) / 2
-    pref = 2 * g ** (q - 1) * mpmath.gamma(a)
-    return float(pref * (1 - mpmath.hyp1f1(a, mpmath.mpf(1) / 2, z)))
+    lost = max(0, -mpmath.log10(-z)) + max(0, -mpmath.log10(abs(a)))
+    with mpmath.extradps(int(lost) + 5):
+        pref = 2 * g ** (q - 1) * mpmath.gamma(a)
+        return pref * (1 - mpmath.hyp1f1(a, mpmath.mpf(1) / 2, z))
+
+
+def mp_i_q(q: float, gamma0: float, t: float) -> float:
+    """Reference bath integral at 40 digits."""
+    return float(_mp_i_q(mpmath.mpf(q), mpmath.mpf(gamma0), mpmath.mpf(t)))
+
+
+def mp_di_q_dt(q: float, gamma0: float, t: float) -> float:
+    """Reference dI_Q/dt = 2 Gamma((Q+1)/2) gamma0^(Q+1) t M((Q+1)/2; 3/2; -u)."""
+    q, g, t = mpmath.mpf(q), mpmath.mpf(gamma0), mpmath.mpf(t)
+    a1 = (q + 1) / 2
+    z = -(t * g) ** 2 / 4
+    return float(2 * mpmath.gamma(a1) * g ** (q + 1) * t * mpmath.hyp1f1(a1, mpmath.mpf(3) / 2, z))
+
+
+def mp_alpha(q: float, gamma0: float, b: float, t: float) -> float:
+    """Reference coherence factor exp(-2 B^2 |beta| I_Q) with
+    |beta| = 4 pi / (Gamma(Q+1) gamma0^(Q+1)), all at 40 digits."""
+    q, g, b = mpmath.mpf(q), mpmath.mpf(gamma0), mpmath.mpf(b)
+    beta_abs = 4 * mpmath.pi / (mpmath.gamma(q + 1) * g ** (q + 1))
+    return float(mpmath.exp(-2 * b * b * beta_abs * _mp_i_q(q, g, mpmath.mpf(t))))
 
 
 # ---------------------------------------------------------------------------

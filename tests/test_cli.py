@@ -31,7 +31,7 @@ from topoqubit.cli import (
     run,
 )
 
-from conftest import mp_i_q
+from conftest import mp_alpha, mp_i_q
 
 pytestmark = pytest.mark.filterwarnings("ignore::topoqubit.HorizonWarning")
 
@@ -186,26 +186,38 @@ def test_wide_window_exits_zero(tmp_path):
         assert a == pytest.approx(math.exp(-c * mp_i_q(3.0, 1.0, t)), rel=1e-12, abs=0.0)
 
 
-def test_exit_three_on_gamma_overflow(tmp_path, capsys):
-    # Gamma(Q + 1) in the coupling constant overflows past Q ~ 170.6
-    base = ["corr-series", "--gamma0", "1.0", "--n-grid", "16"]
-    assert main(base + ["--q", "200", "--out", str(tmp_path / "a.csv")]) == 3
-    assert "numerical error" in capsys.readouterr().err
-    assert main(base + ["--q", "169.3", "--out", str(tmp_path / "b.csv")]) == 0
-
-
-def test_exit_three_on_cutoff_power_overflow(tmp_path, capsys):
-    # gamma0 ** (Q - 1) = 100 ** 168.3 overflows although the decoherence
-    # exponent 2 B^2 |beta| I_Q is finite
-    rc = main(["corr-series", "--q", "169.3", "--gamma0", "100", "--n-grid", "16",
-               "--out", str(tmp_path / "t.csv")])
-    assert rc == 3
-    assert "numerical error" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "q, g0, t_max",
+    [
+        pytest.param(200.0, 1.0, None, id="q200-g1"),
+        pytest.param(169.3, 1.0, None, id="q169.3-g1"),
+        pytest.param(169.3, 100.0, None, id="q169.3-g100"),
+        pytest.param(100.0, 1000.0, None, id="q100-g1000"),
+        pytest.param(172.0, 0.5, None, id="q172-g0.5"),
+        pytest.param(3.0, 1e-120, None, id="q3-g1e-120"),
+        pytest.param(3.0, 1e-120, 1.0, id="q3-g1e-120-t1"),
+    ],
+)
+def test_finite_exponent_exits_zero(tmp_path, q, g0, t_max):
+    # Gamma(Q + 1) of the coupling constant overflows past Q ~ 170.6 and the
+    # cutoff powers gamma0 ** (Q +- 1) leave the double range here, while the
+    # decoherence exponent 2 B^2 |beta| I_Q, formed in reduced units, does not
+    out = tmp_path / "t.csv"
+    args = ["corr-series", "--q", str(q), "--gamma0", str(g0), "--n-grid", "16"]
+    if t_max is not None:
+        args += ["--t-max", str(t_max)]
+    assert main(args + ["--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", comments="#", skiprows=3)
+    for t, a in rows[:, 2:4]:
+        assert a == pytest.approx(mp_alpha(q, g0, 1.0, t), rel=1e-12, abs=0.0)
+    if t_max is not None:
+        # on t <= 1 the exponent is about 8 pi t^2 / 3: alpha is not 0 or 1
+        assert np.all((rows[1:, 3] > 0.0) & (rows[1:, 3] < 1.0))
 
 
 def test_exit_three_on_cutoff_power_underflow(tmp_path, capsys):
-    # gamma0 ** (Q - 1) = (1e-300) ** 2 underflows to 0, and so would the
-    # gamma0 ** (Q + 1) that beta divides by
+    # the exponent's scale 16 pi B^2 Gamma((Q+1)/2) / (Gamma(Q+1) gamma0^2)
+    # overflows at gamma0 = 1e-300
     rc = main(["corr-series", "--q", "3", "--gamma0", "1e-300", "--n-grid", "16",
                "--out", str(tmp_path / "t.csv")])
     assert rc == 3

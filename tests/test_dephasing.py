@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 import mpmath
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from topoqubit import (
     ConvergenceError,
@@ -27,7 +27,7 @@ from topoqubit import (
     i_q_profile,
     kappa_to_q,
 )
-from conftest import mp_i_q, richardson_derivative
+from conftest import mp_di_q_dt, mp_i_q, richardson_derivative
 
 
 def env(q: float, g0: float) -> OhmicEnvironment:
@@ -127,6 +127,53 @@ def test_branch_continuity_near_unit_exponent():
         assert mid == pytest.approx(0.5 * (lo + hi), rel=1e-4, abs=0.0)
 
 
+# Q - 1 across the band |Q - 1| < 1e-6 that once had its own branch, and u
+# on the direct (u <= 1), Kummer (1 < u < 60) and asymptotic branches.
+NEAR_UNIT = [0.0, 1e-12, -1e-12, 1e-9, -1e-9, 9e-7, -9e-7, 2e-6, -2e-6, 1e-3, -1e-3, 0.3, -0.3]
+KERNEL_U = [1e-6, 0.25, 1.0, 1.5, 5.0, 30.0, 59.5, 60.0, 400.0, 1e6]
+
+
+@pytest.mark.parametrize("dq", NEAR_UNIT)
+def test_kernel_oracle_across_unit_exponent(dq):
+    q, g0 = 1.0 + dq, 1.6
+    e = env(q, g0)
+    ts = 2.0 * np.sqrt(KERNEL_U) / g0
+    iv, div = i_q_profile(e, ts)
+    for k, t in enumerate(ts.tolist()):
+        want, dwant = mp_i_q(q, g0, t), mp_di_q_dt(q, g0, t)
+        for got in (i_q(e, t), iv[k]):
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0), (dq, KERNEL_U[k])
+        for got in (di_q_dt(e, t), div[k]):
+            assert got == pytest.approx(dwant, rel=1e-13, abs=0.0), (dq, KERNEL_U[k])
+
+
+def test_profile_long_window_small_cutoff_is_finite():
+    # u = 2.5e299: (t gamma0)^2 is finite, t^2 alone is not
+    e = env(1.0, 1e-10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        iv, div = i_q_profile(e, np.array([0.0, 1e160]))
+    assert np.all(np.isfinite(iv)) and np.all(np.isfinite(div))
+    assert iv[0] == 0.0 and div[0] == 0.0
+    # 40-digit mpmath value, frozen: the 2F2 reference takes seconds at this u
+    want = 1382.705487126230476303850317233047199227
+    dwant = mp_di_q_dt(1.0, 1e-10, 1e160)
+    for got in (iv[1], i_q(e, 1e160)):
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+    for got in (div[1], di_q_dt(e, 1e160)):
+        assert got == pytest.approx(dwant, rel=1e-13, abs=0.0)
+
+
+def test_slope_near_even_exponent():
+    # Q two ulps below 4: b - a of the Kummer series is -1 + 4e-16, so its
+    # terms 1 and 2 are tiny and the series must not stop there
+    q, g0, t = float(np.nextafter(np.nextafter(4.0, 0.0), 0.0)), 1.6, 9.5
+    e = env(q, g0)
+    want = mp_di_q_dt(q, g0, t)
+    assert di_q_dt(e, t) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert i_q_profile(e, np.array([t]))[1][0] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_di_q_dt_matches_finite_difference():
     for q, g0, t in [(3.0, 1.0, 0.7), (0.5, 1.6, 2.0), (2.0, 0.5, 4.0), (1.0, 1.0, 1.5)]:
         got = di_q_dt(env(q, g0), t)
@@ -155,6 +202,14 @@ def test_alpha_frozen_and_edges():
     want = math.exp(-2.0 * ch.beta_abs * i_q(ch.env, 1.0))
     assert alpha(ch, 1.0) == pytest.approx(want, rel=1e-14, abs=0.0)
     assert alpha(chan(3.0, 1.0, 0.0), 5.0) == 1.0
+
+
+def test_exponent_scale_out_of_range_is_domain_error():
+    # 1/gamma0^2 and lnGamma(Q + 1) of the reduced-unit exponent overflow
+    for ch in (chan(3.0, 1e-300, 1.0), chan(1e306, 1.0, 1.0)):
+        with pytest.raises(DomainError):
+            alpha(ch, 1.0)
+    assert alpha(chan(3.0, 1e-300, 0.0), 1.0) == 1.0
 
 
 def test_alpha_bounds_grid():
@@ -286,11 +341,11 @@ def test_alpha_always_physical(q, g0, b, tg):
     st.floats(min_value=40.0, max_value=80.0),
     st.sampled_from([0.01, 1.0, 1.6]),
 )
+# two ulps below Q = 10: the Kummer series of dI/dt has b - a = -4 + 2e-15
+@example(9.999999999999998, 40.0, 0.01)
 def test_profile_matches_scalars_across_large_u_switch(q, u, g0):
-    # Even Q keeps the Kummer series on both sides of u = 60.  Near Q = 1 the
-    # Gamma((Q-1)/2) pole cancellation amplifies last-ulp differences between
-    # the two paths by ~1/|Q-1| on either side of the switch (module docstring).
-    assume(q % 2.0 != 0.0 and abs(q - 1.0) >= 0.05)
+    # Even Q keeps the Kummer series on both sides of u = 60.
+    assume(q % 2.0 != 0.0)
     e = env(q, g0)
     us = np.array([u, 40.0, 59.0, 60.0, 61.0, 80.0])
     ts = 2.0 * np.sqrt(us) / g0

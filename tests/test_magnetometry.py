@@ -140,18 +140,18 @@ def test_eigenvectors_are_field_independent():
 def test_series_gap_and_shape():
     ch = chan(3.0, 1.6, 1.0)
     w = TimeWindow(62.5, 512)
-    samples = qfi_series(ch, HALF_PI, w)
-    assert len(samples) == 512
-    assert samples[0].t == 0.0
-    assert samples[0].f_general == 0.0 and samples[0].f_closed == 0.0
-    for s in samples:
-        if s.f_closed > 1e-280:
-            assert s.rel_gap <= 1e-8
+    series = qfi_series(ch, HALF_PI, w)
+    for col in (series.t, series.f_general, series.f_closed, series.rel_gap):
+        assert col.shape == (512,)
+    assert np.array_equal(series.t, w.times())
+    assert series.f_general[0] == 0.0 and series.f_closed[0] == 0.0
+    resolved = series.f_closed > 1e-280
+    assert np.all(series.rel_gap[resolved] <= 1e-8)
 
 
 def test_series_zero_field_is_flat():
-    samples = qfi_series(chan(3.0, 1.6, 0.0), HALF_PI, TimeWindow(10.0, 64))
-    assert all(s.f_general == 0.0 and s.f_closed == 0.0 for s in samples)
+    series = qfi_series(chan(3.0, 1.6, 0.0), HALF_PI, TimeWindow(10.0, 64))
+    assert np.all(series.f_general == 0.0) and np.all(series.f_closed == 0.0)
 
 
 def test_series_validates_theta():
@@ -162,8 +162,7 @@ def test_series_validates_theta():
 def test_markovian_trapping_plateau():
     # Ohmic coupling at strong field: F rises to a trapped plateau and the
     # tail stays flat because alpha has fully frozen out
-    samples = qfi_series(chan(1.0, 1.6, 1.0), HALF_PI, TimeWindow(62.5, 512))
-    f = np.array([s.f_general for s in samples])
+    f = qfi_series(chan(1.0, 1.6, 1.0), HALF_PI, TimeWindow(62.5, 512)).f_general
     fmax = f.max()
     tail = f[-64:]
     assert fmax > 1.0
@@ -174,8 +173,7 @@ def test_super_ohmic_revival_lifts_qfi():
     # above the revival threshold the information dips, then partially
     # returns: a local minimum followed by a rise of at least half as much
     g0 = math.sqrt(8.0 * math.pi / 3.0)
-    samples = qfi_series(chan(3.0, g0, 1.0), HALF_PI, TimeWindow(100.0 / g0, 1024))
-    f = np.array([s.f_general for s in samples])
+    f = qfi_series(chan(3.0, g0, 1.0), HALF_PI, TimeWindow(100.0 / g0, 1024)).f_general
     peak = int(np.argmax(f))
     trough = peak + int(np.argmin(f[peak:]))
     assert trough < len(f) - 1

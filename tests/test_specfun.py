@@ -8,7 +8,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from topoqubit import (
     ConvergenceError,
@@ -24,6 +24,8 @@ from topoqubit import (
     hyp2f2_11_32_2,
 )
 from topoqubit.specfun import (
+    _FULL_PRECISION,
+    _LGAMMA_HALF_TAYLOR,
     _OVERFLOW_GUARD,
     _RESCALE_LIMIT,
     _SERIES_BLOCK,
@@ -31,12 +33,10 @@ from topoqubit.specfun import (
     _asymptotic,
     _asymptotic_array,
     _block_len,
-    _dawson_array,
-    _dhyp2f2_array,
     _f20_ratio,
     _hyp1f1_array,
     _hyp1f1_asymptotic_array,
-    _hyp2f2_array,
+    _kernel_array,
     _series_1f1_array,
 )
 from conftest import (
@@ -234,6 +234,7 @@ def test_gamma_recurrence(x):
     st.sampled_from([0.5, 1.5]),
     st.floats(min_value=-200.0, max_value=-0.01),
 )
+@example(1.4999999999999996, 0.5, -22.0)
 def test_hyp1f1_against_reference(a, b, z):
     got = hyp1f1(a, b, z, EvalOptions(max_terms=40_000))
     want = mp_hyp1f1(a, b, z)
@@ -281,10 +282,13 @@ def test_hyp1f1_large_u_oracle(q):
 
 
 def test_hyp2f2_large_u_oracle():
-    """The Q = 1 branch: 2F2 and its derivative, scalar and array."""
-    z = -np.array(LARGE_U)
-    f_arr = _hyp2f2_array(z, DEFAULT_OPTIONS)
-    df_arr = _dhyp2f2_array(z, DEFAULT_OPTIONS)
+    """The Q = 1 kernel: 2F2 and its derivative, scalar and through the
+    array kernel, 2F2(-u) = K(0, u)/(2u) and
+    d2F2/dz(-u) = K(0, u)/(2u^2) - M(1; 3/2; -u)/u."""
+    u = np.array(LARGE_U)
+    k_arr = _kernel_array(0.0, u, DEFAULT_OPTIONS)
+    f_arr = k_arr / (2.0 * u)
+    df_arr = k_arr / (2.0 * u * u) - _hyp1f1_array(1.0, 1.5, -u, DEFAULT_OPTIONS) / u
     for u, fa, dfa in zip(LARGE_U, f_arr, df_arr):
         want, dwant = mp_hyp2f2(-u), mp_dhyp2f2(-u)
         for got in (hyp2f2_11_32_2(-u), fa):
@@ -313,8 +317,10 @@ def test_hyp1f1_large_u_needs_few_terms():
 
 
 def test_dawson_large_argument():
+    # the array route: D(x) = x M(1; 3/2; -x^2)
     xs = [7.7, 7.8, 50.0, 1e3, 1e5, 5e6]
-    arr = _dawson_array(np.array(xs))
+    x = np.array(xs)
+    arr = x * _hyp1f1_array(1.0, 1.5, -x * x, _FULL_PRECISION)
     for x, got_arr in zip(xs, arr):
         for got in (dawson(x), got_arr):
             assert got == pytest.approx(mp_dawson(x), rel=1e-14, abs=0.0), x
@@ -367,8 +373,7 @@ def test_non_finite_argument_fails_at_once(bad):
             z = np.array([-0.5, -30.0, bad])
             for f in (
                 lambda z: _hyp1f1_array(1.0, 0.5, z, DEFAULT_OPTIONS),
-                lambda z: _hyp2f2_array(z, DEFAULT_OPTIONS),
-                lambda z: _dhyp2f2_array(z, DEFAULT_OPTIONS),
+                lambda z: _kernel_array(0.0, -z, DEFAULT_OPTIONS),
             ):
                 with pytest.raises(ConvergenceError, match="non-finite"):
                     f(z)
@@ -402,3 +407,29 @@ def test_asymptotic_array_assigns_branches_like_scalar():
                 assert o == (want is not None), (q, p, r, x)
                 if o:
                     assert s == pytest.approx(want, rel=1e-16, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Kummer series stop and the kernel's constants
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("u", [22.0, 40.0, 59.0])
+def test_hyp1f1_near_terminating_series_sums_its_tail(u):
+    # b - a = -1 + 4e-16: terms 1 and 2 of the Kummer series are tiny, the
+    # tail past them is not, and two small terms must not end the sum there
+    a = 1.4999999999999996
+    want = mp_hyp1f1(a, 0.5, -u)
+    arr = _hyp1f1_array(a, 0.5, np.array([-u]), DEFAULT_OPTIONS)[0]
+    for got in (hyp1f1(a, 0.5, -u), arr):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_lgamma_half_taylor_coefficients():
+    # c_1 = -psi(1/2) = gamma_E + 2 ln 2, c_n = (2^n - 1) zeta(n)/n
+    import mpmath
+
+    want = [mpmath.euler + 2 * mpmath.log(2)] + [
+        (2**n - 1) * mpmath.zeta(n) / n for n in range(2, len(_LGAMMA_HALF_TAYLOR) + 1)
+    ]
+    for got, w in zip(_LGAMMA_HALF_TAYLOR, want):
+        assert got == float(w)

@@ -18,7 +18,6 @@ from topoqubit import (
     concurrence_x,
     discord_x,
     evolved_x_state,
-    i_q_profile,
     lqu_x,
     qfi_general,
     qfi_series,
@@ -26,6 +25,7 @@ from topoqubit import (
     tnd_x,
 )
 from topoqubit.cli import main
+from topoqubit.dephasing import _exponent_profile
 from topoqubit.magnetometry import _drho_from
 from conftest import random_x_state
 
@@ -212,7 +212,7 @@ def test_series_blocks_equal_one_whole_stack(tmp_path):
     assert rows.shape == (600, 9)
     assert np.array_equal(rows[:, 2:], want)
 
-    samples = qfi_series(ch, 1.1, w)
-    dadb = -4.0 * ch.b * ch.beta_abs * i_q_profile(ch.env, ts)[0] * avals
+    evals, _ = _exponent_profile(ch, ts)
+    dadb = -2.0 * (evals / ch.b) * avals
     f_whole = qfi_general(s, _drho_from(1.1, avals, dadb))
-    assert np.array_equal([x.f_general for x in samples], f_whole)
+    assert np.array_equal(qfi_series(ch, 1.1, w).f_general, f_whole)
