@@ -17,12 +17,12 @@ table can be reproduced from itself.  Exit codes: 0 success, 2 bad spec,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product, repeat
 
@@ -49,8 +49,11 @@ _FLAG_THRESHOLD = 1e-10
 # Largest time grid a spec may ask for; every recipe uses 2048-4096 points.
 # A table stays in memory until it is written, as float64 rows of 8 bytes per
 # column: 72 bytes per grid point and combination in corr-series, 152 in
-# state-dump, so one combination at this bound holds 4.7 MB or 10 MB (its run
-# peaks at 41 MB or 51 MB resident).
+# state-dump, so one combination at this bound holds 4.7 MB or 10 MB.  Its
+# measures run in 4096-sample stacks; a one-combination run at this bound
+# peaks at 39.6-39.9 MB (corr-series) or 50.6-51.2 MB (state-dump) resident
+# (VmHWM of `cli.main` in one interpreter, CPython 3.11, numpy 2.4, Linux
+# x86-64).
 _MAX_N_GRID = 65536
 
 # Largest number of grid points over all (Q, gamma0) combinations,
@@ -166,10 +169,17 @@ class SeriesTable:
         fh.write("# spec: " + json.dumps(self.meta.get("spec", {}), sort_keys=True) + "\n")
         fh.write(",".join(self.columns) + "\n")
         # One %-format call per block of rows; '%.17g' % v is format(v, '.17g').
-        line = ",".join(["%.17g"] * len(self.columns)) + "\n"
+        # A column whose bits are the same over the whole block (so -0.0 and
+        # 0.0 differ) is formatted once, into the block's line template.
         for block in states._blocks(len(self.rows)):
             values = self.rows[block]
-            fh.write((line * len(values)) % tuple(values.ravel().tolist()))
+            bits = values.view(np.int64)
+            varies = (bits != bits[0]).any(axis=0)
+            line = ",".join(
+                "%.17g" if v else "%.17g" % x
+                for v, x in zip(varies.tolist(), values[0].tolist())
+            )
+            fh.write((line + "\n") * len(values) % tuple(values[:, varies].ravel().tolist()))
 
     def to_json(self, fh) -> None:
         self._check_finite()
@@ -319,14 +329,20 @@ def _nm_rows(spec: SweepSpec, q: float, g0: float) -> np.ndarray:
     return np.array([[q, g0, n_blp, n_lpp, flag]])
 
 
-def _corr_rows(spec: SweepSpec, q: float, g0: float) -> np.ndarray:
+def _alpha_series(spec: SweepSpec, q: float, g0: float) -> tuple[np.ndarray, np.ndarray]:
+    # The combination's time grid and alpha on it; d alpha/dt is not needed.
     ch, w = _combo(spec, q, g0)
     ts = w.times()
-    avals, _ = dephasing.alpha_profile(ch, ts)
+    with np.errstate(under="ignore"):
+        return ts, np.exp(-dephasing._exponent_values(ch, ts))
+
+
+def _corr_rows(spec: SweepSpec, q: float, g0: float) -> np.ndarray:
+    ts, avals = _alpha_series(spec, q, g0)
     out = _new_rows(q, g0, len(ts), 9)
     out[:, 2] = ts
     out[:, 3] = avals
-    for block in states._blocks(len(ts)):
+    for block in states._blocks(len(ts), states._MEASURE_BLOCK):
         s = states.evolved_x_state(spec.theta, avals[block])
         out[block, 4] = correlations.concurrence_x(s)
         out[block, 5] = correlations.discord_x(s)
@@ -345,12 +361,10 @@ def _qfi_rows(spec: SweepSpec, q: float, g0: float) -> np.ndarray:
 
 
 def _dump_rows(spec: SweepSpec, q: float, g0: float) -> np.ndarray:
-    ch, w = _combo(spec, q, g0)
-    ts = w.times()
-    avals, _ = dephasing.alpha_profile(ch, ts)
+    ts, avals = _alpha_series(spec, q, g0)
     out = _new_rows(q, g0, len(ts), 3 + len(_DUMP_COLUMNS))
     out[:, 2] = ts
-    for block in states._blocks(len(ts)):
+    for block in states._blocks(len(ts), states._MEASURE_BLOCK):
         m = states.evolved_x_state(spec.theta, avals[block]).matrix
         upper = m[:, _UPPER[0], _UPPER[1]]
         out[block, 3:7] = m.diagonal(axis1=-2, axis2=-1).real
@@ -401,6 +415,10 @@ def run(spec: SweepSpec) -> SeriesTable:
     qs, g0s = zip(*product(spec.q_values, spec.gamma0_values))
     n_workers = min(spec.parallel or 1, len(qs))
     if n_workers > 1:
+        # Imported here: loading the pool takes 25-30 ms that a serial run
+        # would otherwise pay at start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             chunks = list(pool.map(worker, repeat(spec), qs, g0s))
     else:
@@ -410,7 +428,9 @@ def run(spec: SweepSpec) -> SeriesTable:
     return SeriesTable(columns=columns, rows=rows, meta=meta)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: each add_argument queries the terminal size.
     parser = argparse.ArgumentParser(
         prog="topoqubit",
         description="Sweep driver for topological-qubit dephasing tables.",

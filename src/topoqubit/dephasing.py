@@ -205,10 +205,8 @@ def kappa_to_q(kappa: float) -> float:
     return 2.0 * kappa - 1.0
 
 
-def _kernel_profile(
-    env: OhmicEnvironment, ts: np.ndarray, opts: EvalOptions, c_i: float, c_d: float
-) -> tuple[np.ndarray, np.ndarray]:
-    # (c_i K(a, u), c_d t M(a+1; 3/2; -u)) over a validated time grid.
+def _reduced_time(env: OhmicEnvironment, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (ts, u = (t gamma0)^2/4) over a validated time grid.
     ts = np.asarray(ts, dtype=np.float64)
     if ts.ndim != 1:
         raise DomainError("time grid must be one-dimensional")
@@ -219,8 +217,21 @@ def _kernel_profile(
         u = 0.25 * x * x
     if not np.isfinite(u).all():
         raise ConvergenceError("kernel argument (t gamma0)^2/4 leaves the double range")
-    a = 0.5 * (env.q - 1.0)
-    return c_i * _kernel_array(a, u, opts), c_d * ts * _hyp1f1_array(a + 1.0, 1.5, -u, opts)
+    return ts, u
+
+
+def _kernel_profile(
+    env: OhmicEnvironment, u: np.ndarray, opts: EvalOptions, c_i: float
+) -> np.ndarray:
+    # c_i K(a, u): the integrated kernel or the exponent, by the scale c_i.
+    return c_i * _kernel_array(0.5 * (env.q - 1.0), u, opts)
+
+
+def _slope_profile(
+    env: OhmicEnvironment, ts: np.ndarray, u: np.ndarray, opts: EvalOptions, c_d: float
+) -> np.ndarray:
+    # c_d t M(a+1; 3/2; -u): the time derivative of c_i K(a, u), by the scale c_d.
+    return c_d * ts * _hyp1f1_array(0.5 * (env.q - 1.0) + 1.0, 1.5, -u, opts)
 
 
 def i_q_profile(
@@ -236,14 +247,27 @@ def i_q_profile(
     """
     ga1 = gamma(0.5 * (env.q + 1.0))
     c_i = 2.0 * _cutoff_power(env, env.q - 1.0) * ga1
-    return _kernel_profile(env, ts, opts, c_i, 2.0 * ga1 * _cutoff_power(env, env.q + 1.0))
+    c_d = 2.0 * ga1 * _cutoff_power(env, env.q + 1.0)
+    ts, u = _reduced_time(env, ts)
+    return _kernel_profile(env, u, opts, c_i), _slope_profile(env, ts, u, opts, c_d)
+
+
+def _exponent_values(
+    ch: DephasingChannel, ts: np.ndarray, opts: EvalOptions = DEFAULT_OPTIONS
+) -> np.ndarray:
+    # E(t) = 2 B^2 |beta| I_Q over a time grid, without dE/dt.
+    s_i, _ = _exponent_scales(ch)
+    _, u = _reduced_time(ch.env, ts)
+    return _kernel_profile(ch.env, u, opts, s_i)
 
 
 def _exponent_profile(
     ch: DephasingChannel, ts: np.ndarray, opts: EvalOptions = DEFAULT_OPTIONS
 ) -> tuple[np.ndarray, np.ndarray]:
     # (E(t), dE/dt) over a time grid, E = 2 B^2 |beta| I_Q.
-    return _kernel_profile(ch.env, ts, opts, *_exponent_scales(ch))
+    s_i, s_d = _exponent_scales(ch)
+    ts, u = _reduced_time(ch.env, ts)
+    return _kernel_profile(ch.env, u, opts, s_i), _slope_profile(ch.env, ts, u, opts, s_d)
 
 
 def alpha_profile(

@@ -156,7 +156,7 @@ def qfi_series(
     if not (0.0 <= theta <= math.pi):
         raise DomainError(f"theta must lie in [0, pi], got {theta}")
     ts = w.times()
-    evals, _ = dephasing._exponent_profile(ch, ts, opts)
+    evals = dephasing._exponent_values(ch, ts, opts)
     with np.errstate(under="ignore"):
         avals = np.exp(-evals)
     eb = evals / ch.b if ch.b > 0.0 else np.zeros_like(evals)

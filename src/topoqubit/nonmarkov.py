@@ -282,10 +282,7 @@ def blp_pair_scan(
     """
     if n_angles < 2:
         raise DomainError(f"n_angles must be >= 2, got {n_angles}")
-    ts, avals, _ = _profile(ch, w, DEFAULT_OPTIONS)
-    # Fully dephased points (alpha = 0) send both members to I/2.
-    live = avals != 0.0
-    a_live = avals[live]
+    _, avals, _ = _profile(ch, w, DEFAULT_OPTIONS)
     thetas = np.linspace(0.0, 0.5 * math.pi, n_angles)
     phis = np.linspace(0.0, math.pi, n_angles, endpoint=False)
     best_val = -1.0
@@ -299,13 +296,13 @@ def blp_pair_scan(
             r_plus = states.DensityMatrix2(0.5 * (np.eye(2) + nvec))
             r_minus = states.DensityMatrix2(0.5 * (np.eye(2) - nvec))
             # Both members along the whole grid at once, through the
-            # evolve_single formula and its validation.
-            plus = states._dephase(r_plus.matrix, a_live)
-            minus = states._dephase(r_minus.matrix, a_live)
+            # evolve_single formula and its validation; fully dephased
+            # points (alpha = 0) send both to I/2.
+            plus = states._dephase(r_plus.matrix, avals)
+            minus = states._dephase(r_minus.matrix, avals)
             states._check_density(plus)
             states._check_density(minus)
-            dist = np.zeros(ts.shape)
-            dist[live] = 0.5 * np.abs(np.linalg.eigvalsh(plus - minus)).sum(axis=-1)
+            dist = 0.5 * np.abs(np.linalg.eigvalsh(plus - minus)).sum(axis=-1)
             val = float(np.clip(np.diff(dist), 0.0, None).sum())
             # Phase covariance ties the axes at one theta: keep the first.
             if val > best_val + 1e-12 * abs(best_val):

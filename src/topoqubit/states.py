@@ -35,12 +35,14 @@ __all__ = [
 
 _ATOL = 1e-12
 
-# Members per stack when a time series is evaluated block by block.  Each
-# (n, 4, 4) complex stack of a block is then 64 kB however long the grid.
-# Whole 2048-member stacks raised the peak RSS of a series sweep by about
-# 5 MB (14%): the measures hold several 0.5-1.5 MB temporaries at once, and
-# the heap keeps the space they leave behind.
+# Members per stack where a time series is evaluated or written block by
+# block.  _BLOCK bounds the QFI's batched eigh, whose (n, 4, 4) complex
+# temporaries are 64 kB per 256 members, and the CSV writer's tuple of Python
+# floats per block; larger blocks only raised the peak RSS.  The closed-form
+# measures keep O(n) float temporaries, so their stacks are _MEASURE_BLOCK
+# members long: one stack per combination at the recipes' 2048-4096 points.
 _BLOCK = 256
+_MEASURE_BLOCK = 4096
 
 _ID2 = np.eye(2, dtype=np.complex128)
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -95,9 +97,9 @@ class DensityMatrix4:
         object.__setattr__(self, "matrix", _validated_density(self.matrix, 4))
 
 
-def _blocks(n: int) -> Iterator[slice]:
-    # Consecutive slices of range(n) with at most _BLOCK members each.
-    return (slice(lo, lo + _BLOCK) for lo in range(0, n, _BLOCK))
+def _blocks(n: int, size: int = _BLOCK) -> Iterator[slice]:
+    # Consecutive slices of range(n) with at most ``size`` members each.
+    return (slice(lo, lo + size) for lo in range(0, n, size))
 
 
 def _member(bad: np.ndarray) -> str:
@@ -241,9 +243,9 @@ def _dephase(r: np.ndarray, a) -> np.ndarray:
     # Single-qubit channel formula, broadcast over an array of factors ``a``;
     # returns the unvalidated images, shape a.shape + (2, 2).
     a = np.asarray(a, dtype=np.float64)
-    ok = (0.0 < a) & (a <= 1.0)
+    ok = (0.0 <= a) & (a <= 1.0)
     if not ok.all():
-        raise DomainError(f"coherence factor must lie in (0, 1], got {a[~ok].flat[0]}")
+        raise DomainError(f"coherence factor must lie in [0, 1], got {a[~ok].flat[0]}")
     a2 = a * a
     out = np.empty(a.shape + (2, 2), dtype=np.complex128)
     out[..., 0, 0] = 0.5 * (1.0 + (2.0 * r[0, 0].real - 1.0) * a2)
@@ -258,14 +260,16 @@ def evolve_single(rho0: DensityMatrix2, a: float) -> DensityMatrix2:
 
     Populations relax toward 1/2 with weight a^2, the coherence scales by a:
         rho'_00 = (1 + (2 rho_00 - 1) a^2) / 2,   rho'_01 = a rho_01.
+    ``a`` lies in [0, 1]; a = 0 gives the fully dephased state I/2.
     """
     return DensityMatrix2(_dephase(rho0.matrix, a))
 
 
 def evolve_pair(rho0: DensityMatrix4, a: float) -> DensityMatrix4:
-    """Apply two independent copies of the dephasing channel to a pair state."""
-    if not (0.0 < a <= 1.0):
-        raise DomainError(f"coherence factor must lie in (0, 1], got {a}")
+    """Apply two independent copies of the dephasing channel to a pair state;
+    ``a`` lies in [0, 1] as for :func:`evolve_single`."""
+    if not (0.0 <= a <= 1.0):
+        raise DomainError(f"coherence factor must lie in [0, 1], got {a}")
     r = rho0.matrix
     a2 = a * a
     ap = 0.5 * (1.0 + a2)
@@ -303,8 +307,9 @@ def evolved_x_state(theta: float, a) -> XState4:
     """The Bell-like state after both qubits dephase with coherence factor ``a``.
 
     ``a`` may be an array of factors; the result is then the stack of states,
-    one per factor.  Accepts a = 0 (fully dephased) so that long-time tails of
-    strongly coupled channels remain representable.
+    one per factor.  Each factor lies in [0, 1], as for :func:`evolve_single`;
+    a = 0 (fully dephased) keeps the long-time tails of strongly coupled
+    channels representable.
     """
     if not (0.0 <= theta <= math.pi):
         raise DomainError(f"theta must lie in [0, pi], got {theta}")

@@ -6,6 +6,7 @@ import importlib.metadata
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from topoqubit import (
     SpecError,
     __version__,
 )
+from topoqubit import cli
 from topoqubit.cli import (
     DEFAULT_NM_GAMMA0,
     SeriesTable,
@@ -373,14 +375,46 @@ def _writer_table(rng) -> SeriesTable:
     return SeriesTable(("q", "gamma0", "t", "lqu"), rows, {"spec": spec})
 
 
+def _writer_case(rows: np.ndarray, case: str) -> np.ndarray:
+    # The writer formats a column that is constant over a 256-row block once
+    # per block, so the cases place constants against the block seams.
+    if case == "constant-column":
+        rows[:, 1] = 0.01
+    elif case == "constant-in-one-block":
+        rows[256:512, 2] = 1.5
+    elif case == "one-negative-zero":
+        rows[:, 3] = 0.0
+        rows[300, 3] = -0.0
+    elif case == "one-row-final-block":
+        rows = rows[:513]
+    elif case == "all-constant":
+        rows[:] = (3.0, 0.01, -0.0, 1e-300)
+    return rows
+
+
+_WRITER_CASES = ("mixed", "constant-column", "constant-in-one-block", "one-negative-zero",
+                 "one-row-final-block", "all-constant")
+
+
 def test_csv_matches_per_value_writer(rng):
-    table = _writer_table(rng)
-    fh = io.StringIO()
-    table.to_csv(fh)
-    text = fh.getvalue()
-    assert text == _reference_csv(table)
-    assert "\n-0,4.9406564584124654e-324,1e+308,3\n" in text
-    assert np.array_equal(np.loadtxt(io.StringIO(text), delimiter=",", skiprows=3), table.rows)
+    base = _writer_table(rng)
+    for case in _WRITER_CASES:
+        table = SeriesTable(base.columns, _writer_case(base.rows.copy(), case), base.meta)
+        fh = io.StringIO()
+        table.to_csv(fh)
+        text = fh.getvalue()
+        assert text == _reference_csv(table), case
+        assert np.array_equal(np.loadtxt(io.StringIO(text), delimiter=",", skiprows=3), table.rows)
+        lines = text.splitlines()[3:]
+        assert len(lines) == len(table.rows)
+        if case == "mixed":
+            assert lines[0] == "-0,4.9406564584124654e-324,1e+308,3"
+        elif case == "one-negative-zero":
+            assert lines[300].endswith(",-0") and lines[299].endswith(",0")
+        elif case == "one-row-final-block":
+            assert lines[-1] == ",".join(format(v, ".17g") for v in table.rows[512])
+        elif case == "all-constant":
+            assert set(lines) == {"3,0.01,-0,1e-300"}
 
 
 def test_json_rows_are_the_table_values(rng):
@@ -407,6 +441,42 @@ def test_non_finite_cell_named_in_both_formats(rng, cells, want):
             write(fh)
         assert str(exc.value) == want
         assert fh.getvalue() == ""
+
+
+def test_main_twice_carries_no_parsed_value(tmp_path, monkeypatch, capsys):
+    # The parser is built once per process; every call must parse afresh.
+    seen = []
+
+    def record(spec):
+        seen.append(spec)
+        return SeriesTable(("q",), np.zeros((1, 1)), {"format": spec.format})
+
+    monkeypatch.setattr(cli, "run", record)
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"b": 0.25, "n_grid": 20}))
+    assert main(["corr-series", "--spec", str(spec_file), "--q", "2.0", "3.0",
+                 "--gamma0", "0.5", "--theta", "1.0", "--t-max", "4.0",
+                 "--format", "json", "--parallel", "2",
+                 "--out", str(tmp_path / "first.json")]) == 0
+    for mode in ("qfi-series", "corr-series"):
+        assert main([mode, "--q", "1.0", "--gamma0", "2.0"]) == 0
+    assert seen[0] == SweepSpec("corr-series", (2.0, 3.0), (0.5,), b=0.25, theta=1.0,
+                                t_max=4.0, n_grid=20, format="json",
+                                output_path=str(tmp_path / "first.json"), parallel=2)
+    assert seen[1:] == [SweepSpec("qfi-series", (1.0,), (2.0,)),
+                        SweepSpec("corr-series", (1.0,), (2.0,))]
+    assert capsys.readouterr().out.startswith("# tool: topoqubit")
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_import_leaves_process_pool_unloaded():
+    # The pool is imported only by a run with more than one worker.
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, topoqubit.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_metadata_line_reproduces_run(tmp_path):

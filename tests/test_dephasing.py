@@ -16,6 +16,7 @@ from topoqubit import (
     DomainError,
     EvalOptions,
     OhmicEnvironment,
+    TimeWindow,
     alpha,
     alpha_profile,
     beta,
@@ -27,6 +28,7 @@ from topoqubit import (
     i_q_profile,
     kappa_to_q,
 )
+from topoqubit.dephasing import _exponent_profile, _exponent_values
 from conftest import mp_di_q_dt, mp_i_q, richardson_derivative
 
 
@@ -274,10 +276,24 @@ def test_profiles_match_scalars():
 
 def test_profiles_validate_grid():
     e = env(1.0, 1.0)
-    with pytest.raises(DomainError):
-        i_q_profile(e, np.array([[0.0, 1.0]]))
-    with pytest.raises(DomainError):
-        i_q_profile(e, np.array([-1.0, 0.0, 1.0]))
+    for profile in (i_q_profile, lambda e, ts: _exponent_values(DephasingChannel(e, 1.0), ts)):
+        with pytest.raises(DomainError):
+            profile(e, np.array([[0.0, 1.0]]))
+        with pytest.raises(DomainError):
+            profile(e, np.array([-1.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("q, g0, b, t_max", [
+    (0.5, 1.6, 1.0, 100.0 / 1.6),
+    (1.0, 1.6, 1.0, 100.0 / 1.6),
+    (3.0, 1.6, 1.0, 100.0 / 1.6),
+    (3.0, 0.01, 0.002175, 1500.0),
+], ids=["default-q0.5", "default-q1", "default-q3", "rebirth"])
+def test_exponent_values_equal_profile_exponent(q, g0, b, t_max):
+    # the series modes' E-only profile is the witnesses' E, bit for bit
+    ch = chan(q, g0, b)
+    ts = TimeWindow(t_max, 4096).times()
+    assert np.array_equal(_exponent_values(ch, ts), _exponent_profile(ch, ts)[0])
 
 
 def test_profile_large_q_wide_window_is_finite():

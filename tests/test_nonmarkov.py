@@ -240,27 +240,40 @@ def test_pair_scan_equatorial_axis_wins_at_low_coherence():
     assert val > 10.0 * blp(ch, w)
 
 
-def test_pair_scan_matches_per_state_loop():
+def _per_state_pair_scan(ch, w, n_angles):
     # reference: each member evolved, validated and compared one time at a
     # time; the stacked scan does the same arithmetic, so results are equal
-    ch = chan(3.0, 1.6, 1.0)
-    w = TimeWindow(62.5, 512)
     avals, _ = alpha_profile(ch, w.times())
     best = ((0.0, 0.0), -1.0)
-    for th in np.linspace(0.0, 0.5 * math.pi, 3):
-        for ph in np.linspace(0.0, math.pi, 3, endpoint=False):
+    for th in np.linspace(0.0, 0.5 * math.pi, n_angles):
+        for ph in np.linspace(0.0, math.pi, n_angles, endpoint=False):
             nvec = (math.sin(th) * math.cos(ph) * PAULIS[0]
                     + math.sin(th) * math.sin(ph) * PAULIS[1]
                     + math.cos(th) * PAULIS[2])
             plus = DensityMatrix2(0.5 * (np.eye(2) + nvec))
             minus = DensityMatrix2(0.5 * (np.eye(2) - nvec))
-            dist = [0.0 if a == 0.0 else
-                    trace_distance(evolve_single(plus, a), evolve_single(minus, a))
+            dist = [trace_distance(evolve_single(plus, a), evolve_single(minus, a))
                     for a in map(float, avals)]
             val = float(np.clip(np.diff(dist), 0.0, None).sum())
             if val > best[1] + 1e-12 * abs(best[1]):  # the scan's tie rule
                 best = ((float(th), float(ph)), val)
-    assert blp_pair_scan(ch, w, n_angles=3) == best
+    return best
+
+
+def test_pair_scan_matches_per_state_loop():
+    ch = chan(3.0, 1.6, 1.0)
+    w = TimeWindow(62.5, 512)
+    assert blp_pair_scan(ch, w, n_angles=3) == _per_state_pair_scan(ch, w, 3)
+
+
+def test_pair_scan_through_full_dephasing():
+    # alpha underflows to exactly 0, where both members are I/2, and
+    # revives to a normal double by the window end
+    ch = chan(3.0, 1.6, 14.0)
+    w = TimeWindow(62.5, 128)
+    avals, _ = alpha_profile(ch, w.times())
+    assert (avals == 0.0).any() and avals[-1] > 0.0
+    assert blp_pair_scan(ch, w, n_angles=3) == _per_state_pair_scan(ch, w, 3)
 
 
 def test_pair_scan_markovian_is_flat_zero():

@@ -198,18 +198,28 @@ def test_qfi_general_rejects_one_bad_derivative():
 
 
 def test_series_blocks_equal_one_whole_stack(tmp_path):
-    # 600 samples span three blocks, the last one partial
+    # 4100 samples span two measure stacks (4096 + 4) and 17 QFI blocks
+    n = 4100
     ch = DephasingChannel(OhmicEnvironment(3.0, 0.5), 1.0)
-    w = TimeWindow(5.0, 600)
+    w = TimeWindow(5.0, n)
     ts = w.times()
     avals, _ = alpha_profile(ch, ts)
     s = evolved_x_state(1.1, avals)
+    flags = ["--q", "3.0", "--gamma0", "0.5", "--theta", "1.1", "--t-max", "5.0", "--n-grid", str(n)]
     out = tmp_path / "corr.csv"
-    assert main(["corr-series", "--q", "3.0", "--gamma0", "0.5", "--theta", "1.1",
-                 "--t-max", "5.0", "--n-grid", "600", "--out", str(out)]) == 0
+    assert main(["corr-series", *flags, "--out", str(out)]) == 0
     rows = np.loadtxt(out, delimiter=",", comments="#", skiprows=3)
     want = np.column_stack([ts, avals] + [f(s) for f in MEASURES])
-    assert rows.shape == (600, 9)
+    assert rows.shape == (n, 9)
+    assert np.array_equal(rows[:, 2:], want)
+
+    dump = tmp_path / "dump.csv"
+    assert main(["state-dump", *flags, "--out", str(dump)]) == 0
+    rows = np.loadtxt(dump, delimiter=",", comments="#", skiprows=3)
+    m = s.matrix
+    upper = m[:, [0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]]
+    pairs = np.stack([upper.real, upper.imag], axis=-1).reshape(n, 12)
+    want = np.column_stack([ts, m.diagonal(axis1=-2, axis2=-1).real, pairs])
     assert np.array_equal(rows[:, 2:], want)
 
     evals, _ = _exponent_profile(ch, ts)

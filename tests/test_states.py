@@ -107,7 +107,10 @@ def test_evolve_single_formulas():
 
 
 def test_evolve_single_domain():
-    for a in (0.0, -0.1, 1.2):
+    # a = 0 is the fully dephased state I/2; a outside [0, 1] is an error
+    for rho in (KET0, PLUS):
+        assert np.array_equal(evolve_single(rho, 0.0).matrix, 0.5 * np.eye(2))
+    for a in (-0.1, 1.2):
         with pytest.raises(DomainError):
             evolve_single(KET0, a)
 
@@ -151,6 +154,17 @@ def test_evolve_pair_matches_x_state_family():
             via_pair = evolve_pair(bell_like(float(theta)), a).matrix
             via_x = evolved_x_state(float(theta), a).matrix
             assert np.abs(via_pair - via_x).max() <= 1e-14
+
+
+def test_evolve_pair_domain():
+    # the domain of evolve_single and evolved_x_state; a = 0 gives I/4
+    for theta in (0.0, 1.1, math.pi / 2):
+        out = evolve_pair(bell_like(theta), 0.0).matrix
+        assert np.abs(out - 0.25 * np.eye(4)).max() <= 1e-16
+        assert np.abs(out - evolved_x_state(theta, 0.0).matrix).max() <= 1e-16
+    for a in (-0.1, 1.2, math.nan):
+        with pytest.raises(DomainError):
+            evolve_pair(bell_like(1.1), a)
 
 
 def test_bell_like_endpoints():
