@@ -37,6 +37,9 @@ __all__ = [
 
 _REL_GAP_FLOOR = 1e-30
 
+# Eigenpairs with lambda_i + lambda_j at or below this are left out of the QFI.
+_KERNEL_TOL = 1e-12
+
 
 @dataclass(frozen=True, slots=True)
 class QfiSeries:
@@ -48,14 +51,14 @@ class QfiSeries:
     rel_gap: np.ndarray
 
 
-def qfi_general(rho, drho: np.ndarray, kernel_tol: float = 1e-12) -> float:
+def qfi_general(rho, drho: np.ndarray) -> float:
     """Spectral-decomposition QFI for a state and its parameter derivative.
 
     ``rho`` is any object exposing a density ``.matrix``; ``drho`` must be
     Hermitian and traceless (it is d rho / d parameter).  Both may be stacks
     of matrices of one shape ``(..., d, d)``; the result then has shape
     ``(...)``, and a single pair gives a float.  Eigenpairs with
-    lambda_i + lambda_j <= kernel_tol lie in the channel kernel and are
+    lambda_i + lambda_j <= 1e-12 lie in the kernel of the state and are
     excluded from the sum.
     """
     m = np.asarray(rho.matrix, dtype=np.complex128)
@@ -79,7 +82,7 @@ def qfi_general(rho, drho: np.ndarray, kernel_tol: float = 1e-12) -> float:
     lam, vec = np.linalg.eigh(m)
     a = vec.conj().swapaxes(-1, -2) @ d @ vec
     s = lam[..., :, None] + lam[..., None, :]
-    mask = s > kernel_tol
+    mask = s > _KERNEL_TOL
     contrib = 2.0 * np.abs(a) ** 2 / np.where(mask, s, 1.0)
     f = np.where(mask, contrib, 0.0).sum(axis=(-2, -1))
     return float(f) if f.ndim == 0 else f

@@ -11,11 +11,15 @@ signal over a time window:
 
 For this channel family every witness is a strictly increasing function of
 alpha, so revival intervals coincide across measures.  They are located once
-per channel and window (on d(alpha^2)/dt) and cached; each witness only
-telescopes its own function of alpha over them.  All measures vanish
-identically for spectral exponents Q <= 2, where the search returns without
-building a profile, and a revival requires Q > 2 plus a field weak enough
-that the coherence floor stays representable.
+per channel and window (on d(alpha^2)/dt) and cached, the one memo of this
+module; each witness only telescopes its own function of alpha over them.
+All measures vanish identically for spectral exponents Q <= 2, where the
+search returns without building a profile, and a revival requires Q > 2 plus
+a field weak enough that the coherence floor stays representable.
+
+The brute-force pair scan checks the BLP maximum over antipodal pairs
+through the public single-qubit path: ``evolve_single`` and
+``trace_distance`` over the whole time grid at once.
 """
 
 from __future__ import annotations
@@ -27,9 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import dephasing, states
+from . import correlations, dephasing, states
 from .errors import DomainError, HorizonWarning
-from .specfun import DEFAULT_OPTIONS, EvalOptions
 
 __all__ = [
     "TimeWindow",
@@ -46,25 +49,25 @@ __all__ = [
 # A measure below this threshold counts as Markovian in scans.
 _FIRING_THRESHOLD = 1e-10
 
+# Bisection refines each derivative sign change to this width in time.
+_REFINE_TOL = 1e-10
+
 _TRUNCATED = "derivative still positive at t_max; a revival is truncated by the window"
 
 
 @dataclass(frozen=True, slots=True)
 class TimeWindow:
-    """Uniform time grid [0, t_max] used for sign scanning, with bisection
-    refinement of derivative sign changes down to ``refine_tol``."""
+    """Uniform time grid [0, t_max] used for sign scanning; derivative sign
+    changes are refined by bisection to 1e-10."""
 
     t_max: float
     n_grid: int = 4096
-    refine_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.t_max) and self.t_max > 0.0):
             raise DomainError(f"t_max must be finite and > 0, got {self.t_max}")
         if self.n_grid < 16:
             raise DomainError(f"n_grid must be >= 16, got {self.n_grid}")
-        if not (self.refine_tol > 0.0):
-            raise DomainError(f"refine_tol must be > 0, got {self.refine_tol}")
 
     @classmethod
     def for_cutoff(cls, gamma0: float, n_grid: int = 4096) -> "TimeWindow":
@@ -87,11 +90,11 @@ class NonMarkovReport:
     revival_intervals: tuple[tuple[float, float], ...]
 
 
-def _bisect_sign_change(g, lo: float, hi: float, sign_lo: float, tol: float) -> float:
+def _bisect_sign_change(g, lo: float, hi: float, sign_lo: float) -> float:
     # Narrow a bracket over which g changes sign; only the left-end sign is
     # trusted from the caller, midpoints are re-evaluated exactly.
     for _ in range(200):
-        if hi - lo <= tol:
+        if hi - lo <= _REFINE_TOL:
             break
         mid = 0.5 * (lo + hi)
         gm = g(mid)
@@ -108,7 +111,6 @@ def _rising_intervals(
     ts: np.ndarray,
     d_grid: np.ndarray,
     dfdt,
-    refine_tol: float,
 ) -> tuple[tuple[tuple[float, float], ...], bool]:
     """Intervals on which a signal increases, from grid samples of its derivative.
 
@@ -125,9 +127,8 @@ def _rising_intervals(
         cur_start = float(ts[0]) if signs[0] > 0 else None
         # Positions i in nz where the sign differs from that at i + 1.
         for i in np.flatnonzero(signs[1:] != signs[:-1]).tolist():
-            root = _bisect_sign_change(
-                dfdt, float(ts[nz[i]]), float(ts[nz[i + 1]]), float(signs[i]), refine_tol
-            )
+            lo, hi = float(ts[nz[i]]), float(ts[nz[i + 1]])
+            root = _bisect_sign_change(dfdt, lo, hi, float(signs[i]))
             if signs[i + 1] > 0:
                 cur_start = root
             elif cur_start is not None:
@@ -155,40 +156,13 @@ def positive_variation(f, dfdt, w: TimeWindow) -> tuple[float, tuple[tuple[float
             raise TypeError
     except (TypeError, ValueError):
         d_grid = np.array([float(dfdt(float(t))) for t in ts])
-    intervals, truncated = _rising_intervals(ts, d_grid, dfdt, w.refine_tol)
+    intervals, truncated = _rising_intervals(ts, d_grid, dfdt)
     if truncated:
         warnings.warn(_TRUNCATED, HorizonWarning, stacklevel=2)
     value = 0.0
     for a, b in intervals:
         value += f(b) - f(a)
     return value, intervals
-
-
-@lru_cache(maxsize=128)
-def _cached_profile(
-    q: float,
-    gamma0: float,
-    b: float,
-    t_max: float,
-    n_grid: int,
-    rel_tol: float,
-    max_terms: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    env = dephasing.OhmicEnvironment(q, gamma0)
-    ch = dephasing.DephasingChannel(env, b)
-    ts = np.linspace(0.0, t_max, n_grid)
-    avals, davals = dephasing.alpha_profile(ch, ts, EvalOptions(rel_tol, max_terms))
-    for arr in (ts, avals, davals):
-        arr.setflags(write=False)
-    return ts, avals, davals
-
-
-def _profile(
-    ch: dephasing.DephasingChannel, w: TimeWindow, opts: EvalOptions
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return _cached_profile(
-        ch.env.q, ch.env.gamma0, ch.b, w.t_max, w.n_grid, opts.rel_tol, opts.max_terms
-    )
 
 
 def _alpha_sq_slope(ch: dephasing.DephasingChannel):
@@ -210,7 +184,7 @@ def _revival(
     """Revival intervals of alpha over the window, alpha at their ends, and
     whether the last interval is cut off by the window.
 
-    Sign changes are located on d(alpha^2)/dt, sampled on the cached profile
+    Sign changes are located on d(alpha^2)/dt, sampled on the alpha profile
     and refined with the scalar kernel.  Every witness is a strictly
     increasing function of alpha, so all three share this one search.
 
@@ -221,10 +195,9 @@ def _revival(
     """
     if ch.env.q <= 2.0:
         return (), (), False
-    ts, avals, davals = _profile(ch, w, DEFAULT_OPTIONS)
-    intervals, truncated = _rising_intervals(
-        ts, 2.0 * avals * davals, _alpha_sq_slope(ch), w.refine_tol
-    )
+    ts = w.times()
+    avals, davals = dephasing.alpha_profile(ch, ts)
+    intervals, truncated = _rising_intervals(ts, 2.0 * avals * davals, _alpha_sq_slope(ch))
     ends = tuple((dephasing.alpha(ch, a), dephasing.alpha(ch, b)) for a, b in intervals)
     return intervals, ends, truncated
 
@@ -257,8 +230,6 @@ def cb(theta: float, ch: dephasing.DephasingChannel, w: TimeWindow) -> float:
     ``theta``: positive variation of the l1 coherence sin(theta) alpha(t)^2."""
     if not (0.0 <= theta <= math.pi):
         raise DomainError(f"theta must lie in [0, pi], got {theta}")
-    from . import correlations
-
     return _backflow(
         ch, w, lambda a: correlations.coherence_l1(states.evolved_x_state(theta, a))
     )
@@ -269,9 +240,11 @@ def blp_pair_scan(
 ) -> tuple[tuple[float, float], float]:
     """Scan antipodal Bloch pairs for the one maximizing information backflow.
 
-    Each pair (n, -n) is evolved through the generic single-qubit channel and
-    the discrete positive variation of their trace distance accumulated on the
-    grid.  Returns ((theta, phi) of the best axis, its variation).
+    Each pair (n, -n) is evolved over the whole grid at once by
+    ``evolve_single`` and compared by ``trace_distance``, and the discrete
+    positive variation of that distance is accumulated on the grid.  Only
+    alpha = exp(-E) is needed, so no d alpha/dt profile is summed.  Returns
+    ((theta, phi) of the best axis, its variation).
 
     Dephasing sends the pair at polar angle theta to the trace distance
     sqrt(alpha^4 cos^2 theta + alpha^2 sin^2 theta): alpha^2 for the polar
@@ -282,7 +255,8 @@ def blp_pair_scan(
     """
     if n_angles < 2:
         raise DomainError(f"n_angles must be >= 2, got {n_angles}")
-    _, avals, _ = _profile(ch, w, DEFAULT_OPTIONS)
+    with np.errstate(under="ignore"):
+        avals = np.exp(-dephasing._exponent_values(ch, w.times()))
     thetas = np.linspace(0.0, 0.5 * math.pi, n_angles)
     phis = np.linspace(0.0, math.pi, n_angles, endpoint=False)
     best_val = -1.0
@@ -295,14 +269,10 @@ def blp_pair_scan(
             nvec = nx * states.PAULIS[0] + ny * states.PAULIS[1] + nz * states.PAULIS[2]
             r_plus = states.DensityMatrix2(0.5 * (np.eye(2) + nvec))
             r_minus = states.DensityMatrix2(0.5 * (np.eye(2) - nvec))
-            # Both members along the whole grid at once, through the
-            # evolve_single formula and its validation; fully dephased
-            # points (alpha = 0) send both to I/2.
-            plus = states._dephase(r_plus.matrix, avals)
-            minus = states._dephase(r_minus.matrix, avals)
-            states._check_density(plus)
-            states._check_density(minus)
-            dist = 0.5 * np.abs(np.linalg.eigvalsh(plus - minus)).sum(axis=-1)
+            # Fully dephased points (alpha = 0) send both members to I/2.
+            dist = states.trace_distance(
+                states.evolve_single(r_plus, avals), states.evolve_single(r_minus, avals)
+            )
             val = float(np.clip(np.diff(dist), 0.0, None).sum())
             # Phase covariance ties the axes at one theta: keep the first.
             if val > best_val + 1e-12 * abs(best_val):

@@ -69,8 +69,8 @@ def _check_density(m: np.ndarray) -> None:
 
 def _validated_density(matrix: np.ndarray, dim: int) -> np.ndarray:
     m = np.asarray(matrix, dtype=np.complex128)
-    if m.shape != (dim, dim):
-        raise DomainError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
+    if m.shape[-2:] != (dim, dim):
+        raise DomainError(f"expected a (..., {dim}, {dim}) array, got shape {m.shape}")
     _check_density(m)
     out = m.copy()
     out.setflags(write=False)
@@ -79,7 +79,8 @@ def _validated_density(matrix: np.ndarray, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix2:
-    """Validated single-qubit density matrix (Hermitian, unit trace, PSD)."""
+    """Validated single-qubit density matrix (Hermitian, unit trace, PSD), or
+    a stack of them, shape ``(..., 2, 2)``, every member validated."""
 
     matrix: np.ndarray
 
@@ -89,7 +90,8 @@ class DensityMatrix2:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix4:
-    """Validated two-qubit density matrix (Hermitian, unit trace, PSD)."""
+    """Validated two-qubit density matrix (Hermitian, unit trace, PSD), or a
+    stack of them, shape ``(..., 4, 4)``, every member validated."""
 
     matrix: np.ndarray
 
@@ -239,38 +241,50 @@ class BlochAffineMap:
         return float(np.linalg.det(self.m))
 
 
-def _dephase(r: np.ndarray, a) -> np.ndarray:
-    # Single-qubit channel formula, broadcast over an array of factors ``a``;
-    # returns the unvalidated images, shape a.shape + (2, 2).
+def _coherence_factors(a) -> np.ndarray:
+    # The factor or array of factors ``a`` as float64, each in [0, 1].
     a = np.asarray(a, dtype=np.float64)
     ok = (0.0 <= a) & (a <= 1.0)
     if not ok.all():
         raise DomainError(f"coherence factor must lie in [0, 1], got {a[~ok].flat[0]}")
+    return a
+
+
+def _one_state(rho) -> np.ndarray:
+    # The matrix of a single state; a stack is an error, only ``a`` may vary.
+    r = rho.matrix
+    if r.ndim != 2:
+        raise DomainError(f"expected one initial state, got a stack of shape {r.shape[:-2]}")
+    return r
+
+
+def evolve_single(rho0: DensityMatrix2, a) -> DensityMatrix2:
+    """Apply the single-qubit dephasing channel with coherence factor ``a``.
+
+    Populations relax toward 1/2 with weight a^2, the coherence scales by a:
+        rho'_00 = (1 + (2 rho_00 - 1) a^2) / 2,   rho'_01 = a rho_01.
+    ``a`` lies in [0, 1]; a = 0 gives the fully dephased state I/2.  ``a``
+    may be an array of factors; the result is then the stack of images of
+    the one state ``rho0``, shape ``a.shape + (2, 2)``.
+    """
+    r = _one_state(rho0)
+    a = _coherence_factors(a)
     a2 = a * a
     out = np.empty(a.shape + (2, 2), dtype=np.complex128)
     out[..., 0, 0] = 0.5 * (1.0 + (2.0 * r[0, 0].real - 1.0) * a2)
     out[..., 1, 1] = 0.5 * (1.0 + (2.0 * r[1, 1].real - 1.0) * a2)
     out[..., 0, 1] = a * r[0, 1]
     out[..., 1, 0] = np.conj(out[..., 0, 1])
-    return out
-
-
-def evolve_single(rho0: DensityMatrix2, a: float) -> DensityMatrix2:
-    """Apply the single-qubit dephasing channel with coherence factor ``a``.
-
-    Populations relax toward 1/2 with weight a^2, the coherence scales by a:
-        rho'_00 = (1 + (2 rho_00 - 1) a^2) / 2,   rho'_01 = a rho_01.
-    ``a`` lies in [0, 1]; a = 0 gives the fully dephased state I/2.
-    """
-    return DensityMatrix2(_dephase(rho0.matrix, a))
+    return DensityMatrix2(out)
 
 
 def evolve_pair(rho0: DensityMatrix4, a: float) -> DensityMatrix4:
-    """Apply two independent copies of the dephasing channel to a pair state;
-    ``a`` lies in [0, 1] as for :func:`evolve_single`."""
-    if not (0.0 <= a <= 1.0):
-        raise DomainError(f"coherence factor must lie in [0, 1], got {a}")
-    r = rho0.matrix
+    """Apply two independent copies of the dephasing channel to one pair
+    state with one coherence factor ``a`` in [0, 1]."""
+    r = _one_state(rho0)
+    a = _coherence_factors(a)
+    if a.ndim:
+        raise DomainError(f"expected one coherence factor, got an array of shape {a.shape}")
     a2 = a * a
     ap = 0.5 * (1.0 + a2)
     am = 0.5 * (1.0 - a2)
@@ -313,10 +327,7 @@ def evolved_x_state(theta: float, a) -> XState4:
     """
     if not (0.0 <= theta <= math.pi):
         raise DomainError(f"theta must lie in [0, pi], got {theta}")
-    a = np.asarray(a, dtype=np.float64)
-    ok = (0.0 <= a) & (a <= 1.0)
-    if not ok.all():
-        raise DomainError(f"coherence factor must lie in [0, 1], got {a[~ok].flat[0]}")
+    a = _coherence_factors(a)
     a2 = a * a
     a4 = a2 * a2
     c = math.cos(theta)
@@ -330,17 +341,19 @@ def evolved_x_state(theta: float, a) -> XState4:
     return XState4(rho11, rho22, rho22, rho44, rho14, 0.0, det, det)
 
 
-def trace_distance(rho, sigma) -> float:
+def trace_distance(rho, sigma):
     """Trace distance (1/2)||rho - sigma||_1 between two states.
 
     Accepts any objects exposing a ``.matrix`` square array of equal shape.
+    Stacks ``(..., d, d)`` give one distance per member, an array of shape
+    ``(...)``; two single states give a float.
     """
     m1 = np.asarray(rho.matrix, dtype=np.complex128)
     m2 = np.asarray(sigma.matrix, dtype=np.complex128)
     if m1.shape != m2.shape:
         raise DomainError(f"shape mismatch: {m1.shape} vs {m2.shape}")
-    ev = np.linalg.eigvalsh(m1 - m2)
-    return 0.5 * float(np.abs(ev).sum())
+    dist = 0.5 * np.abs(np.linalg.eigvalsh(m1 - m2)).sum(axis=-1)
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def bloch_affine_map(a: float) -> BlochAffineMap:

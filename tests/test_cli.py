@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import importlib.metadata
 import io
 import json
@@ -19,6 +20,7 @@ import pytest
 from topoqubit import (
     ConvergenceError,
     DephasingChannel,
+    HorizonWarning,
     OhmicEnvironment,
     SpecError,
     __version__,
@@ -227,11 +229,14 @@ def test_exit_three_on_cutoff_power_underflow(tmp_path, capsys):
 
 
 def test_main_leaves_warning_filters_alone(tmp_path):
-    before = list(warnings.filters)
-    rc = main(["nm-scan", "--q", "3.0", "--gamma0", "1.6",
-               "--n-grid", "256", "--out", str(tmp_path / "nm.csv")])
-    assert rc == 0
-    assert warnings.filters == before
+    # main warns once through its own "once" filter, then restores ours
+    with pytest.warns(HorizonWarning, match="truncated by the window") as record:
+        before = list(warnings.filters)
+        rc = main(["nm-scan", "--q", "3.0", "--gamma0", "1.6",
+                   "--n-grid", "256", "--out", str(tmp_path / "nm.csv")])
+        assert rc == 0
+        assert warnings.filters == before
+    assert len(record) == 1
 
 
 def test_exit_four_on_io_failure(tmp_path, capsys):
@@ -262,8 +267,9 @@ def test_nm_scan_markovian_row(tmp_path):
 
 def test_nm_scan_critical_row(tmp_path):
     out = tmp_path / "nm.csv"
-    rc = main(["nm-scan", "--q", "3.0", "--gamma0", "1.6",
-               "--n-grid", "2048", "--out", str(out)])
+    with pytest.warns(HorizonWarning, match="truncated by the window"):
+        rc = main(["nm-scan", "--q", "3.0", "--gamma0", "1.6",
+                   "--n-grid", "2048", "--out", str(out)])
     assert rc == 0
     row = out.read_text().splitlines()[3].split(",")
     assert float(row[2]) > 0.0 and float(row[4]) == 1.0
@@ -344,7 +350,10 @@ def test_stacked_modes_parallel_byte_identical(tmp_path, mode):
             "--t-max", "5.0", "--n-grid", "64"]
     serial = tmp_path / "serial.csv"
     parallel = tmp_path / "parallel.csv"
-    assert main(base + ["--out", str(serial)]) == 0
+    # nm-scan's serial run warns in-process; pool workers warn in their own
+    warns = pytest.warns(HorizonWarning) if mode == "nm-scan" else contextlib.nullcontext()
+    with warns:
+        assert main(base + ["--out", str(serial)]) == 0
     assert main(base + ["--parallel", "2", "--out", str(parallel)]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
 

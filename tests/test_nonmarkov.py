@@ -32,11 +32,9 @@ from topoqubit import dephasing
 from topoqubit.nonmarkov import (
     _alpha_sq_slope,
     _bisect_sign_change,
-    _cached_profile,
     _revival,
     _rising_intervals,
 )
-from topoqubit.specfun import DEFAULT_OPTIONS
 from topoqubit.states import PAULIS
 
 # asymptotic recoveries (Q > 2) legitimately outlast any finite window,
@@ -317,7 +315,7 @@ def test_critical_q_default_range_pinned():
 # revival search against the per-sample walk
 # ---------------------------------------------------------------------------
 
-def _rising_intervals_walk(ts, d_grid, dfdt, refine_tol):
+def _rising_intervals_walk(ts, d_grid, dfdt):
     """Reference: visit every nonzero sample and bisect wherever its sign
     differs from the previous nonzero sample's."""
     signs = np.sign(d_grid)
@@ -330,7 +328,7 @@ def _rising_intervals_walk(ts, d_grid, dfdt, refine_tol):
         for cur in nz[1:]:
             if signs[cur] != signs[prev]:
                 root = _bisect_sign_change(
-                    dfdt, float(ts[prev]), float(ts[cur]), float(signs[prev]), refine_tol
+                    dfdt, float(ts[prev]), float(ts[cur]), float(signs[prev])
                 )
                 if signs[cur] > 0:
                     cur_start = root
@@ -379,8 +377,8 @@ def test_rising_intervals_match_per_sample_walk(name):
     def dfdt(t):
         return float(np.interp(t, ts, d_grid))
 
-    got = _rising_intervals(ts, d_grid, dfdt, 1e-10)
-    assert got == _rising_intervals_walk(ts, d_grid, dfdt, 1e-10)
+    got = _rising_intervals(ts, d_grid, dfdt)
+    assert got == _rising_intervals_walk(ts, d_grid, dfdt)
     if name == "truncated_end":
         assert got[1] is True
 
@@ -396,17 +394,24 @@ _FIG1_MARKOVIAN_Q = [round(0.05 * k, 2) for k in range(41)] + [1.0 - 1e-7, 1.0 +
 def test_markovian_exponents_never_revive_numerically(g0, monkeypatch):
     """No positive sample of d(alpha^2)/dt, on the alpha profile the revival
     search scans and from its scalar slope, for every Q <= 2 case."""
-    # alpha_profile evaluates the kernel once per (Q, window), not per field
-    kernel = {}
-    i_q_profile = dephasing.i_q_profile
+    # The field only scales the exponent, so the two series alpha_profile
+    # sums are evaluated once per (Q, window) and reused for every field.
+    memo = {}
+    hits = []
 
-    def kernel_once(env, ts, opts=DEFAULT_OPTIONS):
-        key = (env, float(ts[-1]), ts.size)
-        if key not in kernel:
-            kernel[key] = i_q_profile(env, ts, opts)
-        return kernel[key]
+    def memoized(fn):
+        def call(*args):
+            key = (fn.__name__,) + tuple(
+                x.tobytes() if isinstance(x, np.ndarray) else x for x in args)
+            if key in memo:
+                hits.append(key)
+            else:
+                memo[key] = fn(*args)
+            return memo[key]
+        return call
 
-    monkeypatch.setattr(dephasing, "i_q_profile", kernel_once)
+    for name in ("_kernel_array", "_hyp1f1_array"):
+        monkeypatch.setattr(dephasing, name, memoized(getattr(dephasing, name)))
     for q in _FIG1_MARKOVIAN_Q:
         for w in (TimeWindow.for_cutoff(g0), TimeWindow(1500.0)):
             ts = w.times()
@@ -417,14 +422,46 @@ def test_markovian_exponents_never_revive_numerically(g0, monkeypatch):
                 slope = _alpha_sq_slope(ch)
                 for t in ts[128::256]:
                     assert slope(float(t)) <= 0.0, (q, g0, b, float(t))
+    # one miss and two hits per series, (Q, window) and function
+    n_series = 2 * 2 * len(_FIG1_MARKOVIAN_Q)
+    assert len(memo) == n_series and len(hits) == 2 * n_series
 
 
-def test_markovian_revival_search_builds_no_profile():
-    _cached_profile.cache_clear()
-    ch = chan(1.5, 1.6, 1.0)
+def test_markovian_revival_search_builds_no_profile(monkeypatch):
+    def no_profile(*args, **kwargs):
+        raise AssertionError("alpha_profile called for Q <= 2")
+
+    monkeypatch.setattr(dephasing, "alpha_profile", no_profile)
+    _revival.cache_clear()
     w = TimeWindow.for_cutoff(1.6)
-    assert _revival(ch, w) == ((), (), False)
-    assert _cached_profile.cache_info().currsize == 0
+    for q in (0.5, 1.0, 1.5, 2.0):
+        assert _revival(chan(q, 1.6, 1.0), w) == ((), (), False)
+
+
+def test_report_builds_one_profile(monkeypatch):
+    # the three witnesses and the intervals share the one revival search
+    calls = []
+    alpha_profile = dephasing.alpha_profile
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return alpha_profile(*args, **kwargs)
+
+    monkeypatch.setattr(dephasing, "alpha_profile", counted)
+    _revival.cache_clear()
+    r = nm_report(chan(3.0, 1.6, 1.0), TimeWindow.for_cutoff(1.6))
+    assert r.n_blp > 0.0 and len(r.revival_intervals) == 1
+    assert len(calls) == 1
+
+
+def test_pair_scan_sums_no_slope(monkeypatch):
+    # the scan needs alpha alone, never the d alpha/dt profile
+    def no_slope(*args, **kwargs):
+        raise AssertionError("_slope_profile called by blp_pair_scan")
+
+    monkeypatch.setattr(dephasing, "_slope_profile", no_slope)
+    axis, val = blp_pair_scan(chan(3.0, 1.6, 1.0), TimeWindow(62.5, 512), n_angles=3)
+    assert axis == (0.5 * math.pi, 0.0) and val > 0.0
 
 
 def test_revival_slope_equals_alpha_times_derivative():

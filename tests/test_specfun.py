@@ -173,7 +173,8 @@ def test_hyp2f2_frozen(z, want):
 
 
 def test_hyp2f2_oracle_sweep():
-    # straddles the direct/resummed switchover at |z| = 8
+    # crosses the kernel's branch switches at u = -z = 1 (direct to Kummer)
+    # and u = 60 (Kummer to asymptotic)
     for z in [-0.01, -0.5, -1.0, -5.0, -7.9, -8.1, -20.0, -50.0, -400.0, -2500.0]:
         assert hyp2f2_11_32_2(z) == pytest.approx(mp_hyp2f2(z), rel=1e-10, abs=0.0)
     big = hyp2f2_11_32_2(-1.0e4, EvalOptions(max_terms=40_000))

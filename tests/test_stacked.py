@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from topoqubit import (
+    DensityMatrix2,
+    DensityMatrix4,
     DephasingChannel,
     DomainError,
     OhmicEnvironment,
@@ -17,17 +19,20 @@ from topoqubit import (
     coherence_l1,
     concurrence_x,
     discord_x,
+    evolve_pair,
+    evolve_single,
     evolved_x_state,
     lqu_x,
     qfi_general,
     qfi_series,
     report,
     tnd_x,
+    trace_distance,
 )
 from topoqubit.cli import main
 from topoqubit.dephasing import _exponent_profile
 from topoqubit.magnetometry import _drho_from
-from conftest import random_x_state
+from conftest import random_density, random_x_state
 
 MEASURES = (concurrence_x, discord_x, lqu_x, tnd_x, coherence_l1)
 FIELDS = ("rho11", "rho22", "rho33", "rho44", "rho14", "rho23")
@@ -195,6 +200,80 @@ def test_qfi_general_rejects_one_bad_derivative():
         qfi_general(rho, not_traceless)
     with pytest.raises(DomainError, match="shape"):
         qfi_general(rho, drho[:-1])
+
+
+def test_evolve_single_and_trace_distance_stacked_equal_per_element(rng):
+    rho = DensityMatrix2(random_density(rng, 2))
+    sigma = DensityMatrix2(random_density(rng, 2))
+    a = ALPHAS.reshape(5, 13)
+    plus = evolve_single(rho, a)
+    minus = evolve_single(sigma, a)
+    assert plus.matrix.shape == a.shape + (2, 2) and not plus.matrix.flags.writeable
+    dist = trace_distance(plus, minus)
+    assert dist.shape == a.shape
+    for idx in np.ndindex(a.shape):
+        one_plus = evolve_single(rho, float(a[idx]))
+        one_minus = evolve_single(sigma, float(a[idx]))
+        assert np.array_equal(plus.matrix[idx], one_plus.matrix)
+        want = trace_distance(one_plus, one_minus)
+        assert type(want) is float
+        assert dist[idx] == want
+    # two-qubit stacks: one distance per member as well
+    s, t = family_stack(0.4), family_stack(2.2)
+    dist4 = trace_distance(s, t)
+    for i, a0 in enumerate(ALPHAS):
+        want = trace_distance(evolved_x_state(0.4, float(a0)), evolved_x_state(2.2, float(a0)))
+        assert dist4[i] == want
+    with pytest.raises(DomainError, match="shape mismatch"):
+        trace_distance(plus, evolve_single(sigma, ALPHAS))
+    # an independent value with two positive eigenvalues in the difference:
+    # diag(p, p, 1 - p, 1 - p)/2 and its reversal are |2p - 1| apart
+    p = np.linspace(0.0, 1.0, 5)
+    m = np.zeros((5, 4, 4))
+    m[:, [0, 1], [0, 1]] = 0.5 * p[:, None]
+    m[:, [2, 3], [2, 3]] = 0.5 * (1.0 - p[:, None])
+    got = trace_distance(DensityMatrix4(m), DensityMatrix4(m[:, ::-1, ::-1]))
+    assert np.abs(got - np.abs(2.0 * p - 1.0)).max() <= 1e-15
+
+
+def test_density_stack_rejects_one_bad_member(rng):
+    good2 = np.array([random_density(rng, 2) for _ in range(6)]).reshape(2, 3, 2, 2)
+    assert DensityMatrix2(good2).matrix.shape == (2, 3, 2, 2)
+    bad = good2.copy()
+    bad[1, 2] = [[1.2, 0.0], [0.0, -0.2]]
+    with pytest.raises(DomainError, match="negative eigenvalue"):
+        DensityMatrix2(bad)
+    bad = good2.copy()
+    bad[0, 1, 0, 1] += 1e-9
+    with pytest.raises(DomainError, match="Hermitian"):
+        DensityMatrix2(bad)
+    good4 = np.array([random_density(rng, 4) for _ in range(5)])
+    DensityMatrix4(good4)
+    bad = good4.copy()
+    bad[3] *= 1.1
+    with pytest.raises(DomainError, match="trace"):
+        DensityMatrix4(bad)
+    bad = good4.copy()
+    bad[2, 0, 0] = np.nan
+    with pytest.raises(DomainError, match="finite"):
+        DensityMatrix4(bad)
+    with pytest.raises(DomainError, match="2, 2"):
+        DensityMatrix2(good4)
+
+
+def test_evolve_takes_one_initial_state(rng):
+    # only the coherence factor may be an array
+    stack2 = DensityMatrix2(np.array([random_density(rng, 2) for _ in range(3)]))
+    stack4 = DensityMatrix4(np.array([random_density(rng, 4) for _ in range(3)]))
+    for a in (0.5, np.array([0.2, 0.5, 0.9])):
+        with pytest.raises(DomainError, match="one initial state"):
+            evolve_single(stack2, a)
+        with pytest.raises(DomainError, match="one initial state"):
+            evolve_pair(stack4, a)
+    with pytest.raises(DomainError, match="one coherence factor"):
+        evolve_pair(DensityMatrix4(stack4.matrix[0]), np.array([0.2, 0.5]))
+    with pytest.raises(DomainError, match="1.5"):
+        evolve_single(DensityMatrix2(stack2.matrix[0]), np.array([0.2, 1.5]))
 
 
 def test_series_blocks_equal_one_whole_stack(tmp_path):
