@@ -10,12 +10,23 @@ signal over a time window:
 * CB: coherence backflow of the evolved Bell-like family at angle theta.
 
 For this channel family every witness is a strictly increasing function of
-alpha, so revival intervals coincide across measures.  They are located once
-per channel and window (on d(alpha^2)/dt) and cached, the one memo of this
-module; each witness only telescopes its own function of alpha over them.
+alpha, so revival intervals coincide across measures.  With x = t gamma0,
+the exponent E = -ln alpha has the slope dE/dt = s_d t M((Q+1)/2; 3/2; -x^2/4)
+with s_d > 0 for B > 0, so alpha rises exactly where that 1F1 is negative: a
+set of reduced times fixed by Q alone, not by B or gamma0.  It is searched
+from the sign of the 1F1 alone, once per (Q, t_max gamma0, n_grid), and
+memoized, the one cache of this module; every default window has
+t_max gamma0 = 100, so all cutoffs share one search per Q.  A channel scales
+the reduced intervals by 1/gamma0 and evaluates E at their ends only, so no
+kernel profile is summed and no revival is lost where alpha underflows.  Each
+witness telescopes its own function of alpha over the ends; ``nm_report``
+adds ln n_blp, formed from the exponents, which stays finite where n_blp
+underflows to 0.
+
 All measures vanish identically for spectral exponents Q <= 2, where the
-search returns without building a profile, and a revival requires Q > 2 plus
-a field weak enough that the coherence floor stays representable.
+search returns without sampling anything.  Above it every field B > 0 has
+revivals, but a witness is nonzero in double precision only where the field
+is weak enough that alpha stays representable over them.
 
 The brute-force pair scan checks the BLP maximum over antipodal pairs
 through the public single-qubit path: ``evolve_single`` and
@@ -27,12 +38,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import correlations, dephasing, states
-from .errors import DomainError, HorizonWarning
+from .errors import ConvergenceError, DomainError, HorizonWarning
 
 __all__ = [
     "TimeWindow",
@@ -49,16 +60,19 @@ __all__ = [
 # A measure below this threshold counts as Markovian in scans.
 _FIRING_THRESHOLD = 1e-10
 
-# Bisection refines each derivative sign change to this width in time.
-_REFINE_TOL = 1e-10
-
 _TRUNCATED = "derivative still positive at t_max; a revival is truncated by the window"
 
 
 @dataclass(frozen=True, slots=True)
 class TimeWindow:
-    """Uniform time grid [0, t_max] used for sign scanning; derivative sign
-    changes are refined by bisection to 1e-10."""
+    """Uniform grid of ``n_grid`` times over [0, t_max].
+
+    The revival search samples the same grid in reduced time,
+    linspace(0, t_max gamma0, n_grid), and is memoized on
+    (Q, t_max gamma0, n_grid): windows with equal t_max gamma0, such as every
+    ``for_cutoff`` window, share one search per Q.  Each sign change is
+    bisected until no double lies strictly inside its bracket.
+    """
 
     t_max: float
     n_grid: int = 4096
@@ -82,21 +96,28 @@ class TimeWindow:
 
 @dataclass(frozen=True, slots=True)
 class NonMarkovReport:
-    """The three witnesses plus the refined revival intervals."""
+    """The three witnesses, the refined revival intervals and ln n_blp.
+
+    ``log_n_blp`` is formed from the decoherence exponents at the interval
+    ends, so it stays finite where ``n_blp`` underflows to 0; it is -inf when
+    there is no revival.
+    """
 
     n_blp: float
     n_lpp: float
     n_cb: float
     revival_intervals: tuple[tuple[float, float], ...]
+    log_n_blp: float
 
 
 def _bisect_sign_change(g, lo: float, hi: float, sign_lo: float) -> float:
-    # Narrow a bracket over which g changes sign; only the left-end sign is
-    # trusted from the caller, midpoints are re-evaluated exactly.
+    # Narrow a bracket over which g changes sign until no double lies
+    # strictly inside it; only the left-end sign is trusted from the caller,
+    # midpoints are re-evaluated exactly.
     for _ in range(200):
-        if hi - lo <= _REFINE_TOL:
-            break
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         gm = g(mid)
         if gm == 0.0:
             return mid
@@ -165,52 +186,87 @@ def positive_variation(f, dfdt, w: TimeWindow) -> tuple[float, tuple[tuple[float
     return value, intervals
 
 
-def _alpha_sq_slope(ch: dephasing.DephasingChannel):
-    """Scalar d(alpha^2)/dt = 2 alpha d(alpha)/dt with one I_Q evaluation per
-    point, the same products as ``2 alpha(t) dalpha_dt(t)``."""
-
-    def slope(t: float) -> float:
-        e, de = dephasing._exponent_slope(ch, t)
-        a = math.exp(-e)
-        return 2.0 * a * (-de * a)
-
-    return slope
+def _reduced_slope(q: float, x: float) -> float:
+    """-x M((Q+1)/2; 3/2; -x^2/4): for B > 0 it has the sign of d alpha/dt at
+    t = x / gamma0, whatever B and gamma0."""
+    return -x * dephasing.hyp1f1(0.5 * (q + 1.0), 1.5, -0.25 * x * x)
 
 
 @lru_cache(maxsize=128)
+def _reduced_revival(
+    q: float, x_max: float, n_grid: int
+) -> tuple[tuple[tuple[float, float], ...], bool]:
+    """Intervals of reduced time x = t gamma0 in [0, x_max] on which alpha
+    rises, and whether the last one is cut off by the window: one search per
+    key, shared by every field and cutoff.
+
+    ``_reduced_slope`` is sampled on linspace(0, x_max, n_grid) through the
+    vectorized 1F1 and its sign changes are bisected on the scalar 1F1; no
+    kernel is summed.
+    """
+    xs = np.linspace(0.0, x_max, n_grid)
+    m = dephasing._hyp1f1_array(0.5 * (q + 1.0), 1.5, -0.25 * xs * xs, dephasing.DEFAULT_OPTIONS)
+    return _rising_intervals(xs, -xs * m, partial(_reduced_slope, q))
+
+
 def _revival(
     ch: dephasing.DephasingChannel, w: TimeWindow
 ) -> tuple[tuple[tuple[float, float], ...], tuple[tuple[float, float], ...], bool]:
-    """Revival intervals of alpha over the window, alpha at their ends, and
-    whether the last interval is cut off by the window.
+    """Revival intervals of alpha over the window, the exponent E = -ln alpha
+    at their ends, and whether the last interval is cut off by the window.
 
-    Sign changes are located on d(alpha^2)/dt, sampled on the alpha profile
-    and refined with the scalar kernel.  Every witness is a strictly
-    increasing function of alpha, so all three share this one search.
+    The intervals are the memoized reduced ones scaled by 1/gamma0, the last
+    end being exactly ``w.t_max`` when it reaches the window end.  Every
+    witness is a strictly increasing function of alpha, so all three share
+    this one search.
 
-    For Q <= 2 no profile is built: dI/dt is proportional to
+    For Q <= 2 nothing is sampled: dI/dt is proportional to
     t M((Q+1)/2; 3/2; -u) = t e^-u M(1 - Q/2; 3/2; u) (Kummer's
     transformation), a series of nonnegative terms led by 1, so alpha
-    decreases monotonically and never revives.
+    decreases monotonically and never revives.  Neither does it for B = 0,
+    where alpha stays 1.
     """
-    if ch.env.q <= 2.0:
+    q, g0 = ch.env.q, ch.env.gamma0
+    if q <= 2.0:
         return (), (), False
-    ts = w.times()
-    avals, davals = dephasing.alpha_profile(ch, ts)
-    intervals, truncated = _rising_intervals(ts, 2.0 * avals * davals, _alpha_sq_slope(ch))
-    ends = tuple((dephasing.alpha(ch, a), dephasing.alpha(ch, b)) for a, b in intervals)
-    return intervals, ends, truncated
+    s_i, _ = dephasing._exponent_scales(ch)
+    x_max = w.t_max * g0
+    if not math.isfinite(0.25 * x_max * x_max):
+        raise ConvergenceError("kernel argument (t gamma0)^2/4 leaves the double range")
+    if ch.b == 0.0:
+        return (), (), False
+    x_intervals, truncated = _reduced_revival(q, x_max, w.n_grid)
+    a = 0.5 * (q - 1.0)
+    intervals = tuple((x0 / g0, w.t_max if x1 == x_max else x1 / g0) for x0, x1 in x_intervals)
+    exponents = tuple(
+        (s_i * dephasing._kernel(a, 0.25 * x0 * x0), s_i * dephasing._kernel(a, 0.25 * x1 * x1))
+        for x0, x1 in x_intervals
+    )
+    return intervals, exponents, truncated
 
 
 def _backflow(ch: dephasing.DephasingChannel, w: TimeWindow, g) -> float:
     # Positive variation of g(alpha(t)) for a strictly increasing g.
-    _, ends, truncated = _revival(ch, w)
+    _, exponents, truncated = _revival(ch, w)
     if truncated:
         warnings.warn(_TRUNCATED, HorizonWarning, stacklevel=3)
     value = 0.0
-    for a_start, a_end in ends:
-        value += g(a_end) - g(a_start)
+    for e_start, e_end in exponents:
+        value += g(math.exp(-e_end)) - g(math.exp(-e_start))
     return value
+
+
+def _log_blp(exponents: tuple[tuple[float, float], ...]) -> float:
+    # ln of sum_i (e^{-2 E1_i} - e^{-2 E0_i}), one term
+    # -2 E1 + ln(-expm1(-2 (E0 - E1))) per interval, summed in log space.
+    # An interval over which E does not fall adds nothing.
+    terms = [
+        -2.0 * e1 + math.log(-math.expm1(-2.0 * (e0 - e1))) for e0, e1 in exponents if e0 > e1
+    ]
+    if not terms:
+        return -math.inf
+    top = max(terms)
+    return top + math.log(sum(math.exp(v - top) for v in terms))
 
 
 def blp(ch: dephasing.DephasingChannel, w: TimeWindow) -> float:
@@ -320,11 +376,13 @@ def critical_q_scan(
 def nm_report(
     ch: dephasing.DephasingChannel, w: TimeWindow, theta: float = 0.5 * math.pi
 ) -> NonMarkovReport:
-    """Evaluate all three witnesses plus revival intervals from one search."""
-    intervals, _, _ = _revival(ch, w)
+    """Evaluate all three witnesses, the revival intervals and ln n_blp from
+    one search."""
+    intervals, exponents, _ = _revival(ch, w)
     return NonMarkovReport(
         n_blp=blp(ch, w),
         n_lpp=lpp(ch, w),
         n_cb=cb(theta, ch, w),
         revival_intervals=intervals,
+        log_n_blp=_log_blp(exponents),
     )

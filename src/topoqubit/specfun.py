@@ -686,6 +686,7 @@ def _hyp1f1_asymptotic_array(
 
 def _hyp1f1_array(a: float, b: float, z: np.ndarray, opts: EvalOptions) -> np.ndarray:
     _require_no_pole(b, ParameterError, "b")
+    z = np.asarray(z, dtype=np.float64)
     if np.any(z > 0.0):
         raise DomainError("vectorized 1F1 path expects z <= 0")
     _require_finite_array(z, "1F1")
@@ -720,7 +721,9 @@ def _hyp1f1_array(a: float, b: float, z: np.ndarray, opts: EvalOptions) -> np.nd
 
 
 def _kernel_array(a: float, u: np.ndarray, opts: EvalOptions) -> np.ndarray:
-    """Elementwise :func:`_kernel` over an array of u >= 0."""
+    """Elementwise :func:`_kernel` over an array of u >= 0 (integer arrays
+    are read as float64)."""
+    u = np.asarray(u, dtype=np.float64)
     _require_finite_array(u, "kernel")
     out = np.empty_like(u)
     describe = lambda: f"vectorized kernel series (a={a})"  # noqa: E731

@@ -5,10 +5,12 @@ from __future__ import annotations
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from topoqubit import (
+    ConvergenceError,
     DensityMatrix2,
     DephasingChannel,
     DomainError,
@@ -30,8 +32,10 @@ from topoqubit import (
 )
 from topoqubit import dephasing
 from topoqubit.nonmarkov import (
-    _alpha_sq_slope,
     _bisect_sign_change,
+    _log_blp,
+    _reduced_revival,
+    _reduced_slope,
     _revival,
     _rising_intervals,
 )
@@ -391,66 +395,59 @@ _FIG1_MARKOVIAN_Q = [round(0.05 * k, 2) for k in range(41)] + [1.0 - 1e-7, 1.0 +
 
 
 @pytest.mark.parametrize("g0", [0.01, 1.6, 100.0])
-def test_markovian_exponents_never_revive_numerically(g0, monkeypatch):
-    """No positive sample of d(alpha^2)/dt, on the alpha profile the revival
-    search scans and from its scalar slope, for every Q <= 2 case."""
-    # The field only scales the exponent, so the two series alpha_profile
-    # sums are evaluated once per (Q, window) and reused for every field.
-    memo = {}
-    hits = []
-
-    def memoized(fn):
-        def call(*args):
-            key = (fn.__name__,) + tuple(
-                x.tobytes() if isinstance(x, np.ndarray) else x for x in args)
-            if key in memo:
-                hits.append(key)
-            else:
-                memo[key] = fn(*args)
-            return memo[key]
-        return call
-
-    for name in ("_kernel_array", "_hyp1f1_array"):
-        monkeypatch.setattr(dephasing, name, memoized(getattr(dephasing, name)))
+def test_markovian_exponents_never_revive_numerically(g0):
+    """No positive sample of the reduced slope -x M((Q+1)/2; 3/2; -x^2/4),
+    on the grid the revival search scans and from the scalar it bisects on,
+    for every Q <= 2 case; its sign is that of d alpha/dt at every field."""
     for q in _FIG1_MARKOVIAN_Q:
         for w in (TimeWindow.for_cutoff(g0), TimeWindow(1500.0)):
-            ts = w.times()
-            for b in (0.002175, 1.0, 5.0):
-                ch = chan(q, g0, b)
-                avals, davals = alpha_profile(ch, ts)
-                assert not np.any(2.0 * avals * davals > 0.0), (q, g0, b, w.t_max)
-                slope = _alpha_sq_slope(ch)
-                for t in ts[128::256]:
-                    assert slope(float(t)) <= 0.0, (q, g0, b, float(t))
-    # one miss and two hits per series, (Q, window) and function
-    n_series = 2 * 2 * len(_FIG1_MARKOVIAN_Q)
-    assert len(memo) == n_series and len(hits) == 2 * n_series
+            # the search itself, past the Q <= 2 shortcut of _revival
+            assert _reduced_revival(q, w.t_max * g0, w.n_grid) == ((), False), (q, g0, w.t_max)
+            for t in w.times()[128::256]:
+                t = float(t)
+                slope = _reduced_slope(q, t * g0)
+                assert slope <= 0.0, (q, g0, float(t))
+                for b in (0.002175, 1.0, 5.0):
+                    ch = chan(q, g0, b)
+                    d = dalpha_dt(ch, t)
+                    # d alpha/dt is -0.0 only where alpha times the slope
+                    # underflows
+                    assert np.sign(d) == np.sign(slope) or (
+                        d == 0.0 and alpha(ch, t) * slope == 0.0), (q, g0, b, t)
 
 
 def test_markovian_revival_search_builds_no_profile(monkeypatch):
     def no_profile(*args, **kwargs):
-        raise AssertionError("alpha_profile called for Q <= 2")
+        raise AssertionError("slope profile sampled for Q <= 2")
 
-    monkeypatch.setattr(dephasing, "alpha_profile", no_profile)
-    _revival.cache_clear()
+    monkeypatch.setattr(dephasing, "_hyp1f1_array", no_profile)
+    _reduced_revival.cache_clear()
     w = TimeWindow.for_cutoff(1.6)
     for q in (0.5, 1.0, 1.5, 2.0):
         assert _revival(chan(q, 1.6, 1.0), w) == ((), (), False)
 
 
 def test_report_builds_one_profile(monkeypatch):
-    # the three witnesses and the intervals share the one revival search
+    # the witnesses and the intervals of both cutoffs share one reduced
+    # search: default windows span the same t gamma0, and no kernel profile
+    # is summed, only the two exponents at each interval's ends
     calls = []
-    alpha_profile = dephasing.alpha_profile
+    hyp1f1_array = dephasing._hyp1f1_array
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return alpha_profile(*args, **kwargs)
+        return hyp1f1_array(*args, **kwargs)
 
-    monkeypatch.setattr(dephasing, "alpha_profile", counted)
-    _revival.cache_clear()
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("_kernel_array called by the revival search")
+
+    monkeypatch.setattr(dephasing, "_hyp1f1_array", counted)
+    monkeypatch.setattr(dephasing, "_kernel_array", no_kernel)
+    _reduced_revival.cache_clear()
     r = nm_report(chan(3.0, 1.6, 1.0), TimeWindow.for_cutoff(1.6))
     assert r.n_blp > 0.0 and len(r.revival_intervals) == 1
+    weak = nm_report(chan(3.0, 0.01, 1.0), TimeWindow.for_cutoff(0.01))
+    assert len(weak.revival_intervals) == 1
     assert len(calls) == 1
 
 
@@ -464,11 +461,96 @@ def test_pair_scan_sums_no_slope(monkeypatch):
     assert axis == (0.5 * math.pi, 0.0) and val > 0.0
 
 
-def test_revival_slope_equals_alpha_times_derivative():
-    # one I_Q evaluation per point, the same products as 2 alpha dalpha/dt
+def test_reduced_slope_sign_equals_dalpha_dt_sign():
+    # the scalar the search bisects on, at the points the old d(alpha^2)/dt
+    # check visited: its sign is that of d alpha/dt, at t = 0 too
     for q, g0, b in ((3.0, 1.6, 1.0), (2.5, 0.01, 0.002175), (5.3, 100.0, 5.0)):
         ch = chan(q, g0, b)
-        slope = _alpha_sq_slope(ch)
         for t in np.linspace(0.0, 100.0 / g0, 17):
             t = float(t)
-            assert slope(t) == 2.0 * alpha(ch, t) * dalpha_dt(ch, t)
+            assert np.sign(_reduced_slope(q, t * g0)) == np.sign(dalpha_dt(ch, t)), (q, g0, t)
+
+
+# ---------------------------------------------------------------------------
+# reduced-time revival search
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("g0", [0.01, 1.6])
+def test_even_q_revival_starts_at_closed_form(g0):
+    # at Q = 4 the slope is proportional to e^-u (2u/3 - 1): alpha turns at
+    # u = 3/2, x = sqrt(6)
+    start = nm_report(chan(4.0, g0, 1.0), TimeWindow.for_cutoff(g0)).revival_intervals[0][0]
+    assert start == pytest.approx(math.sqrt(6.0) / g0, rel=1e-12, abs=0.0)
+
+
+def test_weak_cutoff_intervals_scale_with_cutoff():
+    # the revival set is one set of reduced times: at gamma0 = 0.01 it is the
+    # gamma0 = 1.6 set stretched by 1.6 / 0.01, found although alpha underflows
+    weak = nm_report(chan(3.0, 0.01, 1.0), TimeWindow.for_cutoff(0.01))
+    strong = nm_report(chan(3.0, 1.6, 1.0), TimeWindow.for_cutoff(1.6))
+    assert weak.n_blp == 0.0 and strong.n_blp > 0.0
+    assert len(weak.revival_intervals) == len(strong.revival_intervals) == 1
+    for (a0, a1), (b0, b1) in zip(weak.revival_intervals, strong.revival_intervals):
+        assert a0 == pytest.approx(160.0 * b0, rel=1e-15, abs=0.0)
+        assert a1 == pytest.approx(160.0 * b1, rel=1e-15, abs=0.0)
+    assert weak.revival_intervals[-1][1] == 10_000.0
+
+
+def test_weak_cutoff_revival_is_truncated_by_the_window():
+    # the revival found at gamma0 = 0.01 outlasts the default window
+    with pytest.warns(HorizonWarning, match="truncated by the window"):
+        assert blp(chan(3.0, 0.01, 1.0), TimeWindow.for_cutoff(0.01)) == 0.0
+
+
+def test_no_field_no_intervals():
+    r = nm_report(chan(3.0, 1.6, 0.0), TimeWindow.for_cutoff(1.6))
+    assert r.revival_intervals == ()
+    assert r.n_blp == 0.0 and r.log_n_blp == -math.inf
+
+
+def test_revival_search_keeps_its_errors():
+    # the exponent scale overflows at this cutoff
+    with pytest.raises(DomainError):
+        blp(chan(3.0, 1e-300, 1.0), TimeWindow(1.0))
+    # (t_max gamma0)^2 / 4 overflows
+    with pytest.raises(ConvergenceError):
+        blp(chan(3.0, 1.6, 1.0), TimeWindow(1e160))
+
+
+# ---------------------------------------------------------------------------
+# log backflow
+# ---------------------------------------------------------------------------
+
+def test_log_blp_matches_log_of_blp():
+    w = TimeWindow.for_cutoff(1.6)
+    ch = chan(3.0, 1.6, 1.0)
+    assert nm_report(ch, w).log_n_blp == pytest.approx(math.log(blp(ch, w)), rel=0.0, abs=1e-12)
+
+
+def test_log_blp_skips_intervals_where_the_exponent_does_not_fall():
+    # the large-Q kernel can give E(end) >= E(start) on a spurious interval
+    # (Q = 101 on the default window has such intervals); it adds nothing
+    assert _log_blp(((1.0, 1.0),)) == -math.inf
+    assert _log_blp(((1.0, 1.0), (2.0, 1.0), (0.5, 0.7))) == _log_blp(((2.0, 1.0),))
+    assert _log_blp(((2.0, 1.0),)) == pytest.approx(math.log(math.exp(-2.0) - math.exp(-4.0)))
+
+
+def test_log_blp_survives_underflow():
+    # Q = 3, gamma0 = 0.01, B = 1: the backflow is about e^-167585, far below
+    # the double range, while its log is an ordinary number.  Oracle: the
+    # mpmath root of M(2; 3/2; -x^2/4) and the exponent
+    # E = 16 pi B^2 Gamma(2) / (Gamma(4) gamma0^2) (1 - M(1; 1/2; -x^2/4)).
+    g0 = 0.01
+    r = nm_report(chan(3.0, g0, 1.0), TimeWindow.for_cutoff(g0))
+    assert r.n_blp == 0.0
+    assert r.log_n_blp == pytest.approx(-167585.14, rel=0.0, abs=5e-3)
+    with mpmath.workdps(40):
+        x0 = mpmath.findroot(lambda x: mpmath.hyp1f1(2, 1.5, -x * x / 4), 3.0)
+        scale = 16 * mpmath.pi / 6 / mpmath.mpf(g0) ** 2
+
+        def e(x):
+            return scale * (1 - mpmath.hyp1f1(1, 0.5, -x * x / 4))
+
+        want = -2 * e(100) + mpmath.log(-mpmath.expm1(-2 * (e(x0) - e(100))))
+    assert r.revival_intervals[0][0] == pytest.approx(float(x0) / g0, rel=1e-13, abs=0.0)
+    assert r.log_n_blp == pytest.approx(float(want), rel=1e-13, abs=0.0)

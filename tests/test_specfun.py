@@ -434,3 +434,16 @@ def test_lgamma_half_taylor_coefficients():
     ]
     for got, w in zip(_LGAMMA_HALF_TAYLOR, want):
         assert got == float(w)
+
+
+@pytest.mark.parametrize("a", [0.0, 1.0, 1.25])
+def test_array_paths_read_integer_arguments_as_float(a):
+    # an integer grid spans the near, Kummer and asymptotic branches
+    u = np.arange(0, 200, 7)
+    for fn in (
+        lambda v: _kernel_array(a, v, DEFAULT_OPTIONS),
+        lambda v: _hyp1f1_array(a + 1.0, 1.5, -v, DEFAULT_OPTIONS),
+    ):
+        got = fn(u)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, fn(u.astype(np.float64)))
