@@ -35,7 +35,6 @@ from .dephasing import (
 )
 from .errors import (
     ConvergenceError,
-    DegenerateError,
     DomainError,
     HorizonWarning,
     ParameterError,

@@ -23,15 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .specfun import (
-    DEFAULT_OPTIONS,
-    EvalOptions,
-    _hyp1f1_array,
-    _kernel,
-    _kernel_array,
-    gamma,
-    hyp1f1,
-)
+from .specfun import _hyp1f1_array, _kernel, _kernel_array, gamma, hyp1f1
 
 __all__ = [
     "OhmicEnvironment",
@@ -110,7 +102,7 @@ def _check_time(t: float) -> None:
         raise DomainError(f"time must be >= 0, got {t}")
 
 
-def i_q(env: OhmicEnvironment, t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def i_q(env: OhmicEnvironment, t: float) -> float:
     """Integrated noise kernel I_Q(t); nonnegative, I_Q(0) = 0.
 
         I_Q = 2 gamma0^(Q-1) Gamma((Q-1)/2) [1 - M((Q-1)/2; 1/2; -t^2 gamma0^2/4)],
@@ -124,10 +116,10 @@ def i_q(env: OhmicEnvironment, t: float, opts: EvalOptions = DEFAULT_OPTIONS) ->
     x = t * env.gamma0
     a = 0.5 * (env.q - 1.0)
     pref = 2.0 * _cutoff_power(env, env.q - 1.0) * gamma(a + 1.0)
-    return pref * _kernel(a, 0.25 * x * x, opts)
+    return pref * _kernel(a, 0.25 * x * x)
 
 
-def di_q_dt(env: OhmicEnvironment, t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def di_q_dt(env: OhmicEnvironment, t: float) -> float:
     """Time derivative of the integrated kernel, dI_Q/dt.
 
     One contiguous relation, smooth through Q -> 1:
@@ -139,7 +131,7 @@ def di_q_dt(env: OhmicEnvironment, t: float, opts: EvalOptions = DEFAULT_OPTIONS
     x = t * env.gamma0
     a1 = 0.5 * (env.q + 1.0)
     z = -0.25 * x * x
-    return 2.0 * gamma(a1) * _cutoff_power(env, env.q + 1.0) * t * hyp1f1(a1, 1.5, z, opts)
+    return 2.0 * gamma(a1) * _cutoff_power(env, env.q + 1.0) * t * hyp1f1(a1, 1.5, z)
 
 
 def _exponent_scales(ch: DephasingChannel) -> tuple[float, float]:
@@ -159,42 +151,35 @@ def _exponent_scales(ch: DephasingChannel) -> tuple[float, float]:
     return s_i, s_d
 
 
-def _exponent(ch: DephasingChannel, t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def _exponent(ch: DephasingChannel, t: float) -> float:
     # E(t) = 2 B^2 |beta| I_Q(t).
     _check_time(t)
     x = t * ch.env.gamma0
-    return _exponent_scales(ch)[0] * _kernel(0.5 * (ch.env.q - 1.0), 0.25 * x * x, opts)
+    return _exponent_scales(ch)[0] * _kernel(0.5 * (ch.env.q - 1.0), 0.25 * x * x)
 
 
-def _exponent_slope(ch: DephasingChannel, t: float, opts: EvalOptions = DEFAULT_OPTIONS):
-    # (E(t), dE/dt).
-    _check_time(t)
-    s_i, s_d = _exponent_scales(ch)
-    x = t * ch.env.gamma0
-    u, a = 0.25 * x * x, 0.5 * (ch.env.q - 1.0)
-    return s_i * _kernel(a, u, opts), s_d * t * hyp1f1(a + 1.0, 1.5, -u, opts)
-
-
-def alpha(ch: DephasingChannel, t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def alpha(ch: DephasingChannel, t: float) -> float:
     """Single-qubit coherence factor alpha(t) = exp(-2 B^2 |beta| I_Q(t))."""
-    return math.exp(-_exponent(ch, t, opts))
+    return math.exp(-_exponent(ch, t))
 
 
-def dalpha_dt(ch: DephasingChannel, t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def dalpha_dt(ch: DephasingChannel, t: float) -> float:
     """d alpha / dt = -2 B^2 |beta| (dI_Q/dt) alpha(t)."""
     _check_time(t)
     if ch.b == 0.0 or t == 0.0:
         return 0.0
-    e, de = _exponent_slope(ch, t, opts)
-    return -de * math.exp(-e)
+    s_i, s_d = _exponent_scales(ch)
+    x = t * ch.env.gamma0
+    u, a = 0.25 * x * x, 0.5 * (ch.env.q - 1.0)
+    return -s_d * t * hyp1f1(a + 1.0, 1.5, -u) * math.exp(-s_i * _kernel(a, u))
 
 
-def dalpha_db(ch: DephasingChannel, t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def dalpha_db(ch: DephasingChannel, t: float) -> float:
     """Field sensitivity d alpha / dB = -4 B |beta| I_Q(t) alpha(t) = -(2E/B) alpha."""
     _check_time(t)
     if ch.b == 0.0 or t == 0.0:
         return 0.0
-    e = _exponent(ch, t, opts)
+    e = _exponent(ch, t)
     return -2.0 * (e / ch.b) * math.exp(-e)
 
 
@@ -220,25 +205,7 @@ def _reduced_time(env: OhmicEnvironment, ts: np.ndarray) -> tuple[np.ndarray, np
     return ts, u
 
 
-def _kernel_profile(
-    env: OhmicEnvironment, u: np.ndarray, opts: EvalOptions, c_i: float
-) -> np.ndarray:
-    # c_i K(a, u): the integrated kernel or the exponent, by the scale c_i.
-    return c_i * _kernel_array(0.5 * (env.q - 1.0), u, opts)
-
-
-def _slope_profile(
-    env: OhmicEnvironment, ts: np.ndarray, u: np.ndarray, opts: EvalOptions, c_d: float
-) -> np.ndarray:
-    # c_d t M(a+1; 3/2; -u): the time derivative of c_i K(a, u), by the scale c_d.
-    return c_d * ts * _hyp1f1_array(0.5 * (env.q - 1.0) + 1.0, 1.5, -u, opts)
-
-
-def i_q_profile(
-    env: OhmicEnvironment,
-    ts: np.ndarray,
-    opts: EvalOptions = DEFAULT_OPTIONS,
-) -> tuple[np.ndarray, np.ndarray]:
+def i_q_profile(env: OhmicEnvironment, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (I_Q(t), dI_Q/dt) over a time grid; the same branches as
     the scalar functions, agreeing with them to series tolerance.
 
@@ -249,34 +216,23 @@ def i_q_profile(
     c_i = 2.0 * _cutoff_power(env, env.q - 1.0) * ga1
     c_d = 2.0 * ga1 * _cutoff_power(env, env.q + 1.0)
     ts, u = _reduced_time(env, ts)
-    return _kernel_profile(env, u, opts, c_i), _slope_profile(env, ts, u, opts, c_d)
+    a = 0.5 * (env.q - 1.0)
+    return c_i * _kernel_array(a, u), c_d * ts * _hyp1f1_array(a + 1.0, 1.5, -u)
 
 
-def _exponent_values(
-    ch: DephasingChannel, ts: np.ndarray, opts: EvalOptions = DEFAULT_OPTIONS
-) -> np.ndarray:
+def _exponent_values(ch: DephasingChannel, ts: np.ndarray) -> np.ndarray:
     # E(t) = 2 B^2 |beta| I_Q over a time grid, without dE/dt.
     s_i, _ = _exponent_scales(ch)
     _, u = _reduced_time(ch.env, ts)
-    return _kernel_profile(ch.env, u, opts, s_i)
+    return s_i * _kernel_array(0.5 * (ch.env.q - 1.0), u)
 
 
-def _exponent_profile(
-    ch: DephasingChannel, ts: np.ndarray, opts: EvalOptions = DEFAULT_OPTIONS
-) -> tuple[np.ndarray, np.ndarray]:
-    # (E(t), dE/dt) over a time grid, E = 2 B^2 |beta| I_Q.
-    s_i, s_d = _exponent_scales(ch)
-    ts, u = _reduced_time(ch.env, ts)
-    return _kernel_profile(ch.env, u, opts, s_i), _slope_profile(ch.env, ts, u, opts, s_d)
-
-
-def alpha_profile(
-    ch: DephasingChannel,
-    ts: np.ndarray,
-    opts: EvalOptions = DEFAULT_OPTIONS,
-) -> tuple[np.ndarray, np.ndarray]:
+def alpha_profile(ch: DephasingChannel, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (alpha(t), d alpha/dt) over a time grid."""
-    evals, devals = _exponent_profile(ch, ts, opts)
+    evals = _exponent_values(ch, ts)
+    ts, u = _reduced_time(ch.env, ts)
+    a = 0.5 * (ch.env.q - 1.0)
+    devals = _exponent_scales(ch)[1] * ts * _hyp1f1_array(a + 1.0, 1.5, -u)
     with np.errstate(under="ignore"):
         avals = np.exp(-evals)
     return avals, -devals * avals

@@ -6,7 +6,6 @@ __all__ = [
     "PoleError",
     "ParameterError",
     "ConvergenceError",
-    "DegenerateError",
     "SpecError",
     "HorizonWarning",
 ]
@@ -30,10 +29,6 @@ class ParameterError(DomainError):
 
 class ConvergenceError(TopoqubitError, ArithmeticError):
     """A series failed to reach the requested tolerance within the term budget."""
-
-
-class DegenerateError(TopoqubitError, ArithmeticError):
-    """A closed-form expression is 0/0-indeterminate for the given state."""
 
 
 class SpecError(TopoqubitError, ValueError):

@@ -25,7 +25,6 @@ import numpy as np
 from . import dephasing, states
 from .errors import DomainError
 from .nonmarkov import TimeWindow
-from .specfun import DEFAULT_OPTIONS, EvalOptions
 
 __all__ = [
     "QfiSeries",
@@ -106,18 +105,13 @@ def _drho_from(theta: float, a, dadb) -> np.ndarray:
     return d
 
 
-def drho_db(
-    theta: float,
-    ch: dephasing.DephasingChannel,
-    t: float,
-    opts: EvalOptions = DEFAULT_OPTIONS,
-) -> np.ndarray:
+def drho_db(theta: float, ch: dephasing.DephasingChannel, t: float) -> np.ndarray:
     """d rho / dB of the evolved Bell-like state at time ``t``; Hermitian and
     traceless by construction."""
     if not (0.0 <= theta <= math.pi):
         raise DomainError(f"theta must lie in [0, pi], got {theta}")
-    a = dephasing.alpha(ch, t, opts)
-    dadb = dephasing.dalpha_db(ch, t, opts)
+    a = dephasing.alpha(ch, t)
+    dadb = dephasing.dalpha_db(ch, t)
     return _drho_from(theta, a, dadb)
 
 
@@ -135,31 +129,24 @@ def _closed_from(eb, a):
     return np.where(zero, 0.0, f)
 
 
-def qfi_closed(
-    ch: dephasing.DephasingChannel, t: float, opts: EvalOptions = DEFAULT_OPTIONS
-) -> float:
+def qfi_closed(ch: dephasing.DephasingChannel, t: float) -> float:
     """Closed-form QFI of the theta = pi/2 family,
     F = 128 B^2 beta^2 I_Q^2 alpha^4 / (1 - alpha^4)."""
     if t < 0.0:
         raise DomainError(f"time must be >= 0, got {t}")
     if t == 0.0 or ch.b == 0.0:
         return 0.0
-    e = dephasing._exponent(ch, t, opts)
+    e = dephasing._exponent(ch, t)
     return float(_closed_from(e / ch.b, math.exp(-e)))
 
 
-def qfi_series(
-    ch: dephasing.DephasingChannel,
-    theta: float,
-    w: TimeWindow,
-    opts: EvalOptions = DEFAULT_OPTIONS,
-) -> QfiSeries:
+def qfi_series(ch: dephasing.DephasingChannel, theta: float, w: TimeWindow) -> QfiSeries:
     """Both QFI routes over a time window; the closed form is compared at
     theta = pi/2 regardless of the state angle used for the general route."""
     if not (0.0 <= theta <= math.pi):
         raise DomainError(f"theta must lie in [0, pi], got {theta}")
     ts = w.times()
-    evals = dephasing._exponent_values(ch, ts, opts)
+    evals = dephasing._exponent_values(ch, ts)
     with np.errstate(under="ignore"):
         avals = np.exp(-evals)
     eb = evals / ch.b if ch.b > 0.0 else np.zeros_like(evals)

@@ -42,7 +42,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from . import correlations, dephasing, states
+from . import correlations, dephasing, specfun, states
 from .errors import ConvergenceError, DomainError, HorizonWarning
 
 __all__ = [
@@ -164,19 +164,17 @@ def _rising_intervals(
 def positive_variation(f, dfdt, w: TimeWindow) -> tuple[float, tuple[tuple[float, float], ...]]:
     """Positive variation of a scalar signal f over the window.
 
-    ``f`` and ``dfdt`` are callables of time; ``dfdt`` may accept an ndarray
-    (used for the grid scan) or be scalar-only, in which case the grid is
-    evaluated pointwise.  The variation telescopes to the sum of
+    ``f`` and ``dfdt`` are callables of time.  ``dfdt`` is called once on the
+    whole grid, an ndarray, and must return an array of the grid's shape
+    (else DomainError); the bisection then calls it on floats, as it does
+    ``f`` at the interval ends.  The variation telescopes to the sum of
     f(end) - f(start) over the intervals of positive derivative.  Returns
     (variation, intervals of increase).
     """
     ts = w.times()
-    try:
-        d_grid = np.asarray(dfdt(ts), dtype=np.float64)
-        if d_grid.shape != ts.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        d_grid = np.array([float(dfdt(float(t))) for t in ts])
+    d_grid = np.asarray(dfdt(ts), dtype=np.float64)
+    if d_grid.shape != ts.shape:
+        raise DomainError(f"dfdt over the grid has shape {d_grid.shape}, not the grid's {ts.shape}")
     intervals, truncated = _rising_intervals(ts, d_grid, dfdt)
     if truncated:
         warnings.warn(_TRUNCATED, HorizonWarning, stacklevel=2)
@@ -189,7 +187,7 @@ def positive_variation(f, dfdt, w: TimeWindow) -> tuple[float, tuple[tuple[float
 def _reduced_slope(q: float, x: float) -> float:
     """-x M((Q+1)/2; 3/2; -x^2/4): for B > 0 it has the sign of d alpha/dt at
     t = x / gamma0, whatever B and gamma0."""
-    return -x * dephasing.hyp1f1(0.5 * (q + 1.0), 1.5, -0.25 * x * x)
+    return -x * specfun.hyp1f1(0.5 * (q + 1.0), 1.5, -0.25 * x * x)
 
 
 @lru_cache(maxsize=128)
@@ -205,7 +203,7 @@ def _reduced_revival(
     kernel is summed.
     """
     xs = np.linspace(0.0, x_max, n_grid)
-    m = dephasing._hyp1f1_array(0.5 * (q + 1.0), 1.5, -0.25 * xs * xs, dephasing.DEFAULT_OPTIONS)
+    m = specfun._hyp1f1_array(0.5 * (q + 1.0), 1.5, -0.25 * xs * xs)
     return _rising_intervals(xs, -xs * m, partial(_reduced_slope, q))
 
 
@@ -239,17 +237,26 @@ def _revival(
     a = 0.5 * (q - 1.0)
     intervals = tuple((x0 / g0, w.t_max if x1 == x_max else x1 / g0) for x0, x1 in x_intervals)
     exponents = tuple(
-        (s_i * dephasing._kernel(a, 0.25 * x0 * x0), s_i * dephasing._kernel(a, 0.25 * x1 * x1))
+        (s_i * specfun._kernel(a, 0.25 * x0 * x0), s_i * specfun._kernel(a, 0.25 * x1 * x1))
         for x0, x1 in x_intervals
     )
     return intervals, exponents, truncated
 
 
-def _backflow(ch: dephasing.DephasingChannel, w: TimeWindow, g) -> float:
-    # Positive variation of g(alpha(t)) for a strictly increasing g.
-    _, exponents, truncated = _revival(ch, w)
+def _revival_exponents(
+    ch: dephasing.DephasingChannel, w: TimeWindow
+) -> tuple[tuple[tuple[float, float], ...], tuple[tuple[float, float], ...]]:
+    # _revival's intervals and exponents, and one HorizonWarning, pointing at
+    # the caller of the public witness, when the last interval is truncated.
+    intervals, exponents, truncated = _revival(ch, w)
     if truncated:
         warnings.warn(_TRUNCATED, HorizonWarning, stacklevel=3)
+    return intervals, exponents
+
+
+def _backflow(exponents: tuple[tuple[float, float], ...], g) -> float:
+    # Positive variation of g(alpha(t)) for a strictly increasing g, from the
+    # exponents E = -ln alpha at the ends of each revival interval.
     value = 0.0
     for e_start, e_end in exponents:
         value += g(math.exp(-e_end)) - g(math.exp(-e_start))
@@ -269,26 +276,39 @@ def _log_blp(exponents: tuple[tuple[float, float], ...]) -> float:
     return top + math.log(sum(math.exp(v - top) for v in terms))
 
 
+def _blp_signal(a: float) -> float:
+    return a**2
+
+
+def _lpp_signal(a: float) -> float:
+    return abs(states.bloch_affine_map(a).det)
+
+
+def _cb_signal(theta: float):
+    # The l1 coherence as a function of alpha; theta is checked here, before
+    # any search.
+    if not (0.0 <= theta <= math.pi):
+        raise DomainError(f"theta must lie in [0, pi], got {theta}")
+    return lambda a: correlations.coherence_l1(states.evolved_x_state(theta, a))
+
+
 def blp(ch: dephasing.DephasingChannel, w: TimeWindow) -> float:
     """Information-backflow measure: positive variation of the trace distance
     of the antipodal pole pair, which dephasing sends to alpha(t)^2."""
-    return _backflow(ch, w, lambda a: a**2)
+    return _backflow(_revival_exponents(ch, w)[1], _blp_signal)
 
 
 def lpp(ch: dephasing.DephasingChannel, w: TimeWindow) -> float:
     """Volume-backflow measure: positive variation of |det M(t)| with M the
     generically assembled Bloch affine map."""
-    return _backflow(ch, w, lambda a: abs(states.bloch_affine_map(a).det))
+    return _backflow(_revival_exponents(ch, w)[1], _lpp_signal)
 
 
 def cb(theta: float, ch: dephasing.DephasingChannel, w: TimeWindow) -> float:
     """Coherence-backflow measure for the evolved Bell-like family at angle
     ``theta``: positive variation of the l1 coherence sin(theta) alpha(t)^2."""
-    if not (0.0 <= theta <= math.pi):
-        raise DomainError(f"theta must lie in [0, pi], got {theta}")
-    return _backflow(
-        ch, w, lambda a: correlations.coherence_l1(states.evolved_x_state(theta, a))
-    )
+    signal = _cb_signal(theta)
+    return _backflow(_revival_exponents(ch, w)[1], signal)
 
 
 def blp_pair_scan(
@@ -377,12 +397,13 @@ def nm_report(
     ch: dephasing.DephasingChannel, w: TimeWindow, theta: float = 0.5 * math.pi
 ) -> NonMarkovReport:
     """Evaluate all three witnesses, the revival intervals and ln n_blp from
-    one search."""
-    intervals, exponents, _ = _revival(ch, w)
+    one search, warning at most once when the window truncates a revival."""
+    cb_signal = _cb_signal(theta)
+    intervals, exponents = _revival_exponents(ch, w)
     return NonMarkovReport(
-        n_blp=blp(ch, w),
-        n_lpp=lpp(ch, w),
-        n_cb=cb(theta, ch, w),
+        n_blp=_backflow(exponents, _blp_signal),
+        n_lpp=_backflow(exponents, _lpp_signal),
+        n_cb=_backflow(exponents, cb_signal),
         revival_intervals=intervals,
         log_n_blp=_log_blp(exponents),
     )

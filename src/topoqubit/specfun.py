@@ -684,7 +684,9 @@ def _hyp1f1_asymptotic_array(
     return vals, ok1 & ok2
 
 
-def _hyp1f1_array(a: float, b: float, z: np.ndarray, opts: EvalOptions) -> np.ndarray:
+def _hyp1f1_array(
+    a: float, b: float, z: np.ndarray, opts: EvalOptions = DEFAULT_OPTIONS
+) -> np.ndarray:
     _require_no_pole(b, ParameterError, "b")
     z = np.asarray(z, dtype=np.float64)
     if np.any(z > 0.0):
@@ -720,7 +722,7 @@ def _hyp1f1_array(a: float, b: float, z: np.ndarray, opts: EvalOptions) -> np.nd
     return out
 
 
-def _kernel_array(a: float, u: np.ndarray, opts: EvalOptions) -> np.ndarray:
+def _kernel_array(a: float, u: np.ndarray, opts: EvalOptions = DEFAULT_OPTIONS) -> np.ndarray:
     """Elementwise :func:`_kernel` over an array of u >= 0 (integer arrays
     are read as float64)."""
     u = np.asarray(u, dtype=np.float64)

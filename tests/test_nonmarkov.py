@@ -30,7 +30,7 @@ from topoqubit import (
     positive_variation,
     trace_distance,
 )
-from topoqubit import dephasing
+from topoqubit import dephasing, specfun
 from topoqubit.nonmarkov import (
     _bisect_sign_change,
     _log_blp,
@@ -75,7 +75,7 @@ def test_time_window_validation():
 def test_variation_of_monotone_decay_is_zero():
     w = TimeWindow(10.0, 2048)
     val, intervals = positive_variation(
-        lambda t: math.exp(-t), lambda t: -math.exp(-t), w)
+        lambda t: np.exp(-t), lambda t: -np.exp(-t), w)
     assert val == 0.0
     assert intervals == ()
 
@@ -84,10 +84,10 @@ def test_variation_of_damped_oscillation_matches_dense_oracle():
     w = TimeWindow(10.0, 4096)
 
     def f(t):
-        return math.exp(-t) * (1.0 + 0.3 * math.sin(5.0 * t))
+        return np.exp(-t) * (1.0 + 0.3 * np.sin(5.0 * t))
 
     def dfdt(t):
-        return math.exp(-t) * (1.5 * math.cos(5.0 * t) - 1.0 - 0.3 * math.sin(5.0 * t))
+        return np.exp(-t) * (1.5 * np.cos(5.0 * t) - 1.0 - 0.3 * np.sin(5.0 * t))
 
     val, intervals = positive_variation(f, dfdt, w)
     tt = np.linspace(0.0, 10.0, 1_000_001)
@@ -105,9 +105,19 @@ def test_variation_open_interval_warns_at_horizon():
     w = TimeWindow(2.0, 512)
     with pytest.warns(HorizonWarning):
         val, intervals = positive_variation(
-            lambda t: -math.cos(t), lambda t: math.sin(t), w)
+            lambda t: -np.cos(t), lambda t: np.sin(t), w)
     assert intervals[-1][1] == pytest.approx(2.0)
     assert val == pytest.approx(-math.cos(2.0) + 1.0, abs=1e-9)
+
+
+def test_variation_rejects_grid_derivative_of_wrong_shape():
+    # dfdt is called on the grid array; a scalar-only result is not
+    # re-evaluated point by point
+    w = TimeWindow(2.0, 512)
+    with pytest.raises(DomainError, match=r"shape \(\).*\(512,\)"):
+        positive_variation(lambda t: t, lambda t: 1.0, w)
+    with pytest.raises(DomainError, match=r"shape \(2, 512\).*\(512,\)"):
+        positive_variation(lambda t: t, lambda t: np.ones((2, t.size)), w)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +430,7 @@ def test_markovian_revival_search_builds_no_profile(monkeypatch):
     def no_profile(*args, **kwargs):
         raise AssertionError("slope profile sampled for Q <= 2")
 
-    monkeypatch.setattr(dephasing, "_hyp1f1_array", no_profile)
+    monkeypatch.setattr(specfun, "_hyp1f1_array", no_profile)
     _reduced_revival.cache_clear()
     w = TimeWindow.for_cutoff(1.6)
     for q in (0.5, 1.0, 1.5, 2.0):
@@ -432,7 +442,7 @@ def test_report_builds_one_profile(monkeypatch):
     # search: default windows span the same t gamma0, and no kernel profile
     # is summed, only the two exponents at each interval's ends
     calls = []
-    hyp1f1_array = dephasing._hyp1f1_array
+    hyp1f1_array = specfun._hyp1f1_array
 
     def counted(*args, **kwargs):
         calls.append(args)
@@ -441,7 +451,8 @@ def test_report_builds_one_profile(monkeypatch):
     def no_kernel(*args, **kwargs):
         raise AssertionError("_kernel_array called by the revival search")
 
-    monkeypatch.setattr(dephasing, "_hyp1f1_array", counted)
+    monkeypatch.setattr(specfun, "_hyp1f1_array", counted)
+    monkeypatch.setattr(specfun, "_kernel_array", no_kernel)
     monkeypatch.setattr(dephasing, "_kernel_array", no_kernel)
     _reduced_revival.cache_clear()
     r = nm_report(chan(3.0, 1.6, 1.0), TimeWindow.for_cutoff(1.6))
@@ -454,9 +465,9 @@ def test_report_builds_one_profile(monkeypatch):
 def test_pair_scan_sums_no_slope(monkeypatch):
     # the scan needs alpha alone, never the d alpha/dt profile
     def no_slope(*args, **kwargs):
-        raise AssertionError("_slope_profile called by blp_pair_scan")
+        raise AssertionError("slope 1F1 profile summed by blp_pair_scan")
 
-    monkeypatch.setattr(dephasing, "_slope_profile", no_slope)
+    monkeypatch.setattr(dephasing, "_hyp1f1_array", no_slope)
     axis, val = blp_pair_scan(chan(3.0, 1.6, 1.0), TimeWindow(62.5, 512), n_angles=3)
     assert axis == (0.5 * math.pi, 0.0) and val > 0.0
 
@@ -500,6 +511,18 @@ def test_weak_cutoff_revival_is_truncated_by_the_window():
     # the revival found at gamma0 = 0.01 outlasts the default window
     with pytest.warns(HorizonWarning, match="truncated by the window"):
         assert blp(chan(3.0, 0.01, 1.0), TimeWindow.for_cutoff(0.01)) == 0.0
+
+
+def test_truncated_revival_warns_once_at_the_caller():
+    # nm_report runs one search and gives one warning, as each witness does,
+    # attributed to the line that called it
+    ch, w = chan(3.0, 0.01, 1.0), TimeWindow.for_cutoff(0.01)
+    for call in (lambda: nm_report(ch, w), lambda: blp(ch, w), lambda: cb(1.1, ch, w)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert [c.category for c in caught] == [HorizonWarning]
+        assert caught[0].filename == __file__
 
 
 def test_no_field_no_intervals():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 import warnings
 from functools import partial
@@ -17,11 +18,14 @@ from topoqubit import (
     ParameterError,
     PoleError,
     dawson,
+    dephasing,
     dhyp1f1_dz,
     dhyp2f2_11_32_2_dz,
     gamma,
     hyp1f1,
     hyp2f2_11_32_2,
+    magnetometry,
+    nonmarkov,
 )
 from topoqubit.specfun import (
     _FULL_PRECISION,
@@ -108,7 +112,6 @@ def test_hyp1f1_oracle_grid():
     """200 points spanning the parameter range the bath integral visits."""
     qs = [0.0, 0.4, 0.8, 1.6, 2.0, 2.4, 2.8, 3.2, 3.6, 4.0]
     tg = [0.1, 0.3, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 80.0, 100.0]
-    opts = EvalOptions(max_terms=40_000)
     checked = 0
     worst = 0.0
     for q in qs:
@@ -116,7 +119,7 @@ def test_hyp1f1_oracle_grid():
         for ab in ((a, 0.5), (a + 1.0, 1.5)):
             for x in tg:
                 z = -x * x / 4.0
-                got = hyp1f1(ab[0], ab[1], z, opts)
+                got = hyp1f1(ab[0], ab[1], z)
                 want = mp_hyp1f1(ab[0], ab[1], z)
                 if want == 0.0:
                     assert abs(got) < 1e-300
@@ -139,8 +142,7 @@ def test_hyp1f1_kummer_symmetry():
 def test_hyp1f1_deep_underflow_is_zero():
     # around z = -4e4 the transformed series would need exp(-z) overflow
     # handling; the result itself underflows cleanly to zero
-    opts = EvalOptions(max_terms=200_000)
-    val = hyp1f1(1.0, 0.5, -1.0e4, opts)
+    val = hyp1f1(1.0, 0.5, -1.0e4)
     want = mp_hyp1f1(1.0, 0.5, -1.0e4)
     assert val == pytest.approx(want, rel=1e-10, abs=0.0)
 
@@ -177,7 +179,7 @@ def test_hyp2f2_oracle_sweep():
     # and u = 60 (Kummer to asymptotic)
     for z in [-0.01, -0.5, -1.0, -5.0, -7.9, -8.1, -20.0, -50.0, -400.0, -2500.0]:
         assert hyp2f2_11_32_2(z) == pytest.approx(mp_hyp2f2(z), rel=1e-10, abs=0.0)
-    big = hyp2f2_11_32_2(-1.0e4, EvalOptions(max_terms=40_000))
+    big = hyp2f2_11_32_2(-1.0e4)
     assert big == pytest.approx(mp_hyp2f2(-1.0e4), rel=1e-10, abs=0.0)
 
 
@@ -223,6 +225,17 @@ def test_eval_options_validation():
     assert opts.rel_tol == 1e-13 and opts.max_terms == 10_000
 
 
+@pytest.mark.parametrize("module", [dephasing, magnetometry, nonmarkov])
+def test_accuracy_policy_lives_in_specfun(module):
+    # the physics layers run at specfun's default budget: no function of
+    # theirs takes an accuracy option, and none binds the option type
+    for name, fn in vars(module).items():
+        if inspect.isfunction(fn) and fn.__module__ == module.__name__:
+            assert "opts" not in inspect.signature(fn).parameters, name
+    assert not hasattr(module, "EvalOptions")
+    assert not hasattr(module, "DEFAULT_OPTIONS")
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.floats(min_value=0.05, max_value=40.0))
 def test_gamma_recurrence(x):
@@ -237,7 +250,7 @@ def test_gamma_recurrence(x):
 )
 @example(1.4999999999999996, 0.5, -22.0)
 def test_hyp1f1_against_reference(a, b, z):
-    got = hyp1f1(a, b, z, EvalOptions(max_terms=40_000))
+    got = hyp1f1(a, b, z)
     want = mp_hyp1f1(a, b, z)
     if abs(want) < 1e-250:
         assert abs(got) < 1e-240

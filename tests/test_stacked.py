@@ -30,7 +30,7 @@ from topoqubit import (
     trace_distance,
 )
 from topoqubit.cli import main
-from topoqubit.dephasing import _exponent_profile
+from topoqubit.dephasing import _exponent_values
 from topoqubit.magnetometry import _drho_from
 from conftest import random_density, random_x_state
 
@@ -301,7 +301,7 @@ def test_series_blocks_equal_one_whole_stack(tmp_path):
     want = np.column_stack([ts, m.diagonal(axis1=-2, axis2=-1).real, pairs])
     assert np.array_equal(rows[:, 2:], want)
 
-    evals, _ = _exponent_profile(ch, ts)
+    evals = _exponent_values(ch, ts)
     dadb = -2.0 * (evals / ch.b) * avals
     f_whole = qfi_general(s, _drho_from(1.1, avals, dadb))
     assert np.array_equal(qfi_series(ch, 1.1, w).f_general, f_whole)
