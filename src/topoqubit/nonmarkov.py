@@ -15,13 +15,16 @@ the exponent E = -ln alpha has the slope dE/dt = s_d t M((Q+1)/2; 3/2; -x^2/4)
 with s_d > 0 for B > 0, so alpha rises exactly where that 1F1 is negative: a
 set of reduced times fixed by Q alone, not by B or gamma0.  It is searched
 from the sign of the 1F1 alone, once per (Q, t_max gamma0, n_grid), and
-memoized, the one cache of this module; every default window has
+memoized, the one cache of this module: the 1F1 is sampled on the grid and
+each sign change refined on the scalar 1F1 by bracketing secant steps seeded
+with the grid values at the bracket ends.  Every default window has
 t_max gamma0 = 100, so all cutoffs share one search per Q.  A channel scales
 the reduced intervals by 1/gamma0 and evaluates E at their ends only, so no
 kernel profile is summed and no revival is lost where alpha underflows.  Each
-witness telescopes its own function of alpha over the ends; ``nm_report``
-adds ln n_blp, formed from the exponents, which stays finite where n_blp
-underflows to 0.
+witness telescopes its own function of alpha over the ends, evaluated once on
+the array of alpha at every end (LPP through one stacked Bloch map);
+``nm_report`` adds ln n_blp, formed from the exponents, which stays finite
+where n_blp underflows to 0.
 
 All measures vanish identically for spectral exponents Q <= 2, where the
 search returns without sampling anything.  Above it every field B > 0 has
@@ -71,7 +74,8 @@ class TimeWindow:
     linspace(0, t_max gamma0, n_grid), and is memoized on
     (Q, t_max gamma0, n_grid): windows with equal t_max gamma0, such as every
     ``for_cutoff`` window, share one search per Q.  Each sign change is
-    bisected until no double lies strictly inside its bracket.
+    refined by bracketing secant steps, seeded with the grid values at its
+    ends, until no double lies strictly inside its bracket.
     """
 
     t_max: float
@@ -110,21 +114,33 @@ class NonMarkovReport:
     log_n_blp: float
 
 
-def _bisect_sign_change(g, lo: float, hi: float, sign_lo: float) -> float:
-    # Narrow a bracket over which g changes sign until no double lies
-    # strictly inside it; only the left-end sign is trusted from the caller,
-    # midpoints are re-evaluated exactly.
+def _refine_sign_change(g, lo: float, hi: float, g_lo: float, g_hi: float) -> float:
+    # Narrow a bracket over which g changes sign, seeded with the nonzero
+    # values g_lo, g_hi at its ends, until no double lies strictly inside it.
+    # Each step takes the secant point, pushed toward the end that was not
+    # moved last by 2 ulp, doubling while the same end keeps moving, so the
+    # bracket shrinks from both sides; a point outside the bracket is
+    # replaced by the midpoint.  Only the seeds' signs are trusted from the
+    # caller, inner points are evaluated exactly.
+    moved = 0  # -1 when lo moved last, +1 when hi did
+    push = 2.0
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        gm = g(mid)
-        if gm == 0.0:
-            return mid
-        if (gm > 0.0) == (sign_lo > 0.0):
-            lo = mid
+        x = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+        x -= moved * push * math.ulp(x)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break
+        gx = g(x)
+        if gx == 0.0:
+            return x
+        side = -1 if (gx > 0.0) == (g_lo > 0.0) else 1
+        if side < 0:
+            lo, g_lo = x, gx
         else:
-            hi = mid
+            hi, g_hi = x, gx
+        push = 2.0 * push if side == moved else 2.0
+        moved = side
     return 0.5 * (lo + hi)
 
 
@@ -135,7 +151,8 @@ def _rising_intervals(
 ) -> tuple[tuple[tuple[float, float], ...], bool]:
     """Intervals on which a signal increases, from grid samples of its derivative.
 
-    Sign changes of ``d_grid`` are refined by bisection on the scalar ``dfdt``.
+    Sign changes of ``d_grid`` are refined on the scalar ``dfdt``, seeded with
+    the grid values at the bracket ends.
     Exact zeros on the grid carry no sign and are skipped when locating
     changes.  The flag is True when the derivative is still positive at the
     window end, i.e. the last interval is cut off by the window.
@@ -148,8 +165,10 @@ def _rising_intervals(
         cur_start = float(ts[0]) if signs[0] > 0 else None
         # Positions i in nz where the sign differs from that at i + 1.
         for i in np.flatnonzero(signs[1:] != signs[:-1]).tolist():
-            lo, hi = float(ts[nz[i]]), float(ts[nz[i + 1]])
-            root = _bisect_sign_change(dfdt, lo, hi, float(signs[i]))
+            j, k = nz[i], nz[i + 1]
+            root = _refine_sign_change(
+                dfdt, float(ts[j]), float(ts[k]), float(d_grid[j]), float(d_grid[k])
+            )
             if signs[i + 1] > 0:
                 cur_start = root
             elif cur_start is not None:
@@ -165,9 +184,10 @@ def positive_variation(f, dfdt, w: TimeWindow) -> tuple[float, tuple[tuple[float
     """Positive variation of a scalar signal f over the window.
 
     ``f`` and ``dfdt`` are callables of time.  ``dfdt`` is called once on the
-    whole grid, an ndarray, and must return an array of the grid's shape
-    (else DomainError); the bisection then calls it on floats, as it does
-    ``f`` at the interval ends.  The variation telescopes to the sum of
+    whole grid, an ndarray, and must return a finite array of the grid's
+    shape (else DomainError, naming the first non-finite time); the root
+    refinement then calls it on floats, as it does ``f`` at the interval
+    ends.  The variation telescopes to the sum of
     f(end) - f(start) over the intervals of positive derivative.  Returns
     (variation, intervals of increase).
     """
@@ -175,6 +195,10 @@ def positive_variation(f, dfdt, w: TimeWindow) -> tuple[float, tuple[tuple[float
     d_grid = np.asarray(dfdt(ts), dtype=np.float64)
     if d_grid.shape != ts.shape:
         raise DomainError(f"dfdt over the grid has shape {d_grid.shape}, not the grid's {ts.shape}")
+    bad = ~np.isfinite(d_grid)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"dfdt is {d_grid[i]} at t = {float(ts[i])!r}, not finite")
     intervals, truncated = _rising_intervals(ts, d_grid, dfdt)
     if truncated:
         warnings.warn(_TRUNCATED, HorizonWarning, stacklevel=2)
@@ -199,7 +223,7 @@ def _reduced_revival(
     key, shared by every field and cutoff.
 
     ``_reduced_slope`` is sampled on linspace(0, x_max, n_grid) through the
-    vectorized 1F1 and its sign changes are bisected on the scalar 1F1; no
+    vectorized 1F1 and its sign changes are refined on the scalar 1F1; no
     kernel is summed.
     """
     xs = np.linspace(0.0, x_max, n_grid)
@@ -256,10 +280,15 @@ def _revival_exponents(
 
 def _backflow(exponents: tuple[tuple[float, float], ...], g) -> float:
     # Positive variation of g(alpha(t)) for a strictly increasing g, from the
-    # exponents E = -ln alpha at the ends of each revival interval.
+    # exponents E = -ln alpha at the ends of each revival interval: g is
+    # called once, on the (n, 2) array of alpha at the starts and ends, and
+    # the differences are summed in interval order.
+    if not exponents:
+        return 0.0
+    ends = np.array([[math.exp(-e_start), math.exp(-e_end)] for e_start, e_end in exponents])
     value = 0.0
-    for e_start, e_end in exponents:
-        value += g(math.exp(-e_end)) - g(math.exp(-e_start))
+    for g_start, g_end in g(ends).tolist():
+        value += g_end - g_start
     return value
 
 
@@ -276,17 +305,17 @@ def _log_blp(exponents: tuple[tuple[float, float], ...]) -> float:
     return top + math.log(sum(math.exp(v - top) for v in terms))
 
 
-def _blp_signal(a: float) -> float:
+def _blp_signal(a: np.ndarray) -> np.ndarray:
     return a**2
 
 
-def _lpp_signal(a: float) -> float:
-    return abs(states.bloch_affine_map(a).det)
+def _lpp_signal(a: np.ndarray) -> np.ndarray:
+    return np.abs(states.bloch_affine_map(a).det)
 
 
 def _cb_signal(theta: float):
-    # The l1 coherence as a function of alpha; theta is checked here, before
-    # any search.
+    # The l1 coherence as a function of an array of alpha; theta is checked
+    # here, before any search.
     if not (0.0 <= theta <= math.pi):
         raise DomainError(f"theta must lie in [0, pi], got {theta}")
     return lambda a: correlations.coherence_l1(states.evolved_x_state(theta, a))

@@ -489,7 +489,7 @@ def dawson(x: float) -> float:
 # rescaling is applied per element so small-|z| entries are never squashed.
 # They share only the term ratios, the stopping bounds, the Kummer brackets
 # and the expansion weights with the scalar loops above, which serve
-# bisection and check this path's loops, stopping and branch assembly.
+# root refinement and check this path's loops, stopping and branch assembly.
 # ---------------------------------------------------------------------------
 
 

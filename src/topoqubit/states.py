@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,6 +51,18 @@ _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 PAULIS = (_SX, _SY, _SZ)
 
 
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    # Ascending eigenvalues of every Hermitian matrix of the stack m
+    # (..., d, d): mean -/+ hypot((m00 - m11)/2, |m01|) in closed form for
+    # d = 2, LAPACK for other sizes.
+    if m.shape[-1] != 2:
+        return np.linalg.eigvalsh(m)
+    d0, d1 = m[..., 0, 0].real, m[..., 1, 1].real
+    mean = 0.5 * (d0 + d1)
+    radius = np.hypot(0.5 * (d0 - d1), np.abs(m[..., 0, 1]))
+    return np.stack((mean - radius, mean + radius), axis=-1)
+
+
 def _check_density(m: np.ndarray) -> None:
     # Raise unless every matrix of the stack m (..., d, d) is finite,
     # Hermitian, of unit trace and positive semidefinite.
@@ -62,7 +74,7 @@ def _check_density(m: np.ndarray) -> None:
     tr_defect = float(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0).max())
     if tr_defect > _ATOL:
         raise DomainError(f"trace deviates from 1 by {tr_defect:.3e} > {_ATOL}")
-    lam_min = float(np.linalg.eigvalsh(m).min())
+    lam_min = float(_eigvalsh(m).min())
     if lam_min < -_ATOL:
         raise DomainError(f"matrix has negative eigenvalue {lam_min:.3e} < -{_ATOL}")
 
@@ -218,7 +230,9 @@ class XState4:
 
 @dataclass(frozen=True, eq=False)
 class BlochAffineMap:
-    """Affine action r -> M r + c of a single-qubit channel on Bloch vectors.
+    """Affine action r -> M r + c of a single-qubit channel on Bloch vectors,
+    or a stack of them: ``m`` of shape ``(..., 3, 3)`` and ``c`` of shape
+    ``(..., 3)`` with one stack shape; ``c`` defaults to zeros.
 
     For the dephasing channel the map is unital (c = 0) and
     M = diag(alpha, alpha, alpha^2); the generic assembly in
@@ -226,19 +240,25 @@ class BlochAffineMap:
     """
 
     m: np.ndarray
-    c: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    c: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         m = np.asarray(self.m, dtype=np.float64)
-        c = np.asarray(self.c, dtype=np.float64)
-        if m.shape != (3, 3) or c.shape != (3,):
-            raise DomainError("BlochAffineMap needs a 3x3 matrix and a 3-vector")
+        if m.shape[-2:] != (3, 3):
+            raise DomainError(f"BlochAffineMap needs (..., 3, 3) matrices, got shape {m.shape}")
+        c = np.zeros(m.shape[:-1]) if self.c is None else np.asarray(self.c, dtype=np.float64)
+        if c.shape != m.shape[:-1]:
+            raise DomainError(
+                f"BlochAffineMap offsets of shape {c.shape} do not match matrices of shape {m.shape}"
+            )
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "c", c)
 
     @property
-    def det(self) -> float:
-        return float(np.linalg.det(self.m))
+    def det(self):
+        """det M: a float for one map, an array of the stack shape for a stack."""
+        d = np.linalg.det(self.m)
+        return float(d) if d.ndim == 0 else d
 
 
 def _coherence_factors(a) -> np.ndarray:
@@ -346,22 +366,25 @@ def trace_distance(rho, sigma):
 
     Accepts any objects exposing a ``.matrix`` square array of equal shape.
     Stacks ``(..., d, d)`` give one distance per member, an array of shape
-    ``(...)``; two single states give a float.
+    ``(...)``; two single states give a float.  Qubit spectra are taken in
+    closed form, larger ones by LAPACK.
     """
     m1 = np.asarray(rho.matrix, dtype=np.complex128)
     m2 = np.asarray(sigma.matrix, dtype=np.complex128)
     if m1.shape != m2.shape:
         raise DomainError(f"shape mismatch: {m1.shape} vs {m2.shape}")
-    dist = 0.5 * np.abs(np.linalg.eigvalsh(m1 - m2)).sum(axis=-1)
+    dist = 0.5 * np.abs(_eigvalsh(m1 - m2)).sum(axis=-1)
     return float(dist) if dist.ndim == 0 else dist
 
 
-def bloch_affine_map(a: float) -> BlochAffineMap:
+def bloch_affine_map(a) -> BlochAffineMap:
     """Assemble the Bloch-sphere affine map of the dephasing channel.
 
     Built generically from the channel action on physical states: the image
     of sigma_j is reconstructed as E((I+sigma_j)/2) - E((I-sigma_j)/2), the
-    offset from E(I).  No diagonal form is assumed.
+    offset from E(I).  No diagonal form is assumed.  ``a`` may be an array of
+    factors; the result is then the stack of maps, ``m`` of shape
+    ``a.shape + (3, 3)``, every image validated once as one stack.
     """
     images = []
     eye_image = None
@@ -370,10 +393,11 @@ def bloch_affine_map(a: float) -> BlochAffineMap:
         minus = evolve_single(DensityMatrix2(0.5 * (_ID2 - sj)), a).matrix
         images.append(plus - minus)
         eye_image = plus + minus
-    m = np.empty((3, 3))
-    c = np.empty(3)
+    stack = eye_image.shape[:-2]
+    m = np.empty(stack + (3, 3))
+    c = np.empty(stack + (3,))
     for i, si in enumerate(PAULIS):
         for j in range(3):
-            m[i, j] = 0.5 * np.trace(si @ images[j]).real
-        c[i] = 0.5 * np.trace(si @ eye_image).real
+            m[..., i, j] = 0.5 * np.trace(si @ images[j], axis1=-2, axis2=-1).real
+        c[..., i] = 0.5 * np.trace(si @ eye_image, axis1=-2, axis2=-1).real
     return BlochAffineMap(m, c)

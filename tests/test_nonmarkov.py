@@ -32,10 +32,10 @@ from topoqubit import (
 )
 from topoqubit import dephasing, specfun
 from topoqubit.nonmarkov import (
-    _bisect_sign_change,
     _log_blp,
     _reduced_revival,
     _reduced_slope,
+    _refine_sign_change,
     _revival,
     _rising_intervals,
 )
@@ -108,6 +108,21 @@ def test_variation_open_interval_warns_at_horizon():
             lambda t: -np.cos(t), lambda t: np.sin(t), w)
     assert intervals[-1][1] == pytest.approx(2.0)
     assert val == pytest.approx(-math.cos(2.0) + 1.0, abs=1e-9)
+
+
+def test_variation_rejects_non_finite_grid_derivative():
+    # a NaN run inside the first rising interval used to be read as sign
+    # changes, giving 2.99271 over (0, 1.45) instead of 3.0 over (0, pi/2);
+    # the grid is 10 k / 256, so t = 1.484375 is the first NaN sample
+    w = TimeWindow(10.0, 257)
+
+    def dfdt(t):
+        return np.where((1.45 < t) & (t < 1.7), np.nan, np.cos(t))
+
+    with pytest.raises(DomainError, match=r"nan at t = 1\.484375, not finite"):
+        positive_variation(np.sin, dfdt, w)
+    with pytest.raises(DomainError, match=r"inf at t = 0\.0,"):
+        positive_variation(np.sin, lambda t: np.where(t == 0.0, np.inf, np.cos(t)), w)
 
 
 def test_variation_rejects_grid_derivative_of_wrong_shape():
@@ -330,8 +345,8 @@ def test_critical_q_default_range_pinned():
 # ---------------------------------------------------------------------------
 
 def _rising_intervals_walk(ts, d_grid, dfdt):
-    """Reference: visit every nonzero sample and bisect wherever its sign
-    differs from the previous nonzero sample's."""
+    """Reference: visit every nonzero sample and refine a root wherever its
+    sign differs from the previous nonzero sample's."""
     signs = np.sign(d_grid)
     nz = np.flatnonzero(signs)
     intervals = []
@@ -341,8 +356,9 @@ def _rising_intervals_walk(ts, d_grid, dfdt):
         prev = nz[0]
         for cur in nz[1:]:
             if signs[cur] != signs[prev]:
-                root = _bisect_sign_change(
-                    dfdt, float(ts[prev]), float(ts[cur]), float(signs[prev])
+                root = _refine_sign_change(
+                    dfdt, float(ts[prev]), float(ts[cur]), float(d_grid[prev]),
+                    float(d_grid[cur]),
                 )
                 if signs[cur] > 0:
                     cur_start = root
@@ -395,6 +411,102 @@ def test_rising_intervals_match_per_sample_walk(name):
     assert got == _rising_intervals_walk(ts, d_grid, dfdt)
     if name == "truncated_end":
         assert got[1] is True
+
+
+def _bisect_oracle(g, lo, hi, sign_lo):
+    """Plain bisection: halve the bracket, trusting only the left-end sign,
+    until no double lies strictly inside it."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        gm = g(mid)
+        if gm == 0.0:
+            return mid
+        if (gm > 0.0) == (sign_lo > 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+_REFINE_Q = [float(q) for q in np.linspace(2.05, 11.95, 34)] + [4.0, 6.0, 10.0]
+
+
+@pytest.mark.parametrize("q", _REFINE_Q)
+def test_refined_roots_bracket_a_sign_change_near_the_bisection_root(q):
+    # every sign change of the default reduced window's grid, refined by the
+    # secant steps and by plain bisection from the same bracket
+    xs = np.linspace(0.0, 100.0, 4096)
+    d_grid = -xs * specfun._hyp1f1_array(0.5 * (q + 1.0), 1.5, -0.25 * xs * xs)
+    nz = np.flatnonzero(d_grid)
+    flips = np.flatnonzero(np.sign(d_grid[nz[1:]]) != np.sign(d_grid[nz[:-1]]))
+    assert flips.size >= 1
+
+    def g(x):
+        return _reduced_slope(q, x)
+
+    for i in flips.tolist():
+        j, k = nz[i], nz[i + 1]
+        lo, hi = float(xs[j]), float(xs[k])
+        root = _refine_sign_change(g, lo, hi, float(d_grid[j]), float(d_grid[k]))
+        assert lo <= root <= hi
+        below, at, above = (g(math.nextafter(root, -math.inf)), g(root),
+                            g(math.nextafter(root, math.inf)))
+        assert at == 0.0 or np.sign(below) != np.sign(at) or np.sign(at) != np.sign(above), (
+            q, root)
+        oracle = _bisect_oracle(g, lo, hi, float(np.sign(d_grid[j])))
+        assert abs(root - oracle) <= 8.0 * math.ulp(oracle), (q, root, oracle)
+
+
+def test_refiner_returns_an_exact_zero_and_stops_on_adjacent_doubles():
+    # a linear g: the first secant point is the root itself
+    assert _refine_sign_change(lambda x: x - 0.25, 0.0, 1.0, -0.25, 0.75) == 0.25
+    # no double strictly inside: nothing is evaluated
+    lo = 1.0
+    hi = math.nextafter(lo, 2.0)
+
+    def never(x):
+        raise AssertionError("evaluated a bracket with no inner double")
+
+    assert _refine_sign_change(never, lo, hi, -1.0, 1.0) in (lo, hi)
+
+
+def test_critical_q_scan_call_count(monkeypatch):
+    # work-count guard: with a cold revival memo the scan makes at most 260
+    # scalar 1F1 calls (about 11 per refined root; plain bisection made 813)
+    calls = []
+    hyp1f1 = specfun.hyp1f1
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return hyp1f1(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "hyp1f1", counted)
+    _reduced_revival.cache_clear()
+    assert critical_q_scan(1.6) == 2.232421875
+    assert 0 < len(calls) <= 260
+
+
+def _no_eigvalsh(*args, **kwargs):
+    raise AssertionError("np.linalg.eigvalsh called on the single-qubit path")
+
+
+def test_pair_scan_calls_no_eigvalsh(monkeypatch):
+    # work-count guard: the 2x2 spectra of the states' validation and of the
+    # trace distance are closed-form (LAPACK ran 45 times here)
+    monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigvalsh)
+    axis, val = blp_pair_scan(chan(3.0, 1.6, 1.0), TimeWindow(62.5, 4096), 3)
+    assert axis == (0.5 * math.pi, 0.0)
+    assert val == pytest.approx(0.02295625333286648, rel=1e-9, abs=0.0)
+
+
+def test_lpp_calls_no_eigvalsh(monkeypatch):
+    # work-count guard: one stacked Bloch map, validated in closed form
+    # (LAPACK ran 24 times here, 12 per interval end)
+    monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigvalsh)
+    got = lpp(chan(3.0, 1.6, 1.0), TimeWindow.for_cutoff(1.6))
+    assert got == pytest.approx(2.0107476985926902e-6, rel=1e-9, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

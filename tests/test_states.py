@@ -21,7 +21,7 @@ from topoqubit import (
     evolved_x_state,
     trace_distance,
 )
-from topoqubit.states import _check_density
+from topoqubit.states import _check_density, _eigvalsh
 from conftest import kraus_pair_evolve, random_density
 
 
@@ -84,7 +84,18 @@ def test_bloch_affine_map_validation():
         BlochAffineMap(np.eye(2))
     am = BlochAffineMap(0.5 * np.eye(3))
     assert am.det == pytest.approx(0.125, rel=1e-15, abs=0.0)
+    assert isinstance(am.det, float)
     assert np.all(am.c == 0.0)
+    # a stack: one offset per matrix, zeros by default
+    stack = BlochAffineMap(np.broadcast_to(0.5 * np.eye(3), (4, 3, 3)))
+    assert stack.c.shape == (4, 3) and np.all(stack.c == 0.0)
+    assert stack.det.shape == (4,)
+    with pytest.raises(DomainError, match="offsets of shape"):
+        BlochAffineMap(np.zeros((4, 3, 3)), np.zeros(3))
+    with pytest.raises(DomainError, match="offsets of shape"):
+        BlochAffineMap(np.zeros((4, 3, 3)), np.zeros((5, 3)))
+    with pytest.raises(DomainError, match="offsets of shape"):
+        BlochAffineMap(np.eye(3), np.zeros((1, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +207,21 @@ def test_evolved_x_state_entries():
 # trace distance
 # ---------------------------------------------------------------------------
 
+def test_eigvalsh_closed_form_matches_lapack(rng):
+    mixed = np.array([random_density(rng, 2) for _ in range(500)])
+    kets = rng.normal(size=(500, 2)) + 1j * rng.normal(size=(500, 2))
+    kets /= np.linalg.norm(kets, axis=-1, keepdims=True)
+    pure = np.einsum("ni,nj->nij", kets, kets.conj())
+    diffs = mixed - pure  # the trace distance's traceless differences
+    for stack in (mixed, pure, diffs, pure.reshape(25, 20, 2, 2), mixed[0]):
+        got = _eigvalsh(stack)
+        assert got.shape == stack.shape[:-1]
+        assert np.abs(got - np.linalg.eigvalsh(stack)).max() <= 1e-15
+    # other sizes go to LAPACK
+    m4 = np.array([random_density(rng, 4) for _ in range(3)])
+    assert np.array_equal(_eigvalsh(m4), np.linalg.eigvalsh(m4))
+
+
 def test_trace_distance_basics():
     assert trace_distance(KET0, KET0) == pytest.approx(0.0, abs=1e-15)
     assert trace_distance(KET0, KET1) == pytest.approx(1.0, rel=1e-15, abs=0.0)
@@ -242,11 +268,22 @@ def test_bloch_affine_map_structure():
     am = bloch_affine_map(1.0)
     assert np.allclose(am.m, np.eye(3), atol=1e-14)
     assert np.allclose(am.c, 0.0, atol=1e-14)
-    for a in (0.3, 0.5, 0.95):
+    factors = (0.3, 0.5, 0.95)
+    for a in factors:
         am = bloch_affine_map(a)
         assert np.allclose(am.m, np.diag([a, a, a * a]), atol=1e-13)
         assert np.allclose(am.c, 0.0, atol=1e-13)
         assert am.det == pytest.approx(a ** 4, rel=1e-12, abs=0.0)
+    # an array of factors gives the stack of the per-factor maps
+    grid = np.array([factors, (0.0, 1.0, 0.7)])
+    stacked = bloch_affine_map(grid)
+    assert stacked.m.shape == (2, 3, 3, 3) and stacked.c.shape == (2, 3, 3)
+    assert stacked.det.shape == (2, 3)
+    for idx in np.ndindex(grid.shape):
+        one = bloch_affine_map(float(grid[idx]))
+        assert np.abs(stacked.m[idx] - one.m).max() <= 1e-15
+        assert np.abs(stacked.c[idx] - one.c).max() <= 1e-15
+        assert abs(stacked.det[idx] - one.det) <= 1e-15
 
 
 @settings(deadline=None, max_examples=50)
