@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__, correlations, dephasing, magnetometry, states
 from .errors import ConvergenceError, HorizonWarning, SpecError, TopoqubitError
-from .nonmarkov import TimeWindow, blp, lpp
+from .nonmarkov import _FIRING_THRESHOLD, TimeWindow, blp, lpp
 
 __all__ = [
     "SweepSpec",
@@ -42,9 +42,6 @@ __all__ = [
 
 # Default cutoff grid for nm-scan when the spec names none.
 DEFAULT_NM_GAMMA0 = (0.01, 0.1, 0.5, 1.0, 1.6, 3.0)
-
-# A BLP measure above this flags the combo as non-Markovian in nm-scan.
-_FLAG_THRESHOLD = 1e-10
 
 # Largest time grid a spec may ask for; every recipe uses 2048-4096 points.
 # A table stays in memory until it is written, as float64 rows of 8 bytes per
@@ -309,8 +306,9 @@ def _combo(
     spec: SweepSpec, q: float, g0: float
 ) -> tuple[dephasing.DephasingChannel, TimeWindow]:
     ch = dephasing.DephasingChannel(dephasing.OhmicEnvironment(q, g0), spec.b)
-    w = TimeWindow(spec.t_max if spec.t_max is not None else 100.0 / g0, spec.n_grid)
-    return ch, w
+    if spec.t_max is None:
+        return ch, TimeWindow.for_cutoff(g0, spec.n_grid)
+    return ch, TimeWindow(spec.t_max, spec.n_grid)
 
 
 def _new_rows(q: float, g0: float, n_rows: int, n_cols: int) -> np.ndarray:
@@ -325,7 +323,7 @@ def _nm_rows(spec: SweepSpec, q: float, g0: float) -> np.ndarray:
     ch, w = _combo(spec, q, g0)
     n_blp = blp(ch, w)
     n_lpp = lpp(ch, w)
-    flag = 1.0 if n_blp > _FLAG_THRESHOLD else 0.0
+    flag = 1.0 if n_blp > _FIRING_THRESHOLD else 0.0
     return np.array([[q, g0, n_blp, n_lpp, flag]])
 
 

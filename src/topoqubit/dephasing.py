@@ -229,10 +229,11 @@ def _exponent_values(ch: DephasingChannel, ts: np.ndarray) -> np.ndarray:
 
 def alpha_profile(ch: DephasingChannel, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (alpha(t), d alpha/dt) over a time grid."""
-    evals = _exponent_values(ch, ts)
+    s_i, s_d = _exponent_scales(ch)
     ts, u = _reduced_time(ch.env, ts)
     a = 0.5 * (ch.env.q - 1.0)
-    devals = _exponent_scales(ch)[1] * ts * _hyp1f1_array(a + 1.0, 1.5, -u)
+    evals = s_i * _kernel_array(a, u)
+    devals = s_d * ts * _hyp1f1_array(a + 1.0, 1.5, -u)
     with np.errstate(under="ignore"):
         avals = np.exp(-evals)
     return avals, -devals * avals

@@ -33,7 +33,8 @@ is weak enough that alpha stays representable over them.
 
 The brute-force pair scan checks the BLP maximum over antipodal pairs
 through the public single-qubit path: ``evolve_single`` and
-``trace_distance`` over the whole time grid at once.
+``trace_distance`` over the whole time grid at once, one pair per polar
+angle, since phase covariance makes the azimuth irrelevant.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ __all__ = [
     "nm_report",
 ]
 
-# A measure below this threshold counts as Markovian in scans.
+# A BLP measure above this threshold fires, in critical_q_scan and nm-scan.
 _FIRING_THRESHOLD = 1e-10
 
 _TRUNCATED = "derivative still positive at t_max; a revival is truncated by the window"
@@ -345,11 +346,14 @@ def blp_pair_scan(
 ) -> tuple[tuple[float, float], float]:
     """Scan antipodal Bloch pairs for the one maximizing information backflow.
 
-    Each pair (n, -n) is evolved over the whole grid at once by
-    ``evolve_single`` and compared by ``trace_distance``, and the discrete
-    positive variation of that distance is accumulated on the grid.  Only
-    alpha = exp(-E) is needed, so no d alpha/dt profile is summed.  Returns
-    ((theta, phi) of the best axis, its variation).
+    The axes are ``n_angles`` polar angles theta in [0, pi/2] at azimuth
+    phi = 0 alone: the channel is phase covariant, so all phi at one theta
+    give the same trace distances.  Each pair (n, -n) is evolved over the
+    whole grid at once by ``evolve_single`` and compared by
+    ``trace_distance``, and the discrete positive variation of that distance
+    is accumulated on the grid; a later theta wins only with a strictly
+    greater one.  Only alpha = exp(-E) is needed, so no d alpha/dt profile
+    is summed.  Returns ((theta, 0.0) of the best axis, its variation).
 
     Dephasing sends the pair at polar angle theta to the trace distance
     sqrt(alpha^4 cos^2 theta + alpha^2 sin^2 theta): alpha^2 for the polar
@@ -362,28 +366,20 @@ def blp_pair_scan(
         raise DomainError(f"n_angles must be >= 2, got {n_angles}")
     with np.errstate(under="ignore"):
         avals = np.exp(-dephasing._exponent_values(ch, w.times()))
-    thetas = np.linspace(0.0, 0.5 * math.pi, n_angles)
-    phis = np.linspace(0.0, math.pi, n_angles, endpoint=False)
     best_val = -1.0
-    best_axis = (0.0, 0.0)
-    for th in thetas:
-        for ph in phis:
-            nx = math.sin(th) * math.cos(ph)
-            ny = math.sin(th) * math.sin(ph)
-            nz = math.cos(th)
-            nvec = nx * states.PAULIS[0] + ny * states.PAULIS[1] + nz * states.PAULIS[2]
-            r_plus = states.DensityMatrix2(0.5 * (np.eye(2) + nvec))
-            r_minus = states.DensityMatrix2(0.5 * (np.eye(2) - nvec))
-            # Fully dephased points (alpha = 0) send both members to I/2.
-            dist = states.trace_distance(
-                states.evolve_single(r_plus, avals), states.evolve_single(r_minus, avals)
-            )
-            val = float(np.clip(np.diff(dist), 0.0, None).sum())
-            # Phase covariance ties the axes at one theta: keep the first.
-            if val > best_val + 1e-12 * abs(best_val):
-                best_val = val
-                best_axis = (float(th), float(ph))
-    return best_axis, best_val
+    best_theta = 0.0
+    for th in np.linspace(0.0, 0.5 * math.pi, n_angles).tolist():
+        nvec = math.sin(th) * states.PAULIS[0] + math.cos(th) * states.PAULIS[2]
+        r_plus = states.DensityMatrix2(0.5 * (np.eye(2) + nvec))
+        r_minus = states.DensityMatrix2(0.5 * (np.eye(2) - nvec))
+        # Fully dephased points (alpha = 0) send both members to I/2.
+        dist = states.trace_distance(
+            states.evolve_single(r_plus, avals), states.evolve_single(r_minus, avals)
+        )
+        val = float(np.clip(np.diff(dist), 0.0, None).sum())
+        if val > best_val:
+            best_val, best_theta = val, th
+    return (best_theta, 0.0), best_val
 
 
 def critical_q_scan(

@@ -377,6 +377,12 @@ def trace_distance(rho, sigma):
     return float(dist) if dist.ndim == 0 else dist
 
 
+# The probe states (I + sigma_j)/2, (I - sigma_j)/2 for j = x, y, z, in that
+# order, from whose images the Bloch map is read off, and the stacked Paulis.
+_PROBES = tuple(DensityMatrix2(0.5 * m) for sj in PAULIS for m in (_ID2 + sj, _ID2 - sj))
+_PAULI_STACK = np.stack(PAULIS)
+
+
 def bloch_affine_map(a) -> BlochAffineMap:
     """Assemble the Bloch-sphere affine map of the dephasing channel.
 
@@ -386,18 +392,11 @@ def bloch_affine_map(a) -> BlochAffineMap:
     factors; the result is then the stack of maps, ``m`` of shape
     ``a.shape + (3, 3)``, every image validated once as one stack.
     """
-    images = []
-    eye_image = None
-    for sj in PAULIS:
-        plus = evolve_single(DensityMatrix2(0.5 * (_ID2 + sj)), a).matrix
-        minus = evolve_single(DensityMatrix2(0.5 * (_ID2 - sj)), a).matrix
-        images.append(plus - minus)
-        eye_image = plus + minus
-    stack = eye_image.shape[:-2]
-    m = np.empty(stack + (3, 3))
-    c = np.empty(stack + (3,))
-    for i, si in enumerate(PAULIS):
-        for j in range(3):
-            m[..., i, j] = 0.5 * np.trace(si @ images[j], axis1=-2, axis2=-1).real
-        c[..., i] = 0.5 * np.trace(si @ eye_image, axis1=-2, axis2=-1).real
+    images = np.stack([evolve_single(p, a).matrix for p in _PROBES], axis=-3)
+    plus, minus = images[..., 0::2, :, :], images[..., 1::2, :, :]
+    # m_ij = tr(sigma_i E(sigma_j)) / 2 and c_i = tr(sigma_i E(I)) / 2, with
+    # E(I) from the z probes.
+    eye_image = plus[..., 2, :, :] + minus[..., 2, :, :]
+    m = 0.5 * np.einsum("ikl,...jlk->...ij", _PAULI_STACK, plus - minus).real
+    c = 0.5 * np.einsum("ikl,...lk->...i", _PAULI_STACK, eye_image).real
     return BlochAffineMap(m, c)

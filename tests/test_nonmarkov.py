@@ -30,7 +30,7 @@ from topoqubit import (
     positive_variation,
     trace_distance,
 )
-from topoqubit import dephasing, specfun
+from topoqubit import dephasing, specfun, states
 from topoqubit.nonmarkov import (
     _log_blp,
     _reduced_revival,
@@ -236,6 +236,27 @@ def test_report_intervals_and_cross_consistency():
     a, b = r.revival_intervals[0]
     assert 0.0 < a < b <= w.t_max
     assert a == pytest.approx(1.8774690853310287, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("q, g0, b", [
+    (3.0, 1.6, 1.0),
+    (3.0, 1.6, 0.247),
+    (4.0, 1.6, 1.0),
+    (3.5, 0.5, 0.3),
+    (3.0, 0.01, 0.002175),
+])
+def test_blp_bounded_below_by_sampled_scalar_alpha(q, g0, b):
+    # independent reference: the discrete positive variation of the scalar
+    # alpha^2 on a coarse grid of the default window shares neither the
+    # revival search nor the array kernel, and cannot exceed the exact
+    # variation; the grid misses at most a little of it near the roots
+    ch = chan(q, g0, b)
+    w = TimeWindow.for_cutoff(g0)
+    got = blp(ch, w)
+    sq = [alpha(ch, t) ** 2 for t in np.linspace(0.0, w.t_max, 1025).tolist()]
+    sampled = sum(max(0.0, y1 - y0) for y0, y1 in zip(sq, sq[1:]))
+    assert got > 0.0
+    assert (1.0 - 5e-3) * got <= sampled <= (1.0 + 1e-12) * got, (sampled, got)
 
 
 def test_markovian_report_has_no_intervals():
@@ -499,6 +520,23 @@ def test_pair_scan_calls_no_eigvalsh(monkeypatch):
     axis, val = blp_pair_scan(chan(3.0, 1.6, 1.0), TimeWindow(62.5, 4096), 3)
     assert axis == (0.5 * math.pi, 0.0)
     assert val == pytest.approx(0.02295625333286648, rel=1e-9, abs=0.0)
+
+
+def test_pair_scan_evolves_one_pair_per_polar_angle(monkeypatch):
+    # work-count guard: phase covariance ties every azimuth at one theta, so
+    # the scan evolves one antipodal pair per polar angle (it evolved
+    # n_angles^2 pairs before, 18 calls here)
+    calls = []
+    evolve_single = states.evolve_single
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return evolve_single(*args, **kwargs)
+
+    monkeypatch.setattr(states, "evolve_single", counted)
+    axis, val = blp_pair_scan(chan(3.0, 1.6, 1.0), TimeWindow(62.5, 512), n_angles=3)
+    assert axis == (0.5 * math.pi, 0.0) and val > 0.0
+    assert len(calls) == 6
 
 
 def test_lpp_calls_no_eigvalsh(monkeypatch):

@@ -21,6 +21,7 @@ from topoqubit import (
     evolved_x_state,
     trace_distance,
 )
+from topoqubit import states
 from topoqubit.states import _check_density, _eigvalsh
 from conftest import kraus_pair_evolve, random_density
 
@@ -284,6 +285,23 @@ def test_bloch_affine_map_structure():
         assert np.abs(stacked.m[idx] - one.m).max() <= 1e-15
         assert np.abs(stacked.c[idx] - one.c).max() <= 1e-15
         assert abs(stacked.det[idx] - one.det) <= 1e-15
+
+
+def test_bloch_affine_map_validates_only_its_images(monkeypatch):
+    # work-count guard: the six probe states are built and validated once,
+    # at import, so a call validates only their six images (12 before)
+    calls = []
+    check = states._check_density
+
+    def counted(m):
+        calls.append(m.shape)
+        return check(m)
+
+    monkeypatch.setattr(states, "_check_density", counted)
+    a = np.linspace(0.0, 1.0, 101)
+    am = bloch_affine_map(a)
+    assert calls == [(101, 2, 2)] * 6
+    assert np.allclose(am.det, a**4, rtol=1e-12, atol=0.0)
 
 
 @settings(deadline=None, max_examples=50)
