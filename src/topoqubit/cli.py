@@ -405,9 +405,20 @@ _MODES = {
 }
 
 
+def _recorded(worker, spec: SweepSpec, q: float, g0: float):
+    # A pool worker's rows and the (category, message) of every warning it
+    # raised, which a worker process would otherwise print itself.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = worker(spec, q, g0)
+    return rows, [(w.category, str(w.message)) for w in caught]
+
+
 def run(spec: SweepSpec) -> SeriesTable:
     """The table of ``spec``'s mode: its rows for every (Q, gamma0)
-    combination, in grid order whatever the number of worker processes."""
+    combination, in grid order whatever the number of worker processes.
+    Warnings raised in pool workers are re-emitted here, in grid order, so
+    the caller's filters see them as in a serial run."""
     spec.validate()
     worker, columns, _ = _MODES[spec.mode]
     qs, g0s = zip(*product(spec.q_values, spec.gamma0_values))
@@ -418,7 +429,11 @@ def run(spec: SweepSpec) -> SeriesTable:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            chunks = list(pool.map(worker, repeat(spec), qs, g0s))
+            results = list(pool.map(functools.partial(_recorded, worker), repeat(spec), qs, g0s))
+        for _, caught in results:
+            for category, message in caught:
+                warnings.warn(message, category, stacklevel=2)
+        chunks = [rows for rows, _ in results]
     else:
         chunks = list(map(worker, repeat(spec), qs, g0s))
     rows = np.concatenate(chunks)

@@ -15,9 +15,11 @@ the exponent E = -ln alpha has the slope dE/dt = s_d t M((Q+1)/2; 3/2; -x^2/4)
 with s_d > 0 for B > 0, so alpha rises exactly where that 1F1 is negative: a
 set of reduced times fixed by Q alone, not by B or gamma0.  It is searched
 from the sign of the 1F1 alone, once per (Q, t_max gamma0, n_grid), and
-memoized, the one cache of this module: the 1F1 is sampled on the grid and
-each sign change refined on the scalar 1F1 by bracketing secant steps seeded
-with the grid values at the bracket ends.  Every default window has
+memoized, the one cache of this module.  The 1F1 changes sign exactly
+ceil(Q/2 - 1) times for Q > 2, so it is sampled on the grid only up to its
+last sign change, and at the window end; each sign change is refined on the
+scalar 1F1 by bracketing secant steps seeded with the grid values at the
+bracket ends.  Every default window has
 t_max gamma0 = 100, so all cutoffs share one search per Q.  A channel scales
 the reduced intervals by 1/gamma0 and evaluates E at their ends only, so no
 kernel profile is summed and no revival is lost where alpha underflows.  Each
@@ -72,7 +74,8 @@ class TimeWindow:
     """Uniform grid of ``n_grid`` times over [0, t_max].
 
     The revival search samples the same grid in reduced time,
-    linspace(0, t_max gamma0, n_grid), and is memoized on
+    linspace(0, t_max gamma0, n_grid), up to the last sign change of the
+    slope and at the window end, and is memoized on
     (Q, t_max gamma0, n_grid): windows with equal t_max gamma0, such as every
     ``for_cutoff`` window, share one search per Q.  Each sign change is
     refined by bracketing secant steps, seeded with the grid values at its
@@ -215,6 +218,17 @@ def _reduced_slope(q: float, x: float) -> float:
     return -x * specfun.hyp1f1(0.5 * (q + 1.0), 1.5, -0.25 * x * x)
 
 
+# Grid points of the revival search's first 1F1 call; each later call takes
+# twice as many as the one before.
+_FIRST_CHUNK = 256
+
+
+def _sign_changes(d: np.ndarray) -> int:
+    # Sign changes between consecutive nonzero entries of d.
+    s = np.sign(d[d != 0.0])
+    return int(np.count_nonzero(s[1:] != s[:-1]))
+
+
 @lru_cache(maxsize=128)
 def _reduced_revival(
     q: float, x_max: float, n_grid: int
@@ -223,13 +237,34 @@ def _reduced_revival(
     rises, and whether the last one is cut off by the window: one search per
     key, shared by every field and cutoff.
 
-    ``_reduced_slope`` is sampled on linspace(0, x_max, n_grid) through the
-    vectorized 1F1 and its sign changes are refined on the scalar 1F1; no
-    kernel is summed.
+    ``_reduced_slope`` is sampled through the vectorized 1F1 on a prefix of
+    linspace(0, x_max, n_grid) plus its end x_max, and its sign changes are
+    refined on the scalar 1F1; no kernel is summed.  The slope changes sign
+    exactly ceil(Q/2 - 1) times for Q > 2 and never for Q <= 2: it equals
+    -x e^-u M(1 - Q/2; 3/2; u) with u = x^2/4 (Kummer's transformation,
+    DLMF 13.2.39), and M(c; b; u) with c < 0 < b has exactly ceil(-c)
+    positive zeros (DLMF 13.9.1).  So the prefix grows, by chunks of
+    doubling size, only until its nonzero samples show that many changes;
+    the end sample, taken in the first call, sets the truncation flag.
+    Where the count is not reached within the window, the whole grid is
+    sampled.
     """
     xs = np.linspace(0.0, x_max, n_grid)
-    m = specfun._hyp1f1_array(0.5 * (q + 1.0), 1.5, -0.25 * xs * xs)
-    return _rising_intervals(xs, -xs * m, partial(_reduced_slope, q))
+    a = 0.5 * (q + 1.0)
+
+    def slope(x: np.ndarray) -> np.ndarray:
+        return -x * specfun._hyp1f1_array(a, 1.5, -0.25 * x * x)
+
+    wanted = max(0, math.ceil(0.5 * q - 1.0))
+    n = min(_FIRST_CHUNK, n_grid - 1)
+    d = slope(np.append(xs[:n], x_max))  # the prefix, then the end sample
+    chunk = _FIRST_CHUNK
+    while n < n_grid - 1 and _sign_changes(d[:-1]) < wanted:
+        chunk *= 2
+        m = min(n + chunk, n_grid - 1)
+        d = np.concatenate((d[:-1], slope(xs[n:m]), d[-1:]))
+        n = m
+    return _rising_intervals(np.append(xs[:n], x_max), d, partial(_reduced_slope, q))
 
 
 def _revival(
@@ -245,9 +280,10 @@ def _revival(
 
     For Q <= 2 nothing is sampled: dI/dt is proportional to
     t M((Q+1)/2; 3/2; -u) = t e^-u M(1 - Q/2; 3/2; u) (Kummer's
-    transformation), a series of nonnegative terms led by 1, so alpha
-    decreases monotonically and never revives.  Neither does it for B = 0,
-    where alpha stays 1.
+    transformation), which has no positive zero there (the count
+    ceil(Q/2 - 1) of ``_reduced_revival`` is 0), so alpha decreases
+    monotonically and never revives.  Neither does it for B = 0, where alpha
+    stays 1.
     """
     q, g0 = ch.env.q, ch.env.gamma0
     if q <= 2.0:

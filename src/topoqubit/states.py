@@ -60,7 +60,7 @@ def _eigvalsh(m: np.ndarray) -> np.ndarray:
     d0, d1 = m[..., 0, 0].real, m[..., 1, 1].real
     mean = 0.5 * (d0 + d1)
     radius = np.hypot(0.5 * (d0 - d1), np.abs(m[..., 0, 1]))
-    return np.stack((mean - radius, mean + radius), axis=-1)
+    return np.concatenate(((mean - radius)[..., None], (mean + radius)[..., None]), axis=-1)
 
 
 def _check_density(m: np.ndarray) -> None:
@@ -287,13 +287,19 @@ def evolve_single(rho0: DensityMatrix2, a) -> DensityMatrix2:
     may be an array of factors; the result is then the stack of images of
     the one state ``rho0``, shape ``a.shape + (2, 2)``.
     """
-    r = _one_state(rho0)
+    return _dephased(_one_state(rho0), a)
+
+
+def _dephased(r: np.ndarray, a) -> DensityMatrix2:
+    # The images of the states r (..., 2, 2) under every factor of a, shape
+    # a.shape + r.shape[:-2] + (2, 2), validated as one stack.
     a = _coherence_factors(a)
+    out = np.empty(a.shape + r.shape, dtype=np.complex128)
+    a = a.reshape(a.shape + (1,) * (r.ndim - 2))
     a2 = a * a
-    out = np.empty(a.shape + (2, 2), dtype=np.complex128)
-    out[..., 0, 0] = 0.5 * (1.0 + (2.0 * r[0, 0].real - 1.0) * a2)
-    out[..., 1, 1] = 0.5 * (1.0 + (2.0 * r[1, 1].real - 1.0) * a2)
-    out[..., 0, 1] = a * r[0, 1]
+    out[..., 0, 0] = 0.5 * (1.0 + (2.0 * r[..., 0, 0].real - 1.0) * a2)
+    out[..., 1, 1] = 0.5 * (1.0 + (2.0 * r[..., 1, 1].real - 1.0) * a2)
+    out[..., 0, 1] = a * r[..., 0, 1]
     out[..., 1, 0] = np.conj(out[..., 0, 1])
     return DensityMatrix2(out)
 
@@ -378,8 +384,9 @@ def trace_distance(rho, sigma):
 
 
 # The probe states (I + sigma_j)/2, (I - sigma_j)/2 for j = x, y, z, in that
-# order, from whose images the Bloch map is read off, and the stacked Paulis.
-_PROBES = tuple(DensityMatrix2(0.5 * m) for sj in PAULIS for m in (_ID2 + sj, _ID2 - sj))
+# order, as one stack from whose images the Bloch map is read off, and the
+# stacked Paulis.
+_PROBES = DensityMatrix2(np.stack([0.5 * m for sj in PAULIS for m in (_ID2 + sj, _ID2 - sj)]))
 _PAULI_STACK = np.stack(PAULIS)
 
 
@@ -390,9 +397,10 @@ def bloch_affine_map(a) -> BlochAffineMap:
     of sigma_j is reconstructed as E((I+sigma_j)/2) - E((I-sigma_j)/2), the
     offset from E(I).  No diagonal form is assumed.  ``a`` may be an array of
     factors; the result is then the stack of maps, ``m`` of shape
-    ``a.shape + (3, 3)``, every image validated once as one stack.
+    ``a.shape + (3, 3)``.  The six probes are evolved by the channel formula
+    of :func:`evolve_single` as one stack, validated once.
     """
-    images = np.stack([evolve_single(p, a).matrix for p in _PROBES], axis=-3)
+    images = _dephased(_PROBES.matrix, a).matrix
     plus, minus = images[..., 0::2, :, :], images[..., 1::2, :, :]
     # m_ij = tr(sigma_i E(sigma_j)) / 2 and c_i = tr(sigma_i E(I)) / 2, with
     # E(I) from the z probes.

@@ -690,6 +690,78 @@ def test_revival_search_keeps_its_errors():
         blp(chan(3.0, 1.6, 1.0), TimeWindow(1e160))
 
 
+def _full_grid_revival(q, x_max, n_grid):
+    """The revival search without its early stop, the brute-force reference:
+    the reduced slope on the whole grid, every sign change refined.  Returns
+    its (intervals, truncated) and the grid samples."""
+    xs = np.linspace(0.0, x_max, n_grid)
+    d_grid = -xs * specfun._hyp1f1_array(0.5 * (q + 1.0), 1.5, -0.25 * xs * xs)
+    return _rising_intervals(xs, d_grid, lambda x: _reduced_slope(q, x)), d_grid
+
+
+# The fig1 lattice, a spread over (2, 12] and the even exponents up to 12.
+_EARLY_STOP_Q = sorted(
+    {round(0.05 * k, 2) for k in range(81)}
+    | {float(q) for q in np.linspace(2.1, 12.0, 34)}
+    | {6.0, 8.0, 10.0, 12.0}
+)
+
+
+@pytest.mark.parametrize("x_max, n_grid", [
+    (100.0, 4096), (100.0, 1025), (15.0, 2048), (0.02, 2048), (160.0, 4096), (37.5, 513),
+])
+def test_early_stop_matches_the_full_grid_search(x_max, n_grid):
+    # the slope -x e^-u M(1 - Q/2; 3/2; u) changes sign ceil(Q/2 - 1) times
+    # (DLMF 13.2.39, 13.9.1), all of them at x < 15 for Q <= 12; the search
+    # stops sampling after the last one, or samples the whole grid where the
+    # window ends before it
+    for q in _EARLY_STOP_Q:
+        full, d_grid = _full_grid_revival(q, x_max, n_grid)
+        _reduced_revival.cache_clear()
+        assert _reduced_revival(q, x_max, n_grid) == full, (q, x_max, n_grid)
+        signs = np.sign(d_grid[d_grid != 0.0])
+        changes = int(np.count_nonzero(signs[1:] != signs[:-1]))
+        wanted = max(0, math.ceil(0.5 * q - 1.0))
+        assert changes == (wanted if x_max >= 15.0 else 0), (q, x_max, n_grid)
+
+
+def test_revival_search_stops_at_its_last_sign_change(monkeypatch):
+    # work-count guard: at Q = 3 the one sign change lies in the first 256
+    # grid points of the default window, sampled with the window end alone
+    # (the whole grid, 4096 points, before)
+    sizes = []
+    hyp1f1_array = specfun._hyp1f1_array
+
+    def counted(a, b, z, *args, **kwargs):
+        sizes.append(np.size(z))
+        return hyp1f1_array(a, b, z, *args, **kwargs)
+
+    monkeypatch.setattr(specfun, "_hyp1f1_array", counted)
+    _reduced_revival.cache_clear()
+    got = _reduced_revival(3.0, 100.0, 4096)
+    assert sum(sizes) <= 257
+    monkeypatch.undo()
+    assert got == _full_grid_revival(3.0, 100.0, 4096)[0]
+
+
+@pytest.mark.parametrize("q, reaches_end", [(4.0, True), (6.0, False), (8.0, True)])
+def test_even_q_tail_is_not_a_truncation(q, reaches_end):
+    # at even Q the sampled slope is -0.0 from x ~ 55 on, window end included:
+    # the exact slope -x e^-u M(1 - Q/2; 3/2; u) underflows there.  After an
+    # odd number of sign changes (Q = 4, 8) alpha still rises, by less than
+    # e^-745, so the last interval reaches the window end unflagged; after an
+    # even number (Q = 6) it has closed.  The search samples nothing past
+    # the last sign change but the window end, which alone sets the flag.
+    w = TimeWindow.for_cutoff(1.6)
+    assert _reduced_slope(q, 100.0) == 0.0
+    intervals, _, truncated = _revival(chan(q, 1.6, 1.0), w)
+    assert truncated is False
+    assert (intervals[-1][1] == w.t_max) is reaches_end
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", HorizonWarning)
+        nm_report(chan(q, 1.6, 1.0), w)
+
+
 # ---------------------------------------------------------------------------
 # log backflow
 # ---------------------------------------------------------------------------

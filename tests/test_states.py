@@ -289,7 +289,8 @@ def test_bloch_affine_map_structure():
 
 def test_bloch_affine_map_validates_only_its_images(monkeypatch):
     # work-count guard: the six probe states are built and validated once,
-    # at import, so a call validates only their six images (12 before)
+    # at import, and a call evolves them as one stack, so it validates their
+    # images once (six validations before, 12 before that)
     calls = []
     check = states._check_density
 
@@ -300,7 +301,7 @@ def test_bloch_affine_map_validates_only_its_images(monkeypatch):
     monkeypatch.setattr(states, "_check_density", counted)
     a = np.linspace(0.0, 1.0, 101)
     am = bloch_affine_map(a)
-    assert calls == [(101, 2, 2)] * 6
+    assert calls == [(101, 6, 2, 2)]
     assert np.allclose(am.det, a**4, rtol=1e-12, atol=0.0)
 
 
