@@ -52,7 +52,6 @@ from .nonmarkov import (
     critical_q_scan,
     lpp,
     nm_report,
-    positive_variation,
 )
 from .specfun import (
     DEFAULT_OPTIONS,

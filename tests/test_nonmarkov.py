@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import mpmath
@@ -27,10 +28,9 @@ from topoqubit import (
     lpp,
     evolve_single,
     nm_report,
-    positive_variation,
     trace_distance,
 )
-from topoqubit import dephasing, specfun, states
+from topoqubit import dephasing, nonmarkov, specfun, states
 from topoqubit.nonmarkov import (
     _log_blp,
     _reduced_revival,
@@ -69,15 +69,26 @@ def test_time_window_validation():
 
 
 # ---------------------------------------------------------------------------
-# positive variation on synthetic signals
+# positive variation on synthetic signals: the rising intervals from grid
+# samples of the derivative, the variation telescoped over their ends
 # ---------------------------------------------------------------------------
+
+def _variation(f, dfdt, w):
+    ts = w.times()
+    intervals, truncated = _rising_intervals(ts, dfdt(ts), dfdt)
+    value = 0.0
+    for a, b in intervals:
+        value += f(b) - f(a)
+    return value, intervals, truncated
+
 
 def test_variation_of_monotone_decay_is_zero():
     w = TimeWindow(10.0, 2048)
-    val, intervals = positive_variation(
+    val, intervals, truncated = _variation(
         lambda t: np.exp(-t), lambda t: -np.exp(-t), w)
     assert val == 0.0
     assert intervals == ()
+    assert truncated is False
 
 
 def test_variation_of_damped_oscillation_matches_dense_oracle():
@@ -89,7 +100,7 @@ def test_variation_of_damped_oscillation_matches_dense_oracle():
     def dfdt(t):
         return np.exp(-t) * (1.5 * np.cos(5.0 * t) - 1.0 - 0.3 * np.sin(5.0 * t))
 
-    val, intervals = positive_variation(f, dfdt, w)
+    val, intervals, _ = _variation(f, dfdt, w)
     tt = np.linspace(0.0, 10.0, 1_000_001)
     ff = np.exp(-tt) * (1.0 + 0.3 * np.sin(5.0 * tt))
     dense = float(np.clip(np.diff(ff), 0.0, None).sum())
@@ -101,38 +112,12 @@ def test_variation_of_damped_oscillation_matches_dense_oracle():
         assert f(b) > f(a)
 
 
-def test_variation_open_interval_warns_at_horizon():
+def test_variation_open_interval_is_flagged_at_horizon():
     w = TimeWindow(2.0, 512)
-    with pytest.warns(HorizonWarning):
-        val, intervals = positive_variation(
-            lambda t: -np.cos(t), lambda t: np.sin(t), w)
+    val, intervals, truncated = _variation(lambda t: -np.cos(t), lambda t: np.sin(t), w)
+    assert truncated is True
     assert intervals[-1][1] == pytest.approx(2.0)
     assert val == pytest.approx(-math.cos(2.0) + 1.0, abs=1e-9)
-
-
-def test_variation_rejects_non_finite_grid_derivative():
-    # a NaN run inside the first rising interval used to be read as sign
-    # changes, giving 2.99271 over (0, 1.45) instead of 3.0 over (0, pi/2);
-    # the grid is 10 k / 256, so t = 1.484375 is the first NaN sample
-    w = TimeWindow(10.0, 257)
-
-    def dfdt(t):
-        return np.where((1.45 < t) & (t < 1.7), np.nan, np.cos(t))
-
-    with pytest.raises(DomainError, match=r"nan at t = 1\.484375, not finite"):
-        positive_variation(np.sin, dfdt, w)
-    with pytest.raises(DomainError, match=r"inf at t = 0\.0,"):
-        positive_variation(np.sin, lambda t: np.where(t == 0.0, np.inf, np.cos(t)), w)
-
-
-def test_variation_rejects_grid_derivative_of_wrong_shape():
-    # dfdt is called on the grid array; a scalar-only result is not
-    # re-evaluated point by point
-    w = TimeWindow(2.0, 512)
-    with pytest.raises(DomainError, match=r"shape \(\).*\(512,\)"):
-        positive_variation(lambda t: t, lambda t: 1.0, w)
-    with pytest.raises(DomainError, match=r"shape \(2, 512\).*\(512,\)"):
-        positive_variation(lambda t: t, lambda t: np.ones((2, t.size)), w)
 
 
 # ---------------------------------------------------------------------------
@@ -493,20 +478,38 @@ def test_refiner_returns_an_exact_zero_and_stops_on_adjacent_doubles():
     assert _refine_sign_change(never, lo, hi, -1.0, 1.0) in (lo, hi)
 
 
+def _no_hyp1f1_array(*args, **kwargs):
+    raise AssertionError("vectorized 1F1 called by the revival search")
+
+
 def test_critical_q_scan_call_count(monkeypatch):
-    # work-count guard: with a cold revival memo the scan makes at most 260
-    # scalar 1F1 calls (about 11 per refined root; plain bisection made 813)
+    # work-count guard: with a cold revival memo the scan makes no array 1F1
+    # call and at most 500 scalar 1F1 calls (484; 198 scalar calls and 3853
+    # array elements before), at most 200 of them refining roots (192, about
+    # 11 per refined root; plain bisection made 813)
     calls = []
+    refining = []
     hyp1f1 = specfun.hyp1f1
+    refine = nonmarkov._refine_sign_change
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append(bool(refining))
         return hyp1f1(*args, **kwargs)
 
+    def refine_counted(*args, **kwargs):
+        refining.append(True)
+        try:
+            return refine(*args, **kwargs)
+        finally:
+            refining.pop()
+
     monkeypatch.setattr(specfun, "hyp1f1", counted)
+    monkeypatch.setattr(specfun, "_hyp1f1_array", _no_hyp1f1_array)
+    monkeypatch.setattr(nonmarkov, "_refine_sign_change", refine_counted)
     _reduced_revival.cache_clear()
     assert critical_q_scan(1.6) == 2.232421875
-    assert 0 < len(calls) <= 260
+    assert 0 < sum(calls) <= 200
+    assert len(calls) <= 500
 
 
 def _no_eigvalsh(*args, **kwargs):
@@ -589,27 +592,31 @@ def test_markovian_revival_search_builds_no_profile(monkeypatch):
 
 def test_report_builds_one_profile(monkeypatch):
     # the witnesses and the intervals of both cutoffs share one reduced
-    # search: default windows span the same t gamma0, and no kernel profile
-    # is summed, only the two exponents at each interval's ends
+    # search: default windows span the same t gamma0, so the weak-cutoff
+    # report makes no 1F1 call at all; no kernel profile is summed, only the
+    # two exponents at each interval's ends, and no array 1F1 is called
     calls = []
-    hyp1f1_array = specfun._hyp1f1_array
+    hyp1f1 = specfun.hyp1f1
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return hyp1f1_array(*args, **kwargs)
+        return hyp1f1(*args, **kwargs)
 
     def no_kernel(*args, **kwargs):
         raise AssertionError("_kernel_array called by the revival search")
 
-    monkeypatch.setattr(specfun, "_hyp1f1_array", counted)
+    monkeypatch.setattr(specfun, "hyp1f1", counted)
+    monkeypatch.setattr(specfun, "_hyp1f1_array", _no_hyp1f1_array)
     monkeypatch.setattr(specfun, "_kernel_array", no_kernel)
     monkeypatch.setattr(dephasing, "_kernel_array", no_kernel)
     _reduced_revival.cache_clear()
     r = nm_report(chan(3.0, 1.6, 1.0), TimeWindow.for_cutoff(1.6))
     assert r.n_blp > 0.0 and len(r.revival_intervals) == 1
+    assert calls
+    calls.clear()
     weak = nm_report(chan(3.0, 0.01, 1.0), TimeWindow.for_cutoff(0.01))
     assert len(weak.revival_intervals) == 1
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_pair_scan_sums_no_slope(monkeypatch):
@@ -726,22 +733,107 @@ def test_early_stop_matches_the_full_grid_search(x_max, n_grid):
 
 
 def test_revival_search_stops_at_its_last_sign_change(monkeypatch):
-    # work-count guard: at Q = 3 the one sign change lies in the first 256
-    # grid points of the default window, sampled with the window end alone
-    # (the whole grid, 4096 points, before)
+    # work-count guard: at Q = 3 the one sign change of the default window is
+    # walked to, narrowed to its grid cell and refined with at most 40 scalar
+    # 1F1 calls (24) and no array call (257 array points before, the whole
+    # grid of 4096 before that)
     sizes = []
+    calls = []
     hyp1f1_array = specfun._hyp1f1_array
+    hyp1f1 = specfun.hyp1f1
 
-    def counted(a, b, z, *args, **kwargs):
+    def counted_array(a, b, z, *args, **kwargs):
         sizes.append(np.size(z))
         return hyp1f1_array(a, b, z, *args, **kwargs)
 
-    monkeypatch.setattr(specfun, "_hyp1f1_array", counted)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return hyp1f1(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "_hyp1f1_array", counted_array)
+    monkeypatch.setattr(specfun, "hyp1f1", counted)
     _reduced_revival.cache_clear()
     got = _reduced_revival(3.0, 100.0, 4096)
-    assert sum(sizes) <= 257
+    assert sum(sizes) == 0
+    assert len(calls) <= 40
     monkeypatch.undo()
     assert got == _full_grid_revival(3.0, 100.0, 4096)[0]
+
+
+def test_revival_walk_ends_at_x_20(monkeypatch):
+    # work-count guard: on a grid of spacing 3.9 the Q = 3 sign change
+    # (x = 2.9) hides in the first cell, after the exact zero at x = 0, so
+    # the walk cannot see it; it gives up at x = 20 after 6 points, with the
+    # end sample, and the whole grid is sampled once (without that bound the
+    # walk would take all 4096 points with the scalar 1F1 first)
+    calls = []
+    sizes = []
+    hyp1f1 = specfun.hyp1f1
+    hyp1f1_array = specfun._hyp1f1_array
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return hyp1f1(*args, **kwargs)
+
+    def counted_array(a, b, z, *args, **kwargs):
+        sizes.append(np.size(z))
+        return hyp1f1_array(a, b, z, *args, **kwargs)
+
+    monkeypatch.setattr(specfun, "hyp1f1", counted)
+    monkeypatch.setattr(specfun, "_hyp1f1_array", counted_array)
+    _reduced_revival.cache_clear()
+    got = _reduced_revival(3.0, 16000.0, 4096)
+    assert len(calls) == 7 and sizes == [4096]
+    monkeypatch.undo()
+    assert got == _full_grid_revival(3.0, 16000.0, 4096)[0]
+
+
+@pytest.mark.parametrize("x_max, n_grid", [
+    (100.0, 4096), (100.0, 1025), (15.0, 2048), (0.02, 2048), (160.0, 4096), (37.5, 513),
+])
+def test_scalar_end_sample_flags_as_the_array_one(x_max, n_grid):
+    # the truncation flag comes from the scalar window-end sample, where the
+    # whole-grid search read the vectorized one; at even Q both are -0.0 on
+    # the default window, a closed interval rather than a truncation
+    z = np.array([-0.25 * x_max * x_max])
+    for q in _EARLY_STOP_Q:
+        array_end = -x_max * specfun._hyp1f1_array(0.5 * (q + 1.0), 1.5, z)[0]
+        assert (_reduced_slope(q, x_max) > 0.0) == (array_end > 0.0), (q, x_max)
+
+
+def test_revival_search_rejects_non_finite_slope(monkeypatch):
+    # a NaN slope sample would read as "not rising" and move or hide a sign
+    # change; the walk, its end sample and the whole-grid pass name its x
+    hyp1f1 = specfun.hyp1f1
+    hyp1f1_array = specfun._hyp1f1_array
+
+    def nan_inside(a, b, z, *args, **kwargs):
+        return math.nan if 0.5 < -z < 1.0 else hyp1f1(a, b, z, *args, **kwargs)
+
+    def inf_at_end(a, b, z, *args, **kwargs):
+        return math.inf if z == -2500.0 else hyp1f1(a, b, z, *args, **kwargs)
+
+    def nan_array(a, b, z, *args, **kwargs):
+        out = hyp1f1_array(a, b, z, *args, **kwargs)
+        out[7] = math.nan
+        return out
+
+    # the walk's stride on this grid is 12 points, x = 0.293: the sixth
+    # point walked is the first with u = x^2/4 in (0.5, 1)
+    walked = float(np.linspace(0.0, 100.0, 4096)[60])
+    monkeypatch.setattr(specfun, "hyp1f1", nan_inside)
+    _reduced_revival.cache_clear()
+    with pytest.raises(DomainError, match=re.escape(f"nan at x = {walked!r}, not finite")):
+        _reduced_revival(3.0, 100.0, 4096)
+    monkeypatch.setattr(specfun, "hyp1f1", inf_at_end)
+    with pytest.raises(DomainError, match=r"-inf at x = 100\.0, not finite"):
+        _reduced_revival(3.0, 100.0, 4096)
+    # a window that ends before the sign change is sampled whole
+    monkeypatch.setattr(specfun, "hyp1f1", hyp1f1)
+    monkeypatch.setattr(specfun, "_hyp1f1_array", nan_array)
+    x7 = float(np.linspace(0.0, 0.02, 2048)[7])
+    with pytest.raises(DomainError, match=re.escape(f"nan at x = {x7!r}, not finite")):
+        _reduced_revival(3.0, 0.02, 2048)
 
 
 @pytest.mark.parametrize("q, reaches_end", [(4.0, True), (6.0, False), (8.0, True)])
