@@ -13,21 +13,20 @@ For this channel family every witness is a strictly increasing function of
 alpha, so revival intervals coincide across measures.  With x = t gamma0,
 the exponent E = -ln alpha has the slope dE/dt = s_d t M((Q+1)/2; 3/2; -x^2/4)
 with s_d > 0 for B > 0, so alpha rises exactly where that 1F1 is negative: a
-set of reduced times fixed by Q alone, not by B or gamma0.  It is searched
-from the sign of the 1F1 alone, once per (Q, t_max gamma0, n_grid), and
-memoized, the one cache of this module.  The 1F1 changes sign exactly
-ceil(Q/2 - 1) times for Q > 2, so the scalar 1F1 walks the grid at a stride
-of about 0.3 in x only until it has seen them all, and samples the window
-end; each sign change is narrowed by bisection to the one grid cell that
-holds it and refined by bracketing secant steps seeded with that cell's two
-values.  Every default window has t_max gamma0 = 100, so all cutoffs share
-one search per Q.  A channel scales
-the reduced intervals by 1/gamma0 and evaluates E at their ends only, so no
-kernel profile is summed and no revival is lost where alpha underflows.  Each
-witness telescopes its own function of alpha over the ends, evaluated once on
-the array of alpha at every end (LPP through one stacked Bloch map);
-``nm_report`` adds ln n_blp, formed from the exponents, which stays finite
-where n_blp underflows to 0.
+set of reduced times fixed by Q alone, not by B, gamma0 or the window.  It is
+searched from the sign of the 1F1 alone, once per Q, and memoized, the one
+cache of this module.  The 1F1 changes sign exactly ceil(Q/2 - 1) times for
+Q > 2, so the scalar 1F1 walks x in steps of 0.3 only until it has seen them
+all; each sign change is refined by bracketing secant steps seeded with the
+two walked values around it.  A window clips the stretches to its end
+x_max = t_max gamma0, and the sign of the slope sampled there says whether
+the last revival is cut off; the window's ``n_grid`` does not enter the
+witnesses.  A channel scales the clipped intervals by 1/gamma0 and evaluates
+E at their ends only, so no kernel profile is summed and no revival is lost
+where alpha underflows.  Each witness telescopes its own function of alpha
+over the ends, evaluated once on the array of alpha at every end (LPP
+through one stacked Bloch map); ``nm_report`` adds ln n_blp, formed from the
+exponents, which stays finite where n_blp underflows to 0.
 
 All measures vanish identically for spectral exponents Q <= 2, where the
 search returns without sampling anything.  Above it every field B > 0 has
@@ -46,7 +45,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain
 
 import numpy as np
 
@@ -74,15 +72,10 @@ _TRUNCATED = "derivative still positive at t_max; a revival is truncated by the 
 class TimeWindow:
     """Uniform grid of ``n_grid`` times over [0, t_max].
 
-    The revival search walks the same grid in reduced time,
-    linspace(0, t_max gamma0, n_grid), at a stride of about 0.3 in x up to
-    the last sign change of the slope, samples the window end, and is
-    memoized on (Q, t_max gamma0, n_grid): windows with equal t_max gamma0,
-    such as every ``for_cutoff`` window, share one search per Q.  Each sign
-    change is narrowed to one grid cell and refined by bracketing secant
-    steps, seeded with the cell's two grid values, until no double lies
-    strictly inside its bracket.  For Q <= 12 the refined ends are those of
-    a search over every grid point.
+    The witnesses read ``t_max`` alone: their revival intervals are the
+    memoized reduced stretches of their Q, clipped to t_max gamma0, so the
+    grid does not enter them.  ``blp_pair_scan`` and the time-series modes
+    sample ``times()``.
     """
 
     t_max: float
@@ -126,9 +119,12 @@ def _refine_sign_change(g, lo: float, hi: float, g_lo: float, g_hi: float) -> fl
     # values g_lo, g_hi at its ends, until no double lies strictly inside it.
     # Each step takes the secant point, pushed toward the end that was not
     # moved last by 2 ulp, doubling while the same end keeps moving, so the
-    # bracket shrinks from both sides; a point outside the bracket is
-    # replaced by the midpoint.  Only the seeds' signs are trusted from the
-    # caller, inner points are evaluated exactly.
+    # bracket shrinks from both sides; when the same end moves twice in a
+    # row the value kept at the other end is halved (the Illinois step), so
+    # the next secant point leans toward that end too.  A point outside the
+    # bracket is replaced by the midpoint.  Only the seeds' signs are trusted
+    # from the caller, inner points are evaluated exactly.
+    lo_positive = g_lo > 0.0
     moved = 0  # -1 when lo moved last, +1 when hi did
     push = 2.0
     for _ in range(200):
@@ -141,154 +137,82 @@ def _refine_sign_change(g, lo: float, hi: float, g_lo: float, g_hi: float) -> fl
         gx = g(x)
         if gx == 0.0:
             return x
-        side = -1 if (gx > 0.0) == (g_lo > 0.0) else 1
+        side = -1 if (gx > 0.0) == lo_positive else 1
         if side < 0:
             lo, g_lo = x, gx
         else:
             hi, g_hi = x, gx
-        push = 2.0 * push if side == moved else 2.0
+        if side == moved:
+            push *= 2.0
+            if side < 0:
+                g_hi *= 0.5
+            else:
+                g_lo *= 0.5
+        else:
+            push = 2.0
         moved = side
     return 0.5 * (lo + hi)
 
 
-def _rising_intervals(
-    ts: np.ndarray,
-    d_grid: np.ndarray,
-    dfdt,
-) -> tuple[tuple[tuple[float, float], ...], bool]:
-    """Intervals on which a signal increases, from grid samples of its derivative.
-
-    Sign changes of ``d_grid`` are refined on the scalar ``dfdt``, seeded with
-    the grid values at the bracket ends.
-    Exact zeros on the grid carry no sign and are skipped when locating
-    changes.  The flag is True when the derivative is still positive at the
-    window end, i.e. the last interval is cut off by the window.
-    """
-    nz = np.flatnonzero(d_grid)
-    signs = np.sign(d_grid[nz])
-    intervals: list[tuple[float, float]] = []
-    truncated = False
-    if nz.size:
-        cur_start = float(ts[0]) if signs[0] > 0 else None
-        # Positions i in nz where the sign differs from that at i + 1.
-        for i in np.flatnonzero(signs[1:] != signs[:-1]).tolist():
-            j, k = nz[i], nz[i + 1]
-            root = _refine_sign_change(
-                dfdt, float(ts[j]), float(ts[k]), float(d_grid[j]), float(d_grid[k])
-            )
-            if signs[i + 1] > 0:
-                cur_start = root
-            elif cur_start is not None:
-                intervals.append((cur_start, root))
-                cur_start = None
-        if cur_start is not None:
-            intervals.append((cur_start, float(ts[-1])))
-            truncated = bool(d_grid[-1] > 0.0)
-    return tuple(intervals), truncated
-
-
 def _reduced_slope(q: float, x: float) -> float:
     """-x M((Q+1)/2; 3/2; -x^2/4): for B > 0 it has the sign of d alpha/dt at
-    t = x / gamma0, whatever B and gamma0."""
-    return -x * specfun.hyp1f1(0.5 * (q + 1.0), 1.5, -0.25 * x * x)
+    t = x / gamma0, whatever B and gamma0.  A non-finite value raises
+    DomainError naming x: a NaN would read as "not rising" and move or hide
+    a sign change."""
+    d = -x * specfun.hyp1f1(0.5 * (q + 1.0), 1.5, -0.25 * x * x)
+    if not math.isfinite(d):
+        raise DomainError(f"reduced slope is {d} at x = {x!r}, not finite")
+    return d
 
 
-# Reduced-time step of the revival search's walk over the grid, below the
-# narrowest gap between neighbouring sign changes of the slope (and between
-# x = 0 and the first): 1.31 for Q <= 12, 0.82 for Q <= 30.
+# Reduced-time step of the revival search's walk, below the narrowest gap
+# between neighbouring sign changes of the slope (and between x = 0 and the
+# first): 1.31 for Q <= 12, 0.82 for Q <= 30, 0.52 for Q <= 72.
 _WALK_STEP = 0.3
-# Reduced time where the walk ends, past the last sign change of every double
-# Q in (2, 12] (at most x = 16.4, for Q just above 10, where it enters from
-# infinity): beyond it the whole-grid pass costs less than more scalar calls.
-_WALK_END = 20.0
+# Reduced time where the walk ends.  A 60-digit mpmath scan of the zeros of
+# M(1 - Q/2; 3/2; x^2/4), over Q = 2.1, 2.2, ..., 72 and Q = 2k(1 + eps) for
+# k = 1..35, where a new zero enters from infinity, found all ceil(Q/2 - 1)
+# of them at x <= 29.10 (the largest at Q = 70(1 + eps)).  Larger Q is the
+# open large-Q item of the ROADMAP (a kernel and slope without cancellation):
+# the last zero moves out, and above Q ~ 40 the double slope loses digits,
+# enough at Q = 71.9 to give walked samples the wrong sign near x = 12.7 and
+# end the walk one zero short.
+_WALK_END = 32.0
 
 
 @lru_cache(maxsize=128)
-def _reduced_revival(
-    q: float, x_max: float, n_grid: int
-) -> tuple[tuple[tuple[float, float], ...], bool]:
-    """Intervals of reduced time x = t gamma0 in [0, x_max] on which alpha
-    rises, and whether the last one is cut off by the window: one search per
-    key, shared by every field and cutoff.
+def _reduced_revival(q: float) -> tuple[tuple[float, float], ...]:
+    """Stretches of reduced time x = t gamma0 > 0 on which alpha rises, for
+    every field B > 0, cutoff and window: one search per Q.
 
-    The sign changes of ``_reduced_slope`` on the grid
-    linspace(0, x_max, n_grid) are located with the scalar 1F1 and refined
-    on it; no kernel is summed.  The slope changes sign exactly
-    ceil(Q/2 - 1) times for Q > 2 and never for Q <= 2: it equals
-    -x e^-u M(1 - Q/2; 3/2; u) with u = x^2/4 (Kummer's transformation,
-    DLMF 13.2.39), and M(c; b; u) with c < 0 < b has exactly ceil(-c)
-    positive zeros (DLMF 13.9.1).  So the search walks the grid at a stride
-    of about ``_WALK_STEP`` in x, up to the window end or ``_WALK_END``,
-    and stops once it has seen that many changes; each then lies alone
-    between two walked points, and bisection on grid indices narrows it to
-    the one grid cell that holds it, whose two values seed the refiner.  For
-    Q <= 12 the refined ends are those of the search over every grid point,
-    double for double; above, where the 1F1 loses digits near its zeros,
-    they can differ by that noise (up to about 1e-10 relative at Q = 40).
-    The window-end sample alone sets the truncation flag.  Where the walk ends
-    short of the count, or a bisection meets an exact zero, the whole grid
-    is sampled through the vectorized 1F1.  At Q = 3 on a default window the
-    search makes 24 scalar 1F1 calls and no array call.  A non-finite sample
-    raises DomainError naming its x.
+    The slope ``_reduced_slope`` changes sign exactly ceil(Q/2 - 1) times for
+    Q > 2 and never for Q <= 2: it equals -x e^-u M(1 - Q/2; 3/2; u) with
+    u = x^2/4 (Kummer's transformation, DLMF 13.2.39), and M(c; b; u) with
+    c < 0 < b has exactly ceil(-c) positive zeros (DLMF 13.9.1).  So the
+    scalar 1F1 walks x = k ``_WALK_STEP``, k = 1, 2, ..., until it has seen
+    that many sign changes between nonzero samples or x passes
+    ``_WALK_END``; each change is refined on the scalar 1F1 from the two
+    walked values around it.  The slope is -x + O(x^3), negative up to the
+    first change, so the stretches run from the first refined end to the
+    second, the third to the fourth, and so on; after an odd count the last
+    one ends at inf.  At Q = 3 the search makes 19 scalar 1F1 calls.  A
+    non-finite sample raises DomainError naming its x.
     """
-    xs = np.linspace(0.0, x_max, n_grid)
-    last = n_grid - 1
-    seen: dict[int, float] = {}  # scalar samples by grid index
-
-    def sample(i: int) -> float:
-        if i not in seen:
-            d = _reduced_slope(q, float(xs[i]))
-            if not math.isfinite(d):
-                raise DomainError(f"reduced slope is {d} at x = {float(xs[i])!r}, not finite")
-            seen[i] = d
-        return seen[i]
-
-    sample(last)  # the window end, whose sign alone sets the truncation flag
     slope = partial(_reduced_slope, q)
     wanted = max(0, math.ceil(0.5 * q - 1.0))
-    stride = max(1, int(_WALK_STEP * last / x_max))
-    reach = last if x_max <= _WALK_END else max(1, int(_WALK_END * last / x_max))
-    if _narrow_sign_changes(sample, wanted, stride, reach):
-        idx = sorted(seen)
-        return _rising_intervals(xs[idx], np.array([seen[i] for i in idx]), slope)
-    d = -xs * specfun._hyp1f1_array(0.5 * (q + 1.0), 1.5, -0.25 * xs * xs)
-    bad = ~np.isfinite(d)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DomainError(f"reduced slope is {d[i]} at x = {float(xs[i])!r}, not finite")
-    return _rising_intervals(xs, d, slope)
-
-
-def _narrow_sign_changes(sample, wanted: int, stride: int, reach: int) -> bool:
-    # Walk the grid indices 0, stride, 2 stride, ... and then ``reach`` until
-    # ``wanted`` sign changes show between nonzero samples, then bisect each
-    # on the indices down to the one grid cell across which it happens;
-    # ``sample(i)`` is the slope at index i.  False when the walk ends short
-    # of the count or a bisection meets an exact zero.
-    brackets = []
-    i_prev, d_prev = -1, 0.0  # the last nonzero sample walked
-    for i in chain(range(0, reach, stride), (reach,)):
-        d = sample(i)
+    ends: list[float] = []
+    x_prev, d_prev = 0.0, 0.0  # the last nonzero sample walked
+    for k in range(1, int(_WALK_END / _WALK_STEP) + 1):
+        if len(ends) == wanted:
+            break
+        x = k * _WALK_STEP
+        d = slope(x)
         if d != 0.0:
             if d_prev != 0.0 and (d > 0.0) != (d_prev > 0.0):
-                brackets.append((i_prev, i))
-            i_prev, d_prev = i, d
-            if len(brackets) == wanted:
-                break
-    else:
-        return False
-    for lo, hi in brackets:
-        hi_positive = sample(hi) > 0.0
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            d = sample(mid)
-            if d == 0.0:
-                return False
-            if (d > 0.0) == hi_positive:
-                hi = mid
-            else:
-                lo = mid
-    return True
+                ends.append(_refine_sign_change(slope, x_prev, x, d_prev, d))
+            x_prev, d_prev = x, d
+    ends.append(math.inf)
+    return tuple(zip(ends[::2], ends[1::2]))
 
 
 def _revival(
@@ -297,10 +221,12 @@ def _revival(
     """Revival intervals of alpha over the window, the exponent E = -ln alpha
     at their ends, and whether the last interval is cut off by the window.
 
-    The intervals are the memoized reduced ones scaled by 1/gamma0, the last
-    end being exactly ``w.t_max`` when it reaches the window end.  Every
-    witness is a strictly increasing function of alpha, so all three share
-    this one search.
+    The intervals are the memoized reduced stretches of Q clipped to
+    x_max = t_max gamma0 and scaled by 1/gamma0: a stretch that starts at or
+    after x_max is dropped, and one that reaches past it ends exactly at
+    ``w.t_max``.  The scalar slope sampled at x_max sets the flag: it is
+    True where the slope is positive there.  Every witness is a strictly
+    increasing function of alpha, so all three share this one search.
 
     For Q <= 2 nothing is sampled: dI/dt is proportional to
     t M((Q+1)/2; 3/2; -u) = t e^-u M(1 - Q/2; 3/2; u) (Kummer's
@@ -318,7 +244,8 @@ def _revival(
         raise ConvergenceError("kernel argument (t gamma0)^2/4 leaves the double range")
     if ch.b == 0.0:
         return (), (), False
-    x_intervals, truncated = _reduced_revival(q, x_max, w.n_grid)
+    truncated = _reduced_slope(q, x_max) > 0.0
+    x_intervals = tuple((x0, min(x1, x_max)) for x0, x1 in _reduced_revival(q) if x0 < x_max)
     a = 0.5 * (q - 1.0)
     intervals = tuple((x0 / g0, w.t_max if x1 == x_max else x1 / g0) for x0, x1 in x_intervals)
     exponents = tuple(

@@ -274,6 +274,25 @@ def test_nm_scan_critical_row(tmp_path):
     assert float(row[2]) > 0.0 and float(row[4]) == 1.0
 
 
+def test_nm_scan_rows_do_not_depend_on_the_grid(tmp_path):
+    # at 16 grid points the rows are the 4096-point ones; a search on the
+    # window grid opened the revivals at t = 0 here and printed negative
+    # n_blp (-0.779, -7.45e-4) and n_lpp with critical_flag 0
+    rows = {}
+    for n_grid in ("16", "4096"):
+        out = tmp_path / f"nm{n_grid}.csv"
+        with pytest.warns(HorizonWarning, match="truncated by the window"):
+            rc = main(["nm-scan", "--q", "3", "8", "--gamma0", "1", "--b", "0.3",
+                       "--n-grid", n_grid, "--out", str(out)])
+        assert rc == 0
+        rows[n_grid] = out.read_text().splitlines()[3:]
+    assert rows["16"] == rows["4096"]
+    values = [[float(x) for x in ln.split(",")] for ln in rows["16"]]
+    assert [v[2] for v in values] == pytest.approx(
+        [0.077208981438980251, 0.00072151313229107394], rel=1e-12, abs=0.0)
+    assert [v[4] for v in values] == [1.0, 1.0]
+
+
 def test_qfi_series_gap_column(tmp_path):
     out = tmp_path / "qfi.csv"
     rc = main(["qfi-series", "--q", "3.0", "--gamma0", "1.6",
