@@ -59,6 +59,11 @@ _MAX_N_GRID = 65536
 # the bound holds 302 MB (corr-series) to 638 MB (state-dump).
 _MAX_GRID_POINTS = 2**22
 
+# Points charged to each nm-scan combination, whatever its n_grid: one
+# default window.  Its row reads the window end alone, so n_grid changes
+# neither its values nor its cost, and the budget allows 1024 combinations.
+_NM_SCAN_POINTS = 4096
+
 # Most worker processes a spec may ask for; a fixed number, so a spec
 # validates alike on every machine.
 _MAX_PARALLEL = 64
@@ -113,10 +118,13 @@ class SweepSpec:
             raise SpecError(f"t_max: must be finite and > 0, got {self.t_max}")
         if not 16 <= self.n_grid <= _MAX_N_GRID:
             raise SpecError(f"n_grid: must lie in [16, {_MAX_N_GRID}], got {self.n_grid}")
-        points = len(self.q_values) * len(self.gamma0_values) * self.n_grid
+        nm_scan = self.mode == "nm-scan"
+        per_combo = _NM_SCAN_POINTS if nm_scan else self.n_grid
+        points = len(self.q_values) * len(self.gamma0_values) * per_combo
         if points > _MAX_GRID_POINTS:
+            charged = f"{_NM_SCAN_POINTS} (nm-scan)" if nm_scan else "n_grid"
             raise SpecError(
-                f"len(q_values) * len(gamma0_values) * n_grid: must be at most "
+                f"len(q_values) * len(gamma0_values) * {charged}: must be at most "
                 f"{_MAX_GRID_POINTS}, got {points}"
             )
         if self.format not in ("csv", "json"):
@@ -380,7 +388,7 @@ _DUMP_COLUMNS = ("rho11", "rho22", "rho33", "rho44") + tuple(
     for part in ("re", "im")
 )
 
-# mode -> (per-combo worker, table columns, subcommand help)
+# mode -> (per-combo worker, table columns, help text)
 _MODES = {
     "nm-scan": (
         _nm_rows,
@@ -444,23 +452,27 @@ def run(spec: SweepSpec) -> SeriesTable:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # Built once per process: each add_argument queries the terminal size.
+    # Every mode takes the same options, so one parser with a positional
+    # mode serves all four.
     parser = argparse.ArgumentParser(
         prog="topoqubit",
         description="Sweep driver for topological-qubit dephasing tables.",
     )
-    sub = parser.add_subparsers(dest="mode", required=True)
-    for mode, (_, _, help_text) in _MODES.items():
-        p = sub.add_parser(mode, help=help_text)
-        p.add_argument("--spec", help="JSON spec file; flags override its values")
-        p.add_argument("--q", nargs="+", type=float, help="spectral exponents Q")
-        p.add_argument("--gamma0", nargs="+", type=float, help="cutoff rates gamma0")
-        p.add_argument("--b", type=float, help="field strength B (default 1.0)")
-        p.add_argument("--theta", type=float, help="initial-state angle (default pi/2)")
-        p.add_argument("--t-max", type=float, dest="t_max", help="window end (default 100/gamma0)")
-        p.add_argument("--n-grid", type=int, dest="n_grid", help="time-grid points (default 4096)")
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-        p.add_argument("--parallel", type=int, help="worker processes (default 1)")
+    parser.add_argument(
+        "mode",
+        choices=tuple(_MODES),
+        help="; ".join(f"{mode}: {help_text}" for mode, (_, _, help_text) in _MODES.items()),
+    )
+    parser.add_argument("--spec", help="JSON spec file; flags override its values")
+    parser.add_argument("--q", nargs="+", type=float, help="spectral exponents Q")
+    parser.add_argument("--gamma0", nargs="+", type=float, help="cutoff rates gamma0")
+    parser.add_argument("--b", type=float, help="field strength B (default 1.0)")
+    parser.add_argument("--theta", type=float, help="initial-state angle (default pi/2)")
+    parser.add_argument("--t-max", type=float, dest="t_max", help="window end (default 100/gamma0)")
+    parser.add_argument("--n-grid", type=int, dest="n_grid", help="time-grid points (default 4096)")
+    parser.add_argument("--out", help="output path (default stdout)")
+    parser.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
+    parser.add_argument("--parallel", type=int, help="worker processes (default 1)")
     return parser
 
 

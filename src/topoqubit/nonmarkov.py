@@ -16,10 +16,11 @@ with s_d > 0 for B > 0, so alpha rises exactly where that 1F1 is negative: a
 set of reduced times fixed by Q alone, not by B, gamma0 or the window.  It is
 searched from the sign of the 1F1 alone, once per Q, and memoized, the one
 cache of this module.  The 1F1 changes sign exactly ceil(Q/2 - 1) times for
-Q > 2, so the scalar 1F1 walks x in steps of 0.3 only until it has seen them
-all; each sign change is refined by bracketing secant steps seeded with the
-two walked values around it.  A window clips the stretches to its end
-x_max = t_max gamma0, and the sign of the slope sampled there says whether
+Q > 2, so the scalar 1F1 walks x only until it has seen them all, in coarse
+cells of 0.9, 0.6 or 0.3 by Q and in steps of 0.3 inside a cell where the
+sign changes; each sign change is refined by bracketing secant steps seeded
+with the two walked values around it.  A window clips the stretches to its
+end x_max = t_max gamma0, and the sign of the slope sampled there says whether
 the last revival is cut off; the window's ``n_grid`` does not enter the
 witnesses.  A channel scales the clipped intervals by 1/gamma0 and evaluates
 E at their ends only, so no kernel profile is summed and no revival is lost
@@ -167,8 +168,14 @@ def _reduced_slope(q: float, x: float) -> float:
 
 # Reduced-time step of the revival search's walk, below the narrowest gap
 # between neighbouring sign changes of the slope (and between x = 0 and the
-# first): 1.31 for Q <= 12, 0.82 for Q <= 30, 0.52 for Q <= 72.
+# first): 1.31 for Q <= 12, 0.82 for Q <= 30, 0.52 for Q <= 72.  The walk
+# samples every stride-th multiple of the step, the stride chosen by Q so
+# that a coarse cell (0.9 for Q <= 12, 0.6 for Q <= 30) is still narrower
+# than those gaps and holds at most one sign change; only a cell whose ends
+# differ in sign is walked at the step itself, up to the change.
 _WALK_STEP = 0.3
+# (largest Q, stride) in increasing Q; stride 1 above the last.
+_WALK_STRIDES = ((12.0, 3), (30.0, 2))
 # Reduced time where the walk ends.  A 60-digit mpmath scan of the zeros of
 # M(1 - Q/2; 3/2; x^2/4), over Q = 2.1, 2.2, ..., 72 and Q = 2k(1 + eps) for
 # k = 1..35, where a new zero enters from infinity, found all ceil(Q/2 - 1)
@@ -192,25 +199,43 @@ def _reduced_revival(q: float) -> tuple[tuple[float, float], ...]:
     scalar 1F1 walks x = k ``_WALK_STEP``, k = 1, 2, ..., until it has seen
     that many sign changes between nonzero samples or x passes
     ``_WALK_END``; each change is refined on the scalar 1F1 from the two
-    walked values around it.  The slope is -x + O(x^3), negative up to the
-    first change, so the stretches run from the first refined end to the
-    second, the third to the fourth, and so on; after an odd count the last
-    one ends at inf.  At Q = 3 the search makes 19 scalar 1F1 calls.  A
-    non-finite sample raises DomainError naming its x.
+    walked values around it.  The walk is coarse to fine: it samples every
+    stride-th k (``_WALK_STRIDES``), and walks the k inside a coarse cell
+    only where the cell's ends differ in sign, up to the change.  The cell
+    holds one change, so the refiner gets the bracket and the seeds of the
+    walk over every k, and returns the same double.  The slope is
+    -x + O(x^3), negative up to the first change, so the stretches run from
+    the first refined end to the second, the third to the fourth, and so on;
+    after an odd count the last one ends at inf.  At Q = 3 the search makes
+    14 scalar 1F1 calls (6 walked, 8 refining).  A non-finite sample raises
+    DomainError naming its x.
     """
     slope = partial(_reduced_slope, q)
     wanted = max(0, math.ceil(0.5 * q - 1.0))
+    stride = next((n for q_top, n in _WALK_STRIDES if q <= q_top), 1)
+    k_end = int(_WALK_END / _WALK_STEP)
     ends: list[float] = []
-    x_prev, d_prev = 0.0, 0.0  # the last nonzero sample walked
-    for k in range(1, int(_WALK_END / _WALK_STEP) + 1):
+    k_prev, d_prev = 0, 0.0  # the last nonzero sample walked
+    for k_cell in (*range(stride, k_end, stride), k_end):
         if len(ends) == wanted:
             break
-        x = k * _WALK_STEP
-        d = slope(x)
-        if d != 0.0:
-            if d_prev != 0.0 and (d > 0.0) != (d_prev > 0.0):
-                ends.append(_refine_sign_change(slope, x_prev, x, d_prev, d))
-            x_prev, d_prev = x, d
+        d_cell = slope(k_cell * _WALK_STEP)
+        if d_cell == 0.0:
+            continue
+        if d_prev != 0.0 and (d_cell > 0.0) != (d_prev > 0.0):
+            # The cell's one change: walk its inner k up to it.
+            k, d = k_cell, d_cell
+            for k_in in range(k_prev + 1, k_cell):
+                d_in = slope(k_in * _WALK_STEP)
+                if d_in != 0.0:
+                    if (d_in > 0.0) != (d_prev > 0.0):
+                        k, d = k_in, d_in
+                        break
+                    k_prev, d_prev = k_in, d_in
+            ends.append(
+                _refine_sign_change(slope, k_prev * _WALK_STEP, k * _WALK_STEP, d_prev, d)
+            )
+        k_prev, d_prev = k_cell, d_cell
     ends.append(math.inf)
     return tuple(zip(ends[::2], ends[1::2]))
 

@@ -258,9 +258,40 @@ def _asymptotic(ratio, first: float, opts: EvalOptions) -> float | None:
 
 
 def _series_1f1(a: float, b: float, z: float, opts: EvalOptions) -> tuple[float, int]:
-    return _series(
-        _kummer_ratio(a, b, z), 1.0, _kmin(a, b, 1.0, abs(z)), opts,
-        lambda: f"1F1 series for (a={a}, b={b}, z={z})",
+    # _series(_kummer_ratio(a, b, z), 1.0, kmin, opts, ...) with the ratio,
+    # the Kahan step and both tests written into the loop, in the same
+    # order, so each term costs no Python call: the root refinement of the
+    # revival search makes hundreds of these calls.  Same (total, n2) and
+    # the same error.
+    kmin = _kmin(a, b, 1.0, abs(z))
+    rel_tol = opts.rel_tol
+    limit = _RESCALE_LIMIT
+    total = term = 1.0
+    comp = 0.0
+    n2 = 0
+    small_run = 0
+    for k in range(opts.max_terms):
+        term *= (a + k) * z / ((b + k) * (k + 1.0))
+        y = term - comp
+        s = total + y
+        comp = (s - total) - y
+        total = s
+        abs_term = abs(term)
+        abs_total = abs(total)
+        if abs_term <= rel_tol * abs_total:
+            small_run += 1
+            if small_run >= 2 and k >= kmin:
+                return total, n2
+        else:
+            small_run = 0
+        if abs_total > limit or abs_term > limit:
+            total = math.ldexp(total, -_RESCALE_BITS)
+            term = math.ldexp(term, -_RESCALE_BITS)
+            comp = math.ldexp(comp, -_RESCALE_BITS)
+            n2 += _RESCALE_BITS
+    raise ConvergenceError(
+        f"1F1 series for (a={a}, b={b}, z={z}) did not reach rel_tol={opts.rel_tol} "
+        f"within {opts.max_terms} terms"
     )
 
 

@@ -68,10 +68,25 @@ def _check_density(m: np.ndarray) -> None:
     # Hermitian, of unit trace and positive semidefinite.
     if not np.isfinite(m).all():
         raise DomainError("density matrix entries must be finite")
-    herm_defect = float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
+    if m.shape[-1] == 2:
+        # d = 2 in closed form, as _eigvalsh: the defect |m - m^H| is
+        # |m01 - conj(m10)| off the diagonal (the same value at 1, 0) and
+        # |mii - conj(mii)| = |0 + 2i Im mii| = 2 |Im mii| on it, the trace
+        # m00 + m11: the same doubles as the general expressions, without
+        # building the conjugate transpose of the stack.
+        m00, m11 = m[..., 0, 0], m[..., 1, 1]
+        herm_defect = max(
+            float(np.abs(m[..., 0, 1] - m[..., 1, 0].conj()).max()),
+            2.0 * float(np.abs(m00.imag).max()),
+            2.0 * float(np.abs(m11.imag).max()),
+        )
+        trace = m00 + m11
+    else:
+        herm_defect = float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
+        trace = np.trace(m, axis1=-2, axis2=-1)
     if herm_defect > _ATOL:
         raise DomainError(f"matrix is not Hermitian (defect {herm_defect:.3e} > {_ATOL})")
-    tr_defect = float(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0).max())
+    tr_defect = float(np.abs(trace - 1.0).max())
     if tr_defect > _ATOL:
         raise DomainError(f"trace deviates from 1 by {tr_defect:.3e} > {_ATOL}")
     lam_min = float(_eigvalsh(m).min())

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -109,9 +110,25 @@ def test_grid_points_upper_bound(capsys):
     assert parse_spec(mode="corr-series", overrides=dict(over, n_grid=1024)).n_grid == 1024
     with pytest.raises(SpecError, match="n_grid: must be at most 4194304, got 4198400"):
         parse_spec(mode="corr-series", overrides=dict(over, n_grid=1025))
-    with pytest.raises(SpecError, match="got 5242880"):
-        parse_spec(mode="nm-scan", overrides={"q_values": [1.0] * 1280, "gamma0_values": [1.6],
-                                              "n_grid": 4096})
+    # nm-scan is charged one default window per combination, whatever its
+    # n_grid (it was charged n_grid, so n_grid = 16 let 1280 through)
+    for n_grid in (16, 4096):
+        with pytest.raises(SpecError, match=re.escape(
+                "len(q_values) * len(gamma0_values) * 4096 (nm-scan): must be at most "
+                "4194304, got 5242880")):
+            parse_spec(mode="nm-scan", overrides={"q_values": [1.0] * 1280,
+                                                  "gamma0_values": [1.6], "n_grid": n_grid})
+
+
+@pytest.mark.parametrize("n_grid", [16, 4096])
+def test_nm_scan_budget_counts_combinations(n_grid):
+    # nm-scan rows read the window end alone: 1024 combinations pass and
+    # 1025 fail at any n_grid
+    over = {"gamma0_values": [1.6], "n_grid": n_grid}
+    spec = parse_spec(mode="nm-scan", overrides=dict(over, q_values=[3.0] * 1024))
+    assert len(spec.q_values) == 1024 and spec.n_grid == n_grid
+    with pytest.raises(SpecError, match="got 4198400"):
+        parse_spec(mode="nm-scan", overrides=dict(over, q_values=[3.0] * 1025))
 
 
 def test_parallel_upper_bound():
@@ -499,6 +516,48 @@ def test_main_twice_carries_no_parsed_value(tmp_path, monkeypatch, capsys):
                         SweepSpec("corr-series", (1.0,), (2.0,))]
     assert capsys.readouterr().out.startswith("# tool: topoqubit")
     assert cli._build_parser() is cli._build_parser()
+
+
+_NO_OPTIONS = dict.fromkeys(
+    ("spec", "q", "gamma0", "b", "theta", "t_max", "n_grid", "out", "format", "parallel")
+)
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["nm-scan", "--q", "0.5", "3", "--gamma0", "1.6"],
+     {"mode": "nm-scan", "q": [0.5, 3.0], "gamma0": [1.6]}),
+    (["corr-series", "--spec", "recipes/fig4.json", "--out", "corr.csv", "--parallel", "2"],
+     {"mode": "corr-series", "spec": "recipes/fig4.json", "out": "corr.csv", "parallel": 2}),
+    (["qfi-series", "--q", "1", "--gamma0", "0.01", "--b", "0.25", "--theta", "1.0",
+      "--t-max", "4", "--n-grid", "32", "--format", "json"],
+     {"mode": "qfi-series", "q": [1.0], "gamma0": [0.01], "b": 0.25, "theta": 1.0,
+      "t_max": 4.0, "n_grid": 32, "format": "json"}),
+    (["state-dump", "--q", "3.0", "--gamma0", "1.6", "--n-grid", "64", "--format", "json"],
+     {"mode": "state-dump", "q": [3.0], "gamma0": [1.6], "n_grid": 64, "format": "json"}),
+    (["nm-scan"], {"mode": "nm-scan"}),
+    # options may come before the mode too
+    (["--n-grid", "64", "--spec", "s.json", "state-dump", "--q", "3.0"],
+     {"mode": "state-dump", "spec": "s.json", "n_grid": 64, "q": [3.0]}),
+])
+def test_parser_reads_every_mode_as_before(argv, want):
+    # the namespaces the per-mode subparsers gave: the mode and all ten
+    # options, None where not given
+    assert vars(cli._build_parser().parse_args(argv)) == dict(_NO_OPTIONS, **want)
+
+
+def test_parser_rejects_unknown_or_missing_mode(capsys):
+    for argv in (["bogus", "--q", "1.0"], [], ["--q", "1.0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    # each mode's help stays in --help
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for mode, (_, _, help_text) in cli._MODES.items():
+        assert f"{mode}: {help_text}" in text
 
 
 def test_import_leaves_process_pool_unloaded():

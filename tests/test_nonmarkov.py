@@ -548,11 +548,11 @@ def _no_hyp1f1_array(*args, **kwargs):
 
 def test_critical_q_scan_call_count(monkeypatch):
     # work-count guard: with a cold revival memo the scan makes no array 1F1
-    # call and at most 484 scalar 1F1 calls (394), at most 192 of them
-    # refining roots (181, about 10 per refined root).  The walk on the
-    # window grid, narrowed to one grid cell per root, made 484 and 192;
-    # before it, 198 scalar calls and 3853 array elements; plain bisection
-    # made 813 refining calls.
+    # call and at most 302 scalar 1F1 calls (302), at most 192 of them
+    # refining roots (181, about 10 per refined root).  The walk at every
+    # 0.3 in x made 394; the walk on the window grid, narrowed to one grid
+    # cell per root, made 484 and 192; before it, 198 scalar calls and 3853
+    # array elements; plain bisection made 813 refining calls.
     calls = []
     refining = []
     hyp1f1 = specfun.hyp1f1
@@ -575,7 +575,7 @@ def test_critical_q_scan_call_count(monkeypatch):
     _reduced_revival.cache_clear()
     assert critical_q_scan(1.6) == 2.232421875
     assert 0 < sum(calls) <= 192
-    assert len(calls) <= 484
+    assert len(calls) <= 302
 
 
 def _no_eigvalsh(*args, **kwargs):
@@ -884,15 +884,17 @@ def _counting(monkeypatch):
 
 def test_revival_search_stops_at_its_last_sign_change(monkeypatch):
     # work-count guard: at Q = 3 the one sign change is walked to and
-    # refined, and the default window's end sampled, with at most 24 scalar
-    # 1F1 calls (20; 24 when the walk ran on the window grid and narrowed the
-    # change to one grid cell) and no array call (257 array points before,
-    # the whole grid of 4096 before that)
+    # refined, and the default window's end sampled, with at most 15 scalar
+    # 1F1 calls (15: 6 walked in coarse cells of 0.9 and inside the one
+    # where the sign changes, 8 refining, 1 at the window end; 20 when the
+    # walk sampled every 0.3, 24 when it ran on the window grid and narrowed
+    # the change to one grid cell) and no array call (257 array points
+    # before, the whole grid of 4096 before that)
     calls, sizes = _counting(monkeypatch)
     _reduced_revival.cache_clear()
     got = _window_revival(3.0, 100.0, 4096)
     assert sum(sizes) == 0
-    assert len(calls) <= 24
+    assert len(calls) <= 15
     monkeypatch.undo()
     assert got == _full_grid_revival(3.0, 100.0, 4096)[0]
 
@@ -902,11 +904,11 @@ def test_coarse_window_finds_the_first_revival(monkeypatch):
     # first cell, after the exact zero at x = 0, and a search on that grid
     # opened the revival at x = 0.  The walk does not depend on the window:
     # the revival starts at the mpmath root of M(2; 3/2; -x^2/4), found with
-    # 20 scalar 1F1 calls and no array call.
+    # 15 scalar 1F1 calls and no array call.
     calls, sizes = _counting(monkeypatch)
     _reduced_revival.cache_clear()
     got = _window_revival(3.0, 16000.0, 4096)
-    assert sizes == [] and len(calls) <= 20
+    assert sizes == [] and len(calls) <= 15
     assert got == (((3.003950536537223, 16000.0),), True)
 
 
@@ -939,6 +941,64 @@ def test_walk_returns_at_q_80_within_its_call_bound(monkeypatch):
     assert len(r.revival_intervals) <= 20
 
 
+def _fine_walk_revival(q, refine=_refine_sign_change):
+    """The revival search walking every multiple of ``_WALK_STEP``, the
+    reference for the coarse-to-fine walk: it samples x = k _WALK_STEP,
+    k = 1, 2, ..., until it has seen ceil(Q/2 - 1) sign changes between
+    nonzero samples or x passes ``_WALK_END``, and refines each from the two
+    walked values around it with ``refine``."""
+    wanted = max(0, math.ceil(0.5 * q - 1.0))
+    ends = []
+    x_prev, d_prev = 0.0, 0.0
+    for k in range(1, int(nonmarkov._WALK_END / _WALK_STEP) + 1):
+        if len(ends) == wanted:
+            break
+        x = k * _WALK_STEP
+        d = _reduced_slope(q, x)
+        if d != 0.0:
+            if d_prev != 0.0 and (d > 0.0) != (d_prev > 0.0):
+                ends.append(refine(lambda y: _reduced_slope(q, y), x_prev, x, d_prev, d))
+            x_prev, d_prev = x, d
+    ends.append(math.inf)
+    return tuple(zip(ends[::2], ends[1::2]))
+
+
+# The fig1 lattice, and Q = 2k(1 + eps), just past the even Q where a new
+# sign change enters from infinity.
+_FINE_WALK_Q = [round(0.05 * k, 2) for k in range(81)] + [
+    2.0 * k * (1.0 + 2.0**-52) for k in range(1, 16)
+]
+
+
+def test_coarse_walk_returns_the_fine_walk_doubles():
+    # the walk in coarse cells of 0.9 (Q <= 12) and 0.6 (Q <= 30) walks
+    # every 0.3 inside a cell where the sign changes: the same brackets and
+    # seeds as the walk over every 0.3, so the same doubles
+    for q in _FINE_WALK_Q:
+        assert _reduced_revival.__wrapped__(q) == _fine_walk_revival(q), q
+
+
+@pytest.mark.parametrize("q_top, n", [(12.0, 2000), (30.0, 600)])
+def test_coarse_walk_refines_the_fine_walk_brackets(q_top, n, monkeypatch):
+    # every bracket and seed pair handed to the refiner, over seeded Q in
+    # (2, q_top], is the fine walk's: the refiner is a function of them
+    # alone, so the ends are the same doubles.  The refiner is stubbed out,
+    # and the memo bypassed, to keep the sweep short.
+    def recorder(out):
+        def refine(g, lo, hi, g_lo, g_hi):
+            out.append((lo, hi, g_lo, g_hi))
+            return hi
+        return refine
+
+    qs = 2.0 + (q_top - 2.0) * (1.0 - np.random.default_rng(int(q_top)).random(n))
+    for q in qs.tolist():
+        got, want = [], []
+        monkeypatch.setattr(nonmarkov, "_refine_sign_change", recorder(got))
+        _reduced_revival.__wrapped__(q)
+        _fine_walk_revival(q, recorder(want))
+        assert got == want and len(got) == math.ceil(0.5 * q - 1.0), q
+
+
 @pytest.mark.parametrize("x_max, n_grid", [
     (100.0, 4096), (100.0, 1025), (15.0, 2048), (0.02, 2048), (160.0, 4096), (37.5, 513),
 ])
@@ -957,18 +1017,23 @@ def test_revival_search_rejects_non_finite_slope(monkeypatch):
     # change; the walk and the window-end sample name its x
     hyp1f1 = specfun.hyp1f1
 
-    def nan_inside(a, b, z, *args, **kwargs):
-        return math.nan if 0.5 < -z < 1.0 else hyp1f1(a, b, z, *args, **kwargs)
+    def nan_between(lo, hi):
+        def planted(a, b, z, *args, **kwargs):
+            return math.nan if lo < -z < hi else hyp1f1(a, b, z, *args, **kwargs)
+        return planted
 
     def inf_at_end(a, b, z, *args, **kwargs):
         return math.inf if z == -2500.0 else hyp1f1(a, b, z, *args, **kwargs)
 
-    # the walk steps 0.3 in x: x = 1.5 is the first point with u = x^2/4 in
-    # (0.5, 1)
-    monkeypatch.setattr(specfun, "hyp1f1", nan_inside)
-    _reduced_revival.cache_clear()
-    with pytest.raises(DomainError, match=re.escape("nan at x = 1.5, not finite")):
-        _reduced_revival(3.0)
+    # at Q = 3 the walk samples x = 0.9, 1.8, 2.7, 3.6 (multiples of three
+    # steps) and, in the cell (2.7, 3.6] where the sign changes, x = 3.0:
+    # u = x^2/4 = 0.2025 is the first coarse sample, 2.25 a fine one
+    for (lo, hi), k in (((0.2, 0.21), 3), ((2.2, 2.3), 10)):
+        monkeypatch.setattr(specfun, "hyp1f1", nan_between(lo, hi))
+        _reduced_revival.cache_clear()
+        x = k * _WALK_STEP
+        with pytest.raises(DomainError, match=re.escape(f"nan at x = {x!r}, not finite")):
+            _reduced_revival(3.0)
     monkeypatch.setattr(specfun, "hyp1f1", inf_at_end)
     with pytest.raises(DomainError, match=r"-inf at x = 100\.0, not finite"):
         _window_revival(3.0, 100.0, 4096)

@@ -41,6 +41,10 @@ from topoqubit.specfun import (
     _hyp1f1_array,
     _hyp1f1_asymptotic_array,
     _kernel_array,
+    _kmin,
+    _kummer_ratio,
+    _series,
+    _series_1f1,
     _series_1f1_array,
 )
 from conftest import (
@@ -167,6 +171,42 @@ def test_hyp1f1_budget_exhaustion():
     # above it the expansion needs 8 terms and the series ~1000: 5 fit neither
     with pytest.raises(ConvergenceError):
         hyp1f1(1.0, 0.5, -900.0, EvalOptions(max_terms=5))
+
+
+def _generic_series_1f1(a, b, z, opts):
+    # The ratio-series loop with the Kummer ratio: the reference for the
+    # scalar 1F1 series, which writes both into one loop.
+    return _series(
+        _kummer_ratio(a, b, z), 1.0, _kmin(a, b, 1.0, abs(z)), opts,
+        lambda: f"1F1 series for (a={a}, b={b}, z={z})",
+    )
+
+
+def test_inlined_1f1_series_equals_the_generic_loop():
+    # the same (total, n2) bits over a grid that takes in terminating and
+    # near-terminating series, both signs of z, and z ~ 700, where the terms
+    # pass the rescale limit
+    rescaled = 0
+    for a in (-6.0, -2.5, 0.0, 0.5, 1.4999999999999996, 2.0, 3.7, 40.25):
+        for b in (0.5, 1.5, 2.0000000000000004, 7.25):
+            for z in (-1.0, -0.25, 0.5, 1.0, 6.0, 59.9, 300.0, 699.5, 705.0):
+                for opts in (DEFAULT_OPTIONS, _FULL_PRECISION):
+                    got = _series_1f1(a, b, z, opts)
+                    want = _generic_series_1f1(a, b, z, opts)
+                    assert got[1] == want[1] and got[0] == want[0], (a, b, z, opts)
+                    assert math.copysign(1.0, got[0]) == math.copysign(1.0, want[0])
+                    rescaled += got[1] != 0
+    assert rescaled > 0
+    # the same error once the term budget runs out
+    short = EvalOptions(max_terms=10)
+    with pytest.raises(ConvergenceError) as want:
+        _generic_series_1f1(1.0, 0.5, 50.0, short)
+    with pytest.raises(ConvergenceError) as got:
+        _series_1f1(1.0, 0.5, 50.0, short)
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == (
+        "1F1 series for (a=1.0, b=0.5, z=50.0) did not reach rel_tol=1e-13 within 10 terms"
+    )
 
 
 @pytest.mark.parametrize("z, want", HYP2F2_CASES)

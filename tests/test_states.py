@@ -65,6 +65,74 @@ def test_density_validation():
     _check_density(stack[[0, 2]])
 
 
+def _generic_check_density(m):
+    # The checks as written for any d, with the conjugate transpose and
+    # np.trace: the reference for the d = 2 closed form.
+    if not np.isfinite(m).all():
+        raise DomainError("density matrix entries must be finite")
+    herm_defect = float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
+    if herm_defect > states._ATOL:
+        raise DomainError(f"matrix is not Hermitian (defect {herm_defect:.3e} > {states._ATOL})")
+    tr_defect = float(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0).max())
+    if tr_defect > states._ATOL:
+        raise DomainError(f"trace deviates from 1 by {tr_defect:.3e} > {states._ATOL}")
+    lam_min = float(_eigvalsh(m).min())
+    if lam_min < -states._ATOL:
+        raise DomainError(f"matrix has negative eigenvalue {lam_min:.3e} < -{states._ATOL}")
+
+
+def _crafted_qubit_stacks():
+    # (name, stack): valid stacks, stacks with one bad member, and stacks on
+    # both sides of the Hermiticity tolerance
+    base = np.array([[[0.5, 0.1 - 0.2j], [0.1 + 0.2j, 0.5]],
+                     [[1.0, 0.0], [0.0, 0.0]],
+                     [[0.3, 0.25j], [-0.25j, 0.7]],
+                     [[0.9, 0.1], [0.1, 0.1]]], dtype=complex)
+    cases = [("valid", base), ("valid single", base[0]),
+             ("valid 2-d stack", base.reshape(2, 2, 2, 2))]
+
+    def bad(name, member, idx, value, add=True):
+        m = base.copy()
+        m[(member,) + idx] = m[(member,) + idx] + value if add else value
+        cases.append((name, m))
+
+    bad("imaginary diagonal", 2, (0, 0), 3e-12j)
+    bad("imaginary diagonal at 1, 1", 1, (1, 1), -7e-12j)
+    bad("mismatched off-diagonal, real", 0, (0, 1), 4e-12)
+    bad("mismatched off-diagonal, imaginary", 3, (1, 0), 2.5e-12j)
+    bad("trace off by 2e-12", 3, (0, 0), 2e-12)
+    bad("trace off by -2e-12", 1, (1, 1), -2e-12)
+    bad("NaN", 2, (1, 0), math.nan, add=False)
+    bad("inf", 0, (0, 0), complex(0.5, math.inf), add=False)
+    m = base.copy()
+    m[1] = [[1.2, 0.0], [0.0, -0.2]]
+    cases.append(("negative eigenvalue", m))
+    # 2 |Im m00| = 1e-12 passes, the next double above fails
+    bad("diagonal defect at the tolerance", 0, (0, 0), 5e-13j)
+    bad("diagonal defect past the tolerance", 0, (0, 0), complex(0.0, math.nextafter(5e-13, 1.0)))
+    bad("off-diagonal defect at the tolerance", 1, (0, 1), 1e-12)
+    bad("off-diagonal defect past the tolerance", 1, (0, 1), math.nextafter(1e-12, 1.0))
+    return cases
+
+
+_QUBIT_STACKS = _crafted_qubit_stacks()
+
+
+@pytest.mark.parametrize("name, m", _QUBIT_STACKS, ids=[name for name, _ in _QUBIT_STACKS])
+def test_qubit_check_density_equals_the_general_checks(name, m):
+    # the d = 2 closed form passes or fails as the general expressions do,
+    # with the same message and defect value
+    if name.startswith("valid") or name.endswith("at the tolerance"):
+        _generic_check_density(m)
+        _check_density(m)
+        return
+    with pytest.raises(DomainError) as want:
+        _generic_check_density(m)
+    with pytest.raises(DomainError) as got:
+        _check_density(m)
+    assert str(got.value) == str(want.value)
+
+
 def test_x_state_validation():
     with pytest.raises(DomainError):
         XState4(0.5, 0.5, 0.2, -0.2)
