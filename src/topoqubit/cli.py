@@ -23,7 +23,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product, repeat
 
 import numpy as np
@@ -68,23 +68,21 @@ _NM_SCAN_POINTS = 4096
 # validates alike on every machine.
 _MAX_PARALLEL = 64
 
-_SPEC_KEYS = {
-    "mode",
-    "q_values",
-    "gamma0_values",
-    "b",
-    "theta",
-    "t_max",
-    "n_grid",
-    "format",
-    "output_path",
-    "parallel",
-}
+# Left out of the echo: how a run executes, not what it computes.
+_NOT_ECHOED = {"echo": False}
+
+
+def _require(name: str, value, kind, expected: str) -> None:
+    # SpecError unless ``value`` is a ``kind``; a bool is not a number.
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise SpecError(f"{name}: expected {expected}, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
 class SweepSpec:
-    """Resolved sweep parameters for one run."""
+    """Resolved sweep parameters for one run.  Each field is a spec key (a
+    spec-file key and its flag's dest) with its only default; ``validate``
+    checks each key's type and range, for ``parse_spec`` and ``run`` alike."""
 
     mode: str
     q_values: tuple[float, ...]
@@ -93,29 +91,39 @@ class SweepSpec:
     theta: float = 0.5 * math.pi
     t_max: float | None = None
     n_grid: int = 4096
-    format: str = "csv"
-    output_path: str | None = None
-    parallel: int | None = None
+    format: str = field(default="csv", metadata=_NOT_ECHOED)
+    output_path: str | None = field(default=None, metadata=_NOT_ECHOED)
+    parallel: int | None = field(default=None, metadata=_NOT_ECHOED)
 
     def validate(self) -> None:
-        if self.mode not in _MODES:
+        """Raise SpecError at the first key of a wrong type or out of range."""
+        if not isinstance(self.mode, str) or self.mode not in _MODES:
             raise SpecError(f"mode: expected one of {tuple(_MODES)}, got {self.mode!r}")
+        _require("q_values", self.q_values, (list, tuple), "a list of numbers")
         if not self.q_values:
             raise SpecError("q_values: must be a non-empty list")
         for q in self.q_values:
+            _require("q_values", q, (int, float), "numbers")
             if not (math.isfinite(q) and q >= 0.0):
                 raise SpecError(f"q_values: entries must be finite and >= 0, got {q}")
+        _require("gamma0_values", self.gamma0_values, (list, tuple), "a list of numbers")
         if not self.gamma0_values:
             raise SpecError("gamma0_values: must be a non-empty list")
         for g in self.gamma0_values:
+            _require("gamma0_values", g, (int, float), "numbers")
             if not (math.isfinite(g) and g > 0.0):
                 raise SpecError(f"gamma0_values: entries must be finite and > 0, got {g}")
+        _require("b", self.b, (int, float), "a number")
         if not (math.isfinite(self.b) and self.b >= 0.0):
             raise SpecError(f"b: must be finite and >= 0, got {self.b}")
+        _require("theta", self.theta, (int, float), "a number")
         if not (0.0 <= self.theta <= math.pi):
             raise SpecError(f"theta: must lie in [0, pi], got {self.theta}")
-        if self.t_max is not None and not (math.isfinite(self.t_max) and self.t_max > 0.0):
-            raise SpecError(f"t_max: must be finite and > 0, got {self.t_max}")
+        if self.t_max is not None:
+            _require("t_max", self.t_max, (int, float), "a number")
+            if not (math.isfinite(self.t_max) and self.t_max > 0.0):
+                raise SpecError(f"t_max: must be finite and > 0, got {self.t_max}")
+        _require("n_grid", self.n_grid, int, "an integer")
         if not 16 <= self.n_grid <= _MAX_N_GRID:
             raise SpecError(f"n_grid: must lie in [16, {_MAX_N_GRID}], got {self.n_grid}")
         nm_scan = self.mode == "nm-scan"
@@ -127,24 +135,27 @@ class SweepSpec:
                 f"len(q_values) * len(gamma0_values) * {charged}: must be at most "
                 f"{_MAX_GRID_POINTS}, got {points}"
             )
+        _require("format", self.format, str, "a string")
         if self.format not in ("csv", "json"):
             raise SpecError(f"format: expected 'csv' or 'json', got {self.format!r}")
-        if self.parallel is not None and not 1 <= self.parallel <= _MAX_PARALLEL:
-            raise SpecError(f"parallel: must lie in [1, {_MAX_PARALLEL}], got {self.parallel}")
+        if self.output_path is not None:
+            _require("output_path", self.output_path, str, "a string")
+        if self.parallel is not None:
+            _require("parallel", self.parallel, int, "an integer")
+            if not 1 <= self.parallel <= _MAX_PARALLEL:
+                raise SpecError(f"parallel: must lie in [1, {_MAX_PARALLEL}], got {self.parallel}")
 
     def echo_dict(self) -> dict:
         """Result-defining parameters, echoed into output metadata.  Execution
-        details (parallelism, output path) are excluded so identical physics
-        yields identical bytes."""
-        return {
-            "mode": self.mode,
-            "q_values": list(self.q_values),
-            "gamma0_values": list(self.gamma0_values),
-            "b": self.b,
-            "theta": self.theta,
-            "t_max": self.t_max,
-            "n_grid": self.n_grid,
-        }
+        details (format, output path, parallelism) are excluded so identical
+        physics yields identical bytes."""
+        echo = {key: getattr(self, key) for key in _ECHO_KEYS}
+        return echo | {key: list(v) for key, v in echo.items() if isinstance(v, tuple)}
+
+
+_SPEC_FIELDS = fields(SweepSpec)
+_SPEC_KEYS = {f.name for f in _SPEC_FIELDS}
+_ECHO_KEYS = tuple(f.name for f in _SPEC_FIELDS if f.metadata.get("echo", True))
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,23 +214,24 @@ class SeriesTable:
             self.to_csv(fh)
 
 
-def _as_float_tuple(name: str, value) -> tuple[float, ...]:
-    if not isinstance(value, (list, tuple)):
-        raise SpecError(f"{name}: expected a list of numbers, got {value!r}")
-    out = []
-    for v in value:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SpecError(f"{name}: expected numbers, got {v!r}")
-        out.append(float(v))
-    return tuple(out)
+def _as_declared(kind: str, value):
+    # A value read for a field annotated ``kind``: a JSON int becomes the
+    # float a float field holds, a list of them a tuple, so a file's [3]
+    # echoes as [3.0].  validate() rejects whatever has the wrong type.
+    if kind.startswith("tuple") and isinstance(value, (list, tuple)):
+        return tuple(float(v) if type(v) is int else v for v in value)
+    return float(value) if kind.startswith("float") and type(value) is int else value
 
 
 def parse_spec(path: str | None = None, mode: str | None = None, overrides: dict | None = None) -> SweepSpec:
     """Build a SweepSpec from an optional JSON file plus override values.
 
-    The file is a flat JSON object with keys matching SweepSpec fields;
-    overrides (typically command-line flags) replace file values.  ``mode``
-    given both ways must agree.
+    The file is a flat JSON object whose keys are SweepSpec's fields;
+    overrides (the flags, whose dests are those keys) replace file values,
+    and an override of None counts as not given.  ``mode`` given both ways
+    must agree.  ``q_values`` is required; nm-scan falls back to
+    DEFAULT_NM_GAMMA0.  Other keys default as in SweepSpec, and
+    ``SweepSpec.validate`` checks every key.
 
     Raises SpecError for malformed content; lets OSError from an unreadable
     path propagate (the CLI maps it to exit code 4).
@@ -243,61 +255,18 @@ def parse_spec(path: str | None = None, mode: str | None = None, overrides: dict
     file_mode = data.get("mode")
     if mode is not None and file_mode is not None and mode != file_mode:
         raise SpecError(f"mode: spec file says {file_mode!r} but {mode!r} was requested")
-    resolved_mode = mode or file_mode
-    if resolved_mode is None:
+    data["mode"] = mode or file_mode
+    if data["mode"] is None:
         raise SpecError("mode: not given on the command line or in the spec file")
-
     if "q_values" not in data:
         raise SpecError("q_values: required (use --q or the spec file)")
-    q_values = _as_float_tuple("q_values", data["q_values"])
+    if "gamma0_values" not in data:
+        if data["mode"] != "nm-scan":
+            raise SpecError("gamma0_values: required (use --gamma0 or the spec file)")
+        data["gamma0_values"] = DEFAULT_NM_GAMMA0
 
-    if "gamma0_values" in data:
-        gamma0_values = _as_float_tuple("gamma0_values", data["gamma0_values"])
-    elif resolved_mode == "nm-scan":
-        gamma0_values = DEFAULT_NM_GAMMA0
-    else:
-        raise SpecError("gamma0_values: required (use --gamma0 or the spec file)")
-
-    def _num(name: str, value, default):
-        if value is None:
-            return default
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SpecError(f"{name}: expected a number, got {value!r}")
-        return float(value)
-
-    t_max_raw = data.get("t_max")
-    t_max = None if t_max_raw is None else _num("t_max", t_max_raw, None)
-
-    n_grid_raw = data.get("n_grid", 4096)
-    if isinstance(n_grid_raw, bool) or not isinstance(n_grid_raw, int):
-        raise SpecError(f"n_grid: expected an integer, got {n_grid_raw!r}")
-
-    parallel_raw = data.get("parallel")
-    if parallel_raw is not None and (
-        isinstance(parallel_raw, bool) or not isinstance(parallel_raw, int)
-    ):
-        raise SpecError(f"parallel: expected an integer, got {parallel_raw!r}")
-
-    fmt = data.get("format", "csv")
-    if not isinstance(fmt, str):
-        raise SpecError(f"format: expected a string, got {fmt!r}")
-
-    out_path = data.get("output_path")
-    if out_path is not None and not isinstance(out_path, str):
-        raise SpecError(f"output_path: expected a string, got {out_path!r}")
-
-    spec = SweepSpec(
-        mode=resolved_mode,
-        q_values=q_values,
-        gamma0_values=gamma0_values,
-        b=_num("b", data.get("b"), 1.0),
-        theta=_num("theta", data.get("theta"), 0.5 * math.pi),
-        t_max=t_max,
-        n_grid=n_grid_raw,
-        format=fmt,
-        output_path=out_path,
-        parallel=parallel_raw,
-    )
+    values = {f.name: _as_declared(f.type, data[f.name]) for f in _SPEC_FIELDS if f.name in data}
+    spec = SweepSpec(**values)
     spec.validate()
     return spec
 
@@ -464,13 +433,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="; ".join(f"{mode}: {help_text}" for mode, (_, _, help_text) in _MODES.items()),
     )
     parser.add_argument("--spec", help="JSON spec file; flags override its values")
-    parser.add_argument("--q", nargs="+", type=float, help="spectral exponents Q")
-    parser.add_argument("--gamma0", nargs="+", type=float, help="cutoff rates gamma0")
+    # Every other flag's dest is the spec key it sets.
+    parser.add_argument("--q", nargs="+", type=float, dest="q_values", help="spectral exponents Q")
+    parser.add_argument("--gamma0", nargs="+", type=float, dest="gamma0_values", help="cutoff rates gamma0")
     parser.add_argument("--b", type=float, help="field strength B (default 1.0)")
     parser.add_argument("--theta", type=float, help="initial-state angle (default pi/2)")
     parser.add_argument("--t-max", type=float, dest="t_max", help="window end (default 100/gamma0)")
     parser.add_argument("--n-grid", type=int, dest="n_grid", help="time-grid points (default 4096)")
-    parser.add_argument("--out", help="output path (default stdout)")
+    parser.add_argument("--out", dest="output_path", help="output path (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
     parser.add_argument("--parallel", type=int, help="worker processes (default 1)")
     return parser
@@ -479,21 +449,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code.  The caller's warning
     filters are left as they were."""
-    args = _build_parser().parse_args(argv)
-    overrides = {
-        "q_values": args.q,
-        "gamma0_values": args.gamma0,
-        "b": args.b,
-        "theta": args.theta,
-        "t_max": args.t_max,
-        "n_grid": args.n_grid,
-        "format": args.format,
-        "output_path": args.out,
-        "parallel": args.parallel,
-    }
+    overrides = vars(_build_parser().parse_args(argv))
+    path, mode = overrides.pop("spec"), overrides.pop("mode")
     t0 = time.monotonic()
     try:
-        spec = parse_spec(path=args.spec, mode=args.mode, overrides=overrides)
+        spec = parse_spec(path=path, mode=mode, overrides=overrides)
         with warnings.catch_warnings():
             warnings.simplefilter("once", HorizonWarning)
             table = run(spec)

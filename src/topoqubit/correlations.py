@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .states import XState4, evolved_x_state
+from .states import XState4, _check_theta, evolved_x_state
 
 __all__ = [
     "CorrelationReport",
@@ -74,8 +74,7 @@ def concurrence_x(s: XState4) -> float:
 def concurrence_evolved(theta: float, a: float) -> float:
     """Concurrence of the evolved Bell-like family in closed form:
     2 max(0, (a^2/2) sin(theta) - (1 - a^4)/4)."""
-    if not (0.0 <= theta <= math.pi):
-        raise DomainError(f"theta must lie in [0, pi], got {theta}")
+    _check_theta(theta)
     if not (0.0 <= a <= 1.0):
         raise DomainError(f"coherence factor must lie in [0, 1], got {a}")
     a2 = a * a
@@ -178,8 +177,7 @@ def lqu_closed(theta: float, a: float) -> float:
     Piecewise: 1 - sqrt(1 - a^4) when
     2 + a^4 cos(2 theta) <= a^4 + 2 sqrt(1 - a^4), else a^4 sin^2(theta).
     """
-    if not (0.0 <= theta <= math.pi):
-        raise DomainError(f"theta must lie in [0, pi], got {theta}")
+    _check_theta(theta)
     if not (0.0 <= a <= 1.0):
         raise DomainError(f"coherence factor must lie in [0, 1], got {a}")
     a4 = a**4

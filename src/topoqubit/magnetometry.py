@@ -108,8 +108,7 @@ def _drho_from(theta: float, a, dadb) -> np.ndarray:
 def drho_db(theta: float, ch: dephasing.DephasingChannel, t: float) -> np.ndarray:
     """d rho / dB of the evolved Bell-like state at time ``t``; Hermitian and
     traceless by construction."""
-    if not (0.0 <= theta <= math.pi):
-        raise DomainError(f"theta must lie in [0, pi], got {theta}")
+    states._check_theta(theta)
     a = dephasing.alpha(ch, t)
     dadb = dephasing.dalpha_db(ch, t)
     return _drho_from(theta, a, dadb)
@@ -143,8 +142,7 @@ def qfi_closed(ch: dephasing.DephasingChannel, t: float) -> float:
 def qfi_series(ch: dephasing.DephasingChannel, theta: float, w: TimeWindow) -> QfiSeries:
     """Both QFI routes over a time window; the closed form is compared at
     theta = pi/2 regardless of the state angle used for the general route."""
-    if not (0.0 <= theta <= math.pi):
-        raise DomainError(f"theta must lie in [0, pi], got {theta}")
+    states._check_theta(theta)
     ts = w.times()
     evals = dephasing._exponent_values(ch, ts)
     with np.errstate(under="ignore"):

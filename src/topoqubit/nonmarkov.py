@@ -85,6 +85,8 @@ class TimeWindow:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.t_max) and self.t_max > 0.0):
             raise DomainError(f"t_max must be finite and > 0, got {self.t_max}")
+        if not isinstance(self.n_grid, (int, np.integer)):
+            raise DomainError(f"n_grid must be an integer, got {self.n_grid!r}")
         if self.n_grid < 16:
             raise DomainError(f"n_grid must be >= 16, got {self.n_grid}")
 
@@ -329,8 +331,7 @@ def _lpp_signal(a: np.ndarray) -> np.ndarray:
 def _cb_signal(theta: float):
     # The l1 coherence as a function of an array of alpha; theta is checked
     # here, before any search.
-    if not (0.0 <= theta <= math.pi):
-        raise DomainError(f"theta must lie in [0, pi], got {theta}")
+    states._check_theta(theta)
     return lambda a: correlations.coherence_l1(states.evolved_x_state(theta, a))
 
 
@@ -374,6 +375,8 @@ def blp_pair_scan(
     winning axis depends on where alpha revives: at Q = 3, gamma0 = 1.6,
     B = 1 the equatorial pair's variation is about 19 times the polar one.
     """
+    if not isinstance(n_angles, (int, np.integer)):
+        raise DomainError(f"n_angles must be an integer, got {n_angles!r}")
     if n_angles < 2:
         raise DomainError(f"n_angles must be >= 2, got {n_angles}")
     with np.errstate(under="ignore"):

@@ -72,24 +72,29 @@ def _check_density(m: np.ndarray) -> None:
         # d = 2 in closed form, as _eigvalsh: the defect |m - m^H| is
         # |m01 - conj(m10)| off the diagonal (the same value at 1, 0) and
         # |mii - conj(mii)| = |0 + 2i Im mii| = 2 |Im mii| on it, the trace
-        # m00 + m11: the same doubles as the general expressions, without
-        # building the conjugate transpose of the stack.
-        m00, m11 = m[..., 0, 0], m[..., 1, 1]
+        # m00 + m11, and the smaller eigenvalue mean - radius alone, whose
+        # least is the least of both since mean - r <= mean + r in rounding:
+        # the same doubles as the general expressions, without building the
+        # conjugate transpose of the stack or the larger eigenvalues.
+        m00, m01, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 1]
         herm_defect = max(
-            float(np.abs(m[..., 0, 1] - m[..., 1, 0].conj()).max()),
+            float(np.abs(m01 - m[..., 1, 0].conj()).max()),
             2.0 * float(np.abs(m00.imag).max()),
             2.0 * float(np.abs(m11.imag).max()),
         )
         trace = m00 + m11
+        d0, d1 = m00.real, m11.real
+        lam = 0.5 * (d0 + d1) - np.hypot(0.5 * (d0 - d1), np.abs(m01))
     else:
         herm_defect = float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
         trace = np.trace(m, axis1=-2, axis2=-1)
+        lam = _eigvalsh(m)
     if herm_defect > _ATOL:
         raise DomainError(f"matrix is not Hermitian (defect {herm_defect:.3e} > {_ATOL})")
     tr_defect = float(np.abs(trace - 1.0).max())
     if tr_defect > _ATOL:
         raise DomainError(f"trace deviates from 1 by {tr_defect:.3e} > {_ATOL}")
-    lam_min = float(_eigvalsh(m).min())
+    lam_min = float(lam.min())
     if lam_min < -_ATOL:
         raise DomainError(f"matrix has negative eigenvalue {lam_min:.3e} < -{_ATOL}")
 
@@ -276,6 +281,12 @@ class BlochAffineMap:
         return float(d) if d.ndim == 0 else d
 
 
+def _check_theta(theta: float) -> None:
+    # The Bell-like family's angle lies in [0, pi]; NaN does not.
+    if not (0.0 <= theta <= math.pi):
+        raise DomainError(f"theta must lie in [0, pi], got {theta}")
+
+
 def _coherence_factors(a) -> np.ndarray:
     # The factor or array of factors ``a`` as float64, each in [0, 1].
     a = np.asarray(a, dtype=np.float64)
@@ -350,8 +361,7 @@ def evolve_pair(rho0: DensityMatrix4, a: float) -> DensityMatrix4:
 
 def bell_like(theta: float) -> DensityMatrix4:
     """Pure state cos(theta/2)|00> + sin(theta/2)|11> for theta in [0, pi]."""
-    if not (0.0 <= theta <= math.pi):
-        raise DomainError(f"theta must lie in [0, pi], got {theta}")
+    _check_theta(theta)
     c = math.cos(0.5 * theta)
     s = math.sin(0.5 * theta)
     psi = np.array([c, 0.0, 0.0, s], dtype=np.complex128)
@@ -366,8 +376,7 @@ def evolved_x_state(theta: float, a) -> XState4:
     a = 0 (fully dephased) keeps the long-time tails of strongly coupled
     channels representable.
     """
-    if not (0.0 <= theta <= math.pi):
-        raise DomainError(f"theta must lie in [0, pi], got {theta}")
+    _check_theta(theta)
     a = _coherence_factors(a)
     a2 = a * a
     a4 = a2 * a2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.metadata
 import io
 import json
@@ -67,6 +68,19 @@ def test_parse_spec_file_and_override_precedence(tmp_path):
     assert spec.b == 0.75                    # flag wins
     assert spec.n_grid == 64                 # file value survives
     assert spec.gamma0_values == (0.5,)
+
+
+def test_file_numbers_echo_as_the_floats_they_stand_for(tmp_path):
+    # a float key's JSON int is read as a float, so the echo is the same
+    # whichever way the file spells it; integer keys stay integers
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps({"mode": "qfi-series", "q_values": [3], "gamma0_values": [2],
+                             "b": 1, "theta": 1, "t_max": 4, "n_grid": 16, "parallel": 2}))
+    spec = parse_spec(path=str(p))
+    assert json.dumps(spec.echo_dict(), sort_keys=True) == (
+        '{"b": 1.0, "gamma0_values": [2.0], "mode": "qfi-series", "n_grid": 16, '
+        '"q_values": [3.0], "t_max": 4.0, "theta": 1.0}')
+    assert type(spec.parallel) is int
 
 
 def test_parse_spec_rejections(tmp_path):
@@ -519,30 +533,67 @@ def test_main_twice_carries_no_parsed_value(tmp_path, monkeypatch, capsys):
 
 
 _NO_OPTIONS = dict.fromkeys(
-    ("spec", "q", "gamma0", "b", "theta", "t_max", "n_grid", "out", "format", "parallel")
+    ("spec", "q_values", "gamma0_values", "b", "theta", "t_max", "n_grid", "output_path",
+     "format", "parallel")
 )
 
 
 @pytest.mark.parametrize("argv, want", [
     (["nm-scan", "--q", "0.5", "3", "--gamma0", "1.6"],
-     {"mode": "nm-scan", "q": [0.5, 3.0], "gamma0": [1.6]}),
+     {"mode": "nm-scan", "q_values": [0.5, 3.0], "gamma0_values": [1.6]}),
     (["corr-series", "--spec", "recipes/fig4.json", "--out", "corr.csv", "--parallel", "2"],
-     {"mode": "corr-series", "spec": "recipes/fig4.json", "out": "corr.csv", "parallel": 2}),
+     {"mode": "corr-series", "spec": "recipes/fig4.json", "output_path": "corr.csv",
+      "parallel": 2}),
     (["qfi-series", "--q", "1", "--gamma0", "0.01", "--b", "0.25", "--theta", "1.0",
       "--t-max", "4", "--n-grid", "32", "--format", "json"],
-     {"mode": "qfi-series", "q": [1.0], "gamma0": [0.01], "b": 0.25, "theta": 1.0,
-      "t_max": 4.0, "n_grid": 32, "format": "json"}),
+     {"mode": "qfi-series", "q_values": [1.0], "gamma0_values": [0.01], "b": 0.25,
+      "theta": 1.0, "t_max": 4.0, "n_grid": 32, "format": "json"}),
     (["state-dump", "--q", "3.0", "--gamma0", "1.6", "--n-grid", "64", "--format", "json"],
-     {"mode": "state-dump", "q": [3.0], "gamma0": [1.6], "n_grid": 64, "format": "json"}),
+     {"mode": "state-dump", "q_values": [3.0], "gamma0_values": [1.6], "n_grid": 64,
+      "format": "json"}),
     (["nm-scan"], {"mode": "nm-scan"}),
     # options may come before the mode too
     (["--n-grid", "64", "--spec", "s.json", "state-dump", "--q", "3.0"],
-     {"mode": "state-dump", "spec": "s.json", "n_grid": 64, "q": [3.0]}),
+     {"mode": "state-dump", "spec": "s.json", "n_grid": 64, "q_values": [3.0]}),
 ])
 def test_parser_reads_every_mode_as_before(argv, want):
-    # the namespaces the per-mode subparsers gave: the mode and all ten
-    # options, None where not given
+    # the values the per-mode subparsers gave, each under the spec key its
+    # flag sets: the mode, --spec and the nine keys, None where not given
     assert vars(cli._build_parser().parse_args(argv)) == dict(_NO_OPTIONS, **want)
+
+
+def test_every_spec_key_is_a_flag_dest_and_a_file_key(tmp_path):
+    keys = [f.name for f in dataclasses.fields(SweepSpec)]
+    dests = {action.dest for action in cli._build_parser()._actions}
+    assert set(keys) <= dests
+    values = {"mode": "qfi-series", "q_values": (3.0,), "gamma0_values": (1.6,), "b": 0.5,
+              "theta": 1.0, "t_max": 4.0, "n_grid": 32, "format": "json",
+              "output_path": "out.json", "parallel": 2}
+    assert sorted(values) == sorted(keys)
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(values))
+    assert parse_spec(path=str(spec_file)) == SweepSpec(**values)
+    # the echo: every key but the three that say how a run executes
+    assert set(SweepSpec(**values).echo_dict()) == set(keys) - {"format", "output_path", "parallel"}
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n_grid", 64.0, "n_grid: expected an integer, got 64.0"),
+    ("q_values", ("3",), "q_values: expected numbers, got '3'"),
+    ("parallel", 2.0, "parallel: expected an integer, got 2.0"),
+    ("b", True, "b: expected a number, got True"),
+    ("format", 1, "format: expected a string, got 1"),
+], ids=["n_grid", "q_values", "parallel", "b", "format"])
+def test_library_spec_is_checked_as_the_file_is(key, value, message):
+    # run(SweepSpec(...)) raised numpy's or math's TypeError for these
+    spec = SweepSpec("corr-series", (1.0,), (0.5,), t_max=1.0, n_grid=16)
+    with pytest.raises(SpecError) as got:
+        run(dataclasses.replace(spec, **{key: value}))
+    assert str(got.value) == message
+    with pytest.raises(SpecError) as want:
+        parse_spec(mode="corr-series", overrides={"q_values": [1.0], "gamma0_values": [0.5],
+                                                  "t_max": 1.0, "n_grid": 16, key: value})
+    assert str(want.value) == message
 
 
 def test_parser_rejects_unknown_or_missing_mode(capsys):

@@ -61,6 +61,10 @@ def test_time_window_validation():
         TimeWindow(-5.0)
     with pytest.raises(DomainError):
         TimeWindow(1.0, n_grid=8)
+    # a float count was accepted and failed later in numpy's linspace
+    with pytest.raises(DomainError, match=r"n_grid must be an integer, got 64\.0"):
+        TimeWindow(2.0, 64.0)
+    assert TimeWindow(2.0, np.int64(64)).times().shape == (64,)
     w = TimeWindow.for_cutoff(0.5)
     assert w.t_max == pytest.approx(200.0)
     ts = w.times()
@@ -350,6 +354,8 @@ def test_pair_scan_markovian_is_flat_zero():
 def test_pair_scan_validation():
     with pytest.raises(DomainError):
         blp_pair_scan(chan(3.0, 1.6, 1.0), TimeWindow(62.5, 256), n_angles=1)
+    with pytest.raises(DomainError, match=r"n_angles must be an integer, got 3\.0"):
+        blp_pair_scan(chan(3.0, 1.6, 1.0), TimeWindow(62.5, 256), n_angles=3.0)
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,22 @@ def _crafted_qubit_stacks():
     m = base.copy()
     m[1] = [[1.2, 0.0], [0.0, -0.2]]
     cases.append(("negative eigenvalue", m))
+    # the smaller eigenvalue from the coherence, from the diagonal, and with
+    # several bad members, the least of them reported
+    m = base.copy()
+    m[2] = [[0.5, 0.6j], [-0.6j, 0.5]]
+    cases.append(("negative eigenvalue from the coherence", m))
+    m = base.copy()
+    m[0] = [[-0.3, 0.1], [0.1, 1.3]]
+    m[3] = [[0.5, 0.5 + 0.5j], [0.5 - 0.5j, 0.5]]
+    cases.append(("negative eigenvalues in two members", m.reshape(2, 2, 2, 2)))
+    # lam = 0.5 - c, exact: the last c above 0.5 that passes, and the next
+    ulp = math.ulp(0.5)
+    c = 0.5 + ulp * math.floor(1e-12 / ulp)
+    for name, value in (("at", c), ("past", math.nextafter(c, 1.0))):
+        m = base.copy()
+        m[1] = [[0.5, value], [value, 0.5]]
+        cases.append((f"negative eigenvalue {name} the tolerance", m))
     # 2 |Im m00| = 1e-12 passes, the next double above fails
     bad("diagonal defect at the tolerance", 0, (0, 0), 5e-13j)
     bad("diagonal defect past the tolerance", 0, (0, 0), complex(0.0, math.nextafter(5e-13, 1.0)))
