@@ -47,10 +47,11 @@ DEFAULT_NM_GAMMA0 = (0.01, 0.1, 0.5, 1.0, 1.6, 3.0)
 # A table stays in memory until it is written, as float64 rows of 8 bytes per
 # column: 72 bytes per grid point and combination in corr-series, 152 in
 # state-dump, so one combination at this bound holds 4.7 MB or 10 MB.  Its
-# measures run in 4096-sample stacks; a one-combination run at this bound
-# peaks at 39.6-39.9 MB (corr-series) or 50.6-51.2 MB (state-dump) resident
-# (VmHWM of `cli.main` in one interpreter, CPython 3.11, numpy 2.4, Linux
-# x86-64).
+# measures run in 4096-sample stacks of real states; a one-combination run
+# at this bound peaks at 38.6-38.7 MB (corr-series) or 49.0-49.2 MB
+# (state-dump) resident (VmHWM of `cli.main` in one interpreter with
+# compiled bytecode at Q = 1 or 3, gamma0 = 0.01, t_max = 2, theta = 1.1;
+# CPython 3.11, numpy 2.4, Linux x86-64).
 _MAX_N_GRID = 65536
 
 # Largest number of grid points over all (Q, gamma0) combinations,
@@ -72,10 +73,22 @@ _MAX_PARALLEL = 64
 _NOT_ECHOED = {"echo": False}
 
 
+# The kind of a number key or list entry: an int or a float.
+_NUMBER = (int, float)
+
+
 def _require(name: str, value, kind, expected: str) -> None:
-    # SpecError unless ``value`` is a ``kind``; a bool is not a number.
+    # SpecError unless ``value`` is a ``kind``; a bool is not a number, and an
+    # int number must convert to a double (_as_float returns one that does
+    # not as it is): a JSON integer can have any number of digits, and
+    # math.isfinite would raise OverflowError on it.
     if isinstance(value, bool) or not isinstance(value, kind):
         raise SpecError(f"{name}: expected {expected}, got {value!r}")
+    if kind is _NUMBER and type(value) is int and _as_float(value) is value:
+        raise SpecError(
+            f"{name}: expected {expected} within the range of a double, got a "
+            f"{value.bit_length()}-bit integer"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,24 +116,24 @@ class SweepSpec:
         if not self.q_values:
             raise SpecError("q_values: must be a non-empty list")
         for q in self.q_values:
-            _require("q_values", q, (int, float), "numbers")
+            _require("q_values", q, _NUMBER, "numbers")
             if not (math.isfinite(q) and q >= 0.0):
                 raise SpecError(f"q_values: entries must be finite and >= 0, got {q}")
         _require("gamma0_values", self.gamma0_values, (list, tuple), "a list of numbers")
         if not self.gamma0_values:
             raise SpecError("gamma0_values: must be a non-empty list")
         for g in self.gamma0_values:
-            _require("gamma0_values", g, (int, float), "numbers")
+            _require("gamma0_values", g, _NUMBER, "numbers")
             if not (math.isfinite(g) and g > 0.0):
                 raise SpecError(f"gamma0_values: entries must be finite and > 0, got {g}")
-        _require("b", self.b, (int, float), "a number")
+        _require("b", self.b, _NUMBER, "a number")
         if not (math.isfinite(self.b) and self.b >= 0.0):
             raise SpecError(f"b: must be finite and >= 0, got {self.b}")
-        _require("theta", self.theta, (int, float), "a number")
+        _require("theta", self.theta, _NUMBER, "a number")
         if not (0.0 <= self.theta <= math.pi):
             raise SpecError(f"theta: must lie in [0, pi], got {self.theta}")
         if self.t_max is not None:
-            _require("t_max", self.t_max, (int, float), "a number")
+            _require("t_max", self.t_max, _NUMBER, "a number")
             if not (math.isfinite(self.t_max) and self.t_max > 0.0):
                 raise SpecError(f"t_max: must be finite and > 0, got {self.t_max}")
         _require("n_grid", self.n_grid, int, "an integer")
@@ -148,14 +161,17 @@ class SweepSpec:
     def echo_dict(self) -> dict:
         """Result-defining parameters, echoed into output metadata.  Execution
         details (format, output path, parallelism) are excluded so identical
-        physics yields identical bytes."""
-        echo = {key: getattr(self, key) for key in _ECHO_KEYS}
+        physics yields identical bytes.  Each value is read by its field's
+        annotation, as ``parse_spec`` reads a file, so a spec built in code
+        with integer numbers echoes the same floats as one read from a file
+        or the flags."""
+        echo = {f.name: _as_declared(f.type, getattr(self, f.name)) for f in _ECHO_FIELDS}
         return echo | {key: list(v) for key, v in echo.items() if isinstance(v, tuple)}
 
 
 _SPEC_FIELDS = fields(SweepSpec)
 _SPEC_KEYS = {f.name for f in _SPEC_FIELDS}
-_ECHO_KEYS = tuple(f.name for f in _SPEC_FIELDS if f.metadata.get("echo", True))
+_ECHO_FIELDS = tuple(f for f in _SPEC_FIELDS if f.metadata.get("echo", True))
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,13 +230,25 @@ class SeriesTable:
             self.to_csv(fh)
 
 
+def _as_float(value):
+    # An int as the float it stands for; any other value, and an int too
+    # large for a double, as it is.
+    if type(value) is not int:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        return value
+
+
 def _as_declared(kind: str, value):
     # A value read for a field annotated ``kind``: a JSON int becomes the
     # float a float field holds, a list of them a tuple, so a file's [3]
-    # echoes as [3.0].  validate() rejects whatever has the wrong type.
+    # echoes as [3.0].  validate() rejects whatever has the wrong type or
+    # does not fit a double.
     if kind.startswith("tuple") and isinstance(value, (list, tuple)):
-        return tuple(float(v) if type(v) is int else v for v in value)
-    return float(value) if kind.startswith("float") and type(value) is int else value
+        return tuple(map(_as_float, value))
+    return _as_float(value) if kind.startswith("float") else value
 
 
 def parse_spec(path: str | None = None, mode: str | None = None, overrides: dict | None = None) -> SweepSpec:
@@ -244,6 +272,9 @@ def parse_spec(path: str | None = None, mode: str | None = None, overrides: dict
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SpecError(f"spec file {path}: invalid JSON ({exc})") from exc
+        except ValueError as exc:
+            # An integer literal past the interpreter's digit limit.
+            raise SpecError(f"spec file {path}: a number has too many digits ({exc})") from exc
         if not isinstance(data, dict):
             raise SpecError(f"spec file {path}: expected a JSON object at top level")
         unknown = set(data) - _SPEC_KEYS

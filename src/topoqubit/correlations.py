@@ -221,8 +221,8 @@ def tnd_x(s: XState4) -> float:
 
 def coherence_l1(rho) -> float:
     """l1 norm of coherence: sum of |off-diagonal entries| of ``rho.matrix``,
-    per matrix of a ``(..., d, d)`` stack."""
-    absm = np.abs(np.asarray(rho.matrix, dtype=np.complex128))
+    per matrix of a ``(..., d, d)`` stack, real or complex."""
+    absm = np.abs(np.asarray(rho.matrix))
     return _out(absm.sum(axis=(-2, -1)) - np.trace(absm, axis1=-2, axis2=-1))
 
 

@@ -58,10 +58,13 @@ def qfi_general(rho, drho: np.ndarray) -> float:
     of matrices of one shape ``(..., d, d)``; the result then has shape
     ``(...)``, and a single pair gives a float.  Eigenpairs with
     lambda_i + lambda_j <= 1e-12 lie in the kernel of the state and are
-    excluded from the sum.
+    excluded from the sum.  The arithmetic follows the inputs' dtypes: a real
+    state and derivative (the Bell-like family's) are decomposed by the
+    batched real ``eigh`` and multiplied in float64, and a complex one of
+    either makes the rest complex.
     """
-    m = np.asarray(rho.matrix, dtype=np.complex128)
-    d = np.asarray(drho, dtype=np.complex128)
+    m = np.asarray(rho.matrix)
+    d = np.asarray(drho)
     if d.shape != m.shape:
         raise DomainError(f"derivative shape {d.shape} does not match state {m.shape}")
     herm = np.abs(d - d.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
@@ -89,13 +92,14 @@ def qfi_general(rho, drho: np.ndarray) -> float:
 
 def _drho_from(theta: float, a, dadb) -> np.ndarray:
     # Entrywise derivative of the evolved X state with respect to B, written
-    # as (d rho / d alpha) * (d alpha / dB); a stack for arrays a and dadb.
+    # as (d rho / d alpha) * (d alpha / dB); a real (float64) stack for arrays
+    # a and dadb.
     a = np.asarray(a, dtype=np.float64)
     a2 = a * a
     a3 = a2 * a
     cos_t = math.cos(theta)
     sin_t = math.sin(theta)
-    d = np.zeros(np.broadcast_shapes(a.shape, np.shape(dadb)) + (4, 4), dtype=np.complex128)
+    d = np.zeros(np.broadcast_shapes(a.shape, np.shape(dadb)) + (4, 4))
     d[..., 0, 0] = (a3 + cos_t * a) * dadb
     d[..., 1, 1] = -a3 * dadb
     d[..., 2, 2] = -a3 * dadb
@@ -106,8 +110,8 @@ def _drho_from(theta: float, a, dadb) -> np.ndarray:
 
 
 def drho_db(theta: float, ch: dephasing.DephasingChannel, t: float) -> np.ndarray:
-    """d rho / dB of the evolved Bell-like state at time ``t``; Hermitian and
-    traceless by construction."""
+    """d rho / dB of the evolved Bell-like state at time ``t``; real
+    (float64), symmetric and traceless by construction."""
     states._check_theta(theta)
     a = dephasing.alpha(ch, t)
     dadb = dephasing.dalpha_db(ch, t)

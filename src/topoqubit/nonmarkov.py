@@ -361,12 +361,14 @@ def blp_pair_scan(
 
     The axes are ``n_angles`` polar angles theta in [0, pi/2] at azimuth
     phi = 0 alone: the channel is phase covariant, so all phi at one theta
-    give the same trace distances.  Each pair (n, -n) is evolved over the
-    whole grid at once by ``evolve_single`` and compared by
-    ``trace_distance``, and the discrete positive variation of that distance
-    is accumulated on the grid; a later theta wins only with a strictly
-    greater one.  Only alpha = exp(-E) is needed, so no d alpha/dt profile
-    is summed.  Returns ((theta, 0.0) of the best axis, its variation).
+    give the same trace distances.  Its axis states (I +- n.sigma)/2 are
+    real, built from sigma_x and sigma_z alone, so each pair (n, -n) is
+    evolved over the whole grid at once by ``evolve_single`` and compared by
+    ``trace_distance`` in float64.  The discrete positive variation of that
+    distance is accumulated on the grid; a later theta wins only with a
+    strictly greater one.  Only alpha = exp(-E) is needed, so no d alpha/dt
+    profile is summed.  Returns ((theta, 0.0) of the best axis, its
+    variation).
 
     Dephasing sends the pair at polar angle theta to the trace distance
     sqrt(alpha^4 cos^2 theta + alpha^2 sin^2 theta): alpha^2 for the polar

@@ -36,18 +36,20 @@ __all__ = [
 _ATOL = 1e-12
 
 # Members per stack where a time series is evaluated or written block by
-# block.  _BLOCK bounds the QFI's batched eigh, whose (n, 4, 4) complex
-# temporaries are 64 kB per 256 members, and the CSV writer's tuple of Python
-# floats per block; larger blocks only raised the peak RSS.  The closed-form
-# measures keep O(n) float temporaries, so their stacks are _MEASURE_BLOCK
-# members long: one stack per combination at the recipes' 2048-4096 points.
+# block.  _BLOCK bounds the QFI's batched eigh, whose (n, 4, 4) temporaries
+# are 32 kB per 256 members for the real Bell-like family (64 kB for complex
+# states), and the CSV writer's tuple of Python floats per block; larger
+# blocks only raised the peak RSS.  The closed-form measures keep O(n) float
+# temporaries, so their stacks are _MEASURE_BLOCK members long: one stack per
+# combination at the recipes' 2048-4096 points.
 _BLOCK = 256
 _MEASURE_BLOCK = 4096
 
-_ID2 = np.eye(2, dtype=np.complex128)
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
+# Real matrices stay real: sigma_y alone is complex.
+_ID2 = np.eye(2)
+_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+_SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 PAULIS = (_SX, _SY, _SZ)
 
 
@@ -99,20 +101,26 @@ def _check_density(m: np.ndarray) -> None:
         raise DomainError(f"matrix has negative eigenvalue {lam_min:.3e} < -{_ATOL}")
 
 
+def _entry_dtype(x) -> type:
+    # complex128 for complex entries, float64 for real (or integer) ones.
+    return np.complex128 if np.iscomplexobj(x) else np.float64
+
+
 def _validated_density(matrix: np.ndarray, dim: int) -> np.ndarray:
-    m = np.asarray(matrix, dtype=np.complex128)
+    m = np.array(matrix, dtype=_entry_dtype(matrix))
     if m.shape[-2:] != (dim, dim):
         raise DomainError(f"expected a (..., {dim}, {dim}) array, got shape {m.shape}")
     _check_density(m)
-    out = m.copy()
-    out.setflags(write=False)
-    return out
+    m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix2:
     """Validated single-qubit density matrix (Hermitian, unit trace, PSD), or
-    a stack of them, shape ``(..., 2, 2)``, every member validated."""
+    a stack of them, shape ``(..., 2, 2)``, every member validated.  The
+    stored copy is float64 for real input and complex128 for complex input,
+    whatever the entries' values."""
 
     matrix: np.ndarray
 
@@ -123,7 +131,9 @@ class DensityMatrix2:
 @dataclass(frozen=True, eq=False)
 class DensityMatrix4:
     """Validated two-qubit density matrix (Hermitian, unit trace, PSD), or a
-    stack of them, shape ``(..., 4, 4)``, every member validated."""
+    stack of them, shape ``(..., 4, 4)``, every member validated.  The
+    stored copy is float64 for real input and complex128 for complex input,
+    whatever the entries' values."""
 
     matrix: np.ndarray
 
@@ -158,8 +168,9 @@ class XState4:
     ~1e-17 and its square root, which the LQU takes, by ~3e-9.  Each
     parameter may be a number or an array; all broadcast to one stack shape,
     which is () for a single state.  The fields are stored as read-only arrays
-    of that shape (float populations and determinants, complex coherences),
-    every member validated.
+    of that shape, every member validated: populations and determinants as
+    float64, each coherence as float64 when given real and complex128 when
+    given complex, so ``matrix`` is real exactly when both coherences are.
     """
 
     rho11: float
@@ -175,8 +186,8 @@ class XState4:
         names = ("rho11", "rho22", "rho33", "rho44", "rho14", "rho23")
         names += tuple(n for n in ("det14", "det23") if getattr(self, n) is not None)
         values = [
-            np.array(getattr(self, n), dtype=np.complex128 if i in (4, 5) else np.float64)
-            for i, n in enumerate(names)
+            np.array(v, dtype=_entry_dtype(v) if i in (4, 5) else np.float64)
+            for i, v in enumerate(getattr(self, n) for n in names)
         ]
         shape = np.broadcast_shapes(*(v.shape for v in values))
         for name, v in zip(names, values):
@@ -234,8 +245,9 @@ class XState4:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The density matrices, shape ``self.shape + (4, 4)``."""
-        m = np.zeros(self.shape + (4, 4), dtype=np.complex128)
+        """The density matrices, shape ``self.shape + (4, 4)``; float64 when
+        both coherences are real, complex128 otherwise."""
+        m = np.zeros(self.shape + (4, 4), dtype=np.result_type(self.rho14, self.rho23))
         m[..., 0, 0] = self.rho11
         m[..., 1, 1] = self.rho22
         m[..., 2, 2] = self.rho33
@@ -311,16 +323,17 @@ def evolve_single(rho0: DensityMatrix2, a) -> DensityMatrix2:
         rho'_00 = (1 + (2 rho_00 - 1) a^2) / 2,   rho'_01 = a rho_01.
     ``a`` lies in [0, 1]; a = 0 gives the fully dephased state I/2.  ``a``
     may be an array of factors; the result is then the stack of images of
-    the one state ``rho0``, shape ``a.shape + (2, 2)``.
+    the one state ``rho0``, shape ``a.shape + (2, 2)``.  The result has the
+    dtype of ``rho0.matrix``: a real state stays real.
     """
     return _dephased(_one_state(rho0), a)
 
 
 def _dephased(r: np.ndarray, a) -> DensityMatrix2:
     # The images of the states r (..., 2, 2) under every factor of a, shape
-    # a.shape + r.shape[:-2] + (2, 2), validated as one stack.
+    # a.shape + r.shape[:-2] + (2, 2) and of r's dtype, validated as one stack.
     a = _coherence_factors(a)
-    out = np.empty(a.shape + r.shape, dtype=np.complex128)
+    out = np.empty(a.shape + r.shape, dtype=r.dtype)
     a = a.reshape(a.shape + (1,) * (r.ndim - 2))
     a2 = a * a
     out[..., 0, 0] = 0.5 * (1.0 + (2.0 * r[..., 0, 0].real - 1.0) * a2)
@@ -332,7 +345,8 @@ def _dephased(r: np.ndarray, a) -> DensityMatrix2:
 
 def evolve_pair(rho0: DensityMatrix4, a: float) -> DensityMatrix4:
     """Apply two independent copies of the dephasing channel to one pair
-    state with one coherence factor ``a`` in [0, 1]."""
+    state with one coherence factor ``a`` in [0, 1].  The result has the
+    dtype of ``rho0.matrix``: a real state stays real."""
     r = _one_state(rho0)
     a = _coherence_factors(a)
     if a.ndim:
@@ -343,7 +357,7 @@ def evolve_pair(rho0: DensityMatrix4, a: float) -> DensityMatrix4:
     w = np.array([[ap, am], [am, ap]])
     mix = np.kron(w, w)
     diag = mix @ np.real(np.diag(r))
-    out = np.zeros((4, 4), dtype=np.complex128)
+    out = np.zeros((4, 4), dtype=r.dtype)
     out[np.arange(4), np.arange(4)] = diag
     # Single-qubit coherences mix in pairs under the two-copy channel.
     out[0, 1] = a * (ap * r[0, 1] + am * r[2, 3])
@@ -360,12 +374,13 @@ def evolve_pair(rho0: DensityMatrix4, a: float) -> DensityMatrix4:
 
 
 def bell_like(theta: float) -> DensityMatrix4:
-    """Pure state cos(theta/2)|00> + sin(theta/2)|11> for theta in [0, pi]."""
+    """Pure state cos(theta/2)|00> + sin(theta/2)|11> for theta in [0, pi],
+    as a real (float64) density matrix."""
     _check_theta(theta)
     c = math.cos(0.5 * theta)
     s = math.sin(0.5 * theta)
-    psi = np.array([c, 0.0, 0.0, s], dtype=np.complex128)
-    return DensityMatrix4(np.outer(psi, psi.conj()))
+    psi = np.array([c, 0.0, 0.0, s])
+    return DensityMatrix4(np.outer(psi, psi))
 
 
 def evolved_x_state(theta: float, a) -> XState4:
@@ -374,7 +389,8 @@ def evolved_x_state(theta: float, a) -> XState4:
     ``a`` may be an array of factors; the result is then the stack of states,
     one per factor.  Each factor lies in [0, 1], as for :func:`evolve_single`;
     a = 0 (fully dephased) keeps the long-time tails of strongly coupled
-    channels representable.
+    channels representable.  Both coherences are real, so the state's
+    ``matrix`` is float64.
     """
     _check_theta(theta)
     a = _coherence_factors(a)
@@ -397,10 +413,11 @@ def trace_distance(rho, sigma):
     Accepts any objects exposing a ``.matrix`` square array of equal shape.
     Stacks ``(..., d, d)`` give one distance per member, an array of shape
     ``(...)``; two single states give a float.  Qubit spectra are taken in
-    closed form, larger ones by LAPACK.
+    closed form, larger ones by LAPACK; two real states are compared in real
+    arithmetic.
     """
-    m1 = np.asarray(rho.matrix, dtype=np.complex128)
-    m2 = np.asarray(sigma.matrix, dtype=np.complex128)
+    m1 = np.asarray(rho.matrix)
+    m2 = np.asarray(sigma.matrix)
     if m1.shape != m2.shape:
         raise DomainError(f"shape mismatch: {m1.shape} vs {m2.shape}")
     dist = 0.5 * np.abs(_eigvalsh(m1 - m2)).sum(axis=-1)

@@ -83,6 +83,51 @@ def test_file_numbers_echo_as_the_floats_they_stand_for(tmp_path):
     assert type(spec.parallel) is int
 
 
+def test_library_numbers_echo_as_the_floats_they_stand_for(tmp_path):
+    # a SweepSpec built in code with integers echoes the bytes of the same
+    # spec read from a file
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps({"mode": "qfi-series", "q_values": [3], "gamma0_values": [2],
+                             "t_max": 1, "n_grid": 16}))
+    from_file = run(parse_spec(path=str(p)))
+    from_code = run(SweepSpec("qfi-series", (3,), (2,), t_max=1, n_grid=16))
+    assert from_code.meta["spec"]["q_values"] == [3.0]
+    assert type(from_code.meta["spec"]["q_values"][0]) is float
+    file_csv, code_csv = io.StringIO(), io.StringIO()
+    from_file.write(file_csv)
+    from_code.write(code_csv)
+    assert code_csv.getvalue() == file_csv.getvalue()
+
+
+# One value per number key, each past the largest double (10**400 has 1329 bits).
+_TOO_LARGE = {"b": 10**400, "t_max": -(10**400), "theta": 10**400,
+              "q_values": [1.0, 10**400], "gamma0_values": [10**400]}
+
+
+@pytest.mark.parametrize("key", _TOO_LARGE)
+def test_numbers_too_large_for_a_double_are_spec_errors(tmp_path, capsys, key):
+    # a JSON integer has any number of digits; one past the largest double
+    # names its key and exits 2, by the file and by the library alike
+    value = _TOO_LARGE[key]
+    spec = {"mode": "corr-series", "q_values": [1.0], "gamma0_values": [0.5], "n_grid": 16}
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(spec | {key: value}))
+    assert main(["corr-series", "--spec", str(p)]) == 2
+    assert f"spec error: {key}: expected" in capsys.readouterr().err
+    spec = spec | {k: tuple(v) for k, v in spec.items() if isinstance(v, list)}
+    value = tuple(value) if isinstance(value, list) else value
+    with pytest.raises(SpecError, match=f"^{key}: .*range of a double, got a 1329-bit integer"):
+        run(SweepSpec(**spec | {key: value}))
+
+
+def test_spec_file_integer_past_the_digit_limit_is_a_spec_error(tmp_path, capsys):
+    p = tmp_path / "huge.json"
+    p.write_text('{"mode": "corr-series", "q_values": [1.0], "gamma0_values": [0.5], '
+                 '"b": 1' + "0" * 5000 + "}")
+    assert main(["corr-series", "--spec", str(p)]) == 2
+    assert "too many digits" in capsys.readouterr().err
+
+
 def test_parse_spec_rejections(tmp_path):
     with pytest.raises(SpecError):
         parse_spec(mode="corr-series")                       # q_values required
