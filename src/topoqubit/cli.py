@@ -91,6 +91,15 @@ def _require(name: str, value, kind, expected: str) -> None:
         )
 
 
+def _require_between(name: str, value: int, lo: int, hi: int) -> None:
+    # SpecError unless lo <= value <= hi.  An int past 64 bits is named by
+    # its bit length: past the interpreter's digit limit, formatting its
+    # digits would raise ValueError.
+    if not lo <= value <= hi:
+        got = value if value.bit_length() <= 64 else f"a {value.bit_length()}-bit integer"
+        raise SpecError(f"{name}: must lie in [{lo}, {hi}], got {got}")
+
+
 @dataclass(frozen=True, slots=True)
 class SweepSpec:
     """Resolved sweep parameters for one run.  Each field is a spec key (a
@@ -137,8 +146,7 @@ class SweepSpec:
             if not (math.isfinite(self.t_max) and self.t_max > 0.0):
                 raise SpecError(f"t_max: must be finite and > 0, got {self.t_max}")
         _require("n_grid", self.n_grid, int, "an integer")
-        if not 16 <= self.n_grid <= _MAX_N_GRID:
-            raise SpecError(f"n_grid: must lie in [16, {_MAX_N_GRID}], got {self.n_grid}")
+        _require_between("n_grid", self.n_grid, 16, _MAX_N_GRID)
         nm_scan = self.mode == "nm-scan"
         per_combo = _NM_SCAN_POINTS if nm_scan else self.n_grid
         points = len(self.q_values) * len(self.gamma0_values) * per_combo
@@ -155,8 +163,7 @@ class SweepSpec:
             _require("output_path", self.output_path, str, "a string")
         if self.parallel is not None:
             _require("parallel", self.parallel, int, "an integer")
-            if not 1 <= self.parallel <= _MAX_PARALLEL:
-                raise SpecError(f"parallel: must lie in [1, {_MAX_PARALLEL}], got {self.parallel}")
+            _require_between("parallel", self.parallel, 1, _MAX_PARALLEL)
 
     def echo_dict(self) -> dict:
         """Result-defining parameters, echoed into output metadata.  Execution

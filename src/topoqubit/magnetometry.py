@@ -2,12 +2,14 @@
 
 The field strength B enters the evolved state only through the coherence
 factor alpha(t; B), so the QFI for estimating B admits a closed form on the
-Bell-like family at theta = pi/2:
+whole Bell-like family, theta in [0, pi]:
 
     F(t) = 128 B^2 beta^2 I_Q(t)^2 alpha^4 / (1 - alpha^4) = 32 (E/B)^2 alpha^4 / (1 - alpha^4),
 
-with E = 2 B^2 |beta| I_Q = -ln alpha, valid because the eigenvectors of the
-evolved state are B-independent there.  The general spectral formula
+with E = 2 B^2 |beta| I_Q = -ln alpha.  It holds at every theta because the
+evolved state's spectrum, (1 +/- alpha^2)^2/4 and (1 - alpha^4)/4 twice,
+does not depend on theta, and its eigenvectors do not depend on B.  The
+general spectral formula
 
     F = 2 sum_{i,j} |<i| d_B rho |j>|^2 / (lambda_i + lambda_j)
 
@@ -133,8 +135,8 @@ def _closed_from(eb, a):
 
 
 def qfi_closed(ch: dephasing.DephasingChannel, t: float) -> float:
-    """Closed-form QFI of the theta = pi/2 family,
-    F = 128 B^2 beta^2 I_Q^2 alpha^4 / (1 - alpha^4)."""
+    """Closed-form QFI of the Bell-like family, the same at every theta in
+    [0, pi]: F = 128 B^2 beta^2 I_Q^2 alpha^4 / (1 - alpha^4)."""
     if t < 0.0:
         raise DomainError(f"time must be >= 0, got {t}")
     if t == 0.0 or ch.b == 0.0:
@@ -144,8 +146,8 @@ def qfi_closed(ch: dephasing.DephasingChannel, t: float) -> float:
 
 
 def qfi_series(ch: dephasing.DephasingChannel, theta: float, w: TimeWindow) -> QfiSeries:
-    """Both QFI routes over a time window; the closed form is compared at
-    theta = pi/2 regardless of the state angle used for the general route."""
+    """Both QFI routes over a time window: the general route at ``theta``
+    against the closed form, which holds at every theta."""
     states._check_theta(theta)
     ts = w.times()
     evals = dephasing._exponent_values(ch, ts)

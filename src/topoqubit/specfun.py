@@ -59,6 +59,7 @@ _F22_DIRECT_LIMIT = 8.0
 # kernel uses (2.5e-10 at u = 40, Q = 3.9).
 _ASYMPTOTIC_LIMIT = 60.0
 # An asymptotic sum is truncated at its first term below this share of it.
+# It must stay below 2**-54 for the array sums to be the scalar's doubles.
 _ASYMPTOTIC_TOL = 1e-17
 
 # Below this |a|, (lnGamma(1/2 - a) - lnGamma(1/2))/a comes from its Taylor
@@ -374,18 +375,20 @@ def dhyp1f1_dz(a: float, b: float, z: float, opts: EvalOptions = DEFAULT_OPTIONS
 def _kummer_brackets(a: float):
     """C_k = [1 - (1/2-a)_k / (1/2)_k] / a for k = 1, 2, ..., one scalar a term.
 
-    For |a| < 1/4, C_k = -expm1(L_k)/a with L_k = sum_{j<k} log1p(-a/(j+1/2))
-    = -a s_k, so C_k = (expm1(L_k)/L_k) s_k, s_k = sum_{j<k} (log1p(y_j)/y_j)
-    /(j+1/2): both ratios are exactly 1 at a = 0 and nothing divides by a.
-    Elsewhere the Pochhammer ratio is a plain product with no pole to cancel.
+    For |a| < 1/4, C_k = sum_{j<k} P_j/(j+1/2) with P_j = (1/2-a)_j/(1/2)_j,
+    from P_{j+1} = P_j (j+1/2-a)/(j+1/2) and 1 - P_k = sum_{j<k} (P_j - P_{j+1}):
+    every term is positive, nothing divides by a, and a = 0 needs no case of
+    its own.  Elsewhere the Pochhammer ratio is a plain product with no pole
+    to cancel.
     """
     if abs(a) < 0.25:
-        s = 0.0
+        c = 0.0
+        p = 1.0
         for j in count():
             h = j + 0.5
-            y = -a / h
-            s += (math.log1p(y) / y if a else 1.0) / h
-            yield (math.expm1(-a * s) / (-a * s) if a else 1.0) * s
+            c += p / h
+            p *= (h - a) / h
+            yield c
     else:
         r = 1.0
         for j in count():
@@ -518,9 +521,11 @@ def dawson(x: float) -> float:
 # Vectorized counterparts used by the dense-profile evaluator.  The same
 # algorithms, elementwise over a numpy array of nonpositive arguments; term
 # rescaling is applied per element so small-|z| entries are never squashed.
-# They share only the term ratios, the stopping bounds, the Kummer brackets
-# and the expansion weights with the scalar loops above, which serve
-# root refinement and check this path's loops, stopping and branch assembly.
+# They take no accuracy option: each reads the module's DEFAULT_OPTIONS when
+# called.  They share only the term ratios, the stopping bounds, the Kummer
+# brackets and the expansion weights with the scalar loops above, which serve
+# root refinement and check this path: the asymptotic sums return the scalar
+# loop's doubles, and the series may sum a few terms past the scalar stop.
 # ---------------------------------------------------------------------------
 
 
@@ -544,8 +549,7 @@ def _block_len(growth: float) -> int:
 
 
 def _series_array(
-    ratio, first: np.ndarray, kmin: float, growth: float, opts: EvalOptions, describe,
-    weights=None,
+    ratio, first: np.ndarray, kmin: float, growth: float, describe, weights=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise :func:`_series` with initial terms ``first`` and scalar
     ``weights``; ``growth`` bounds |ratio(k)| over every k and element (inf
@@ -558,9 +562,9 @@ def _series_array(
     small, each against the sum it ended; the loop stops when every element
     is done, so it may sum a few terms past the scalar stop.
     """
-    rel_tol = opts.rel_tol
+    rel_tol, max_terms = DEFAULT_OPTIONS.rel_tol, DEFAULT_OPTIONS.max_terms
     block = _block_len(growth)
-    last = opts.max_terms - 1
+    last = max_terms - 1
     k_first = math.ceil(kmin) + 1
     total = first.copy() if weights is None else first * next(weights)
     term = first.copy()
@@ -570,7 +574,7 @@ def _series_array(
     n2 = np.zeros(first.shape, dtype=np.int64)
     done = np.zeros(first.shape, dtype=bool)
     small_prev = np.zeros(first.shape, dtype=bool)
-    for k in range(opts.max_terms):
+    for k in range(max_terms):
         term *= ratio(k)
         if weights is not None:
             np.multiply(term, next(weights), out=wt)
@@ -598,63 +602,54 @@ def _series_array(
             term[big] = np.ldexp(term[big], -_RESCALE_BITS)
             comp[big] = np.ldexp(comp[big], -_RESCALE_BITS)
             n2[big] += _RESCALE_BITS
-    raise ConvergenceError(
-        f"vectorized {describe()} did not converge within {opts.max_terms} terms"
-    )
+    raise ConvergenceError(f"vectorized {describe()} did not converge within {max_terms} terms")
 
 
 def _asymptotic_array(
-    make_ratio, arg: np.ndarray, first: np.ndarray, opts: EvalOptions
+    make_ratio, arg: np.ndarray, first: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise :func:`_asymptotic` with term ratios ``make_ratio(arg)``
     over 1-D arrays: (sums, ok), ``ok`` False where the terms grew before
     reaching ``_ASYMPTOTIC_TOL`` of the sum (the sum is then ``first``).
+    The sums are the scalar loop's doubles.
 
-    Every term gets the growth test, every ``_SERIES_BLOCK`` terms the
-    tolerance test, after which finished elements leave the working set.
-    A block in which an element's terms grew is summed again term by term
-    for it, so that an element that reached the tolerance first stays ok,
-    with its sum at that term.
+    One pass: an element leaves the working set at the term where its series
+    grows (a term not <= the one before in magnitude, NaN included), ok if
+    the sum before it had reached the tolerance; the others take the
+    tolerance test once per ``_SERIES_BLOCK`` terms and at the last allowed
+    term.  Summing past the scalar stop changes no sum: from there on every
+    term is at most _ASYMPTOTIC_TOL < 2**-54 of the sum, below half an ulp
+    of it, so adding it rounds back to the same double.
     """
+    max_terms = DEFAULT_OPTIONS.max_terms
     out = first.copy()
     ok = np.zeros(first.shape, dtype=bool)
     idx = np.arange(first.size)
     term, total, mag = first, first, np.abs(first)
-    # Terms past an element's first growth are never read; they may overflow.
+    ratio = make_ratio(arg)
+    # A term that grew leaves with its element; it may overflow.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(0, opts.max_terms, _SERIES_BLOCK):
-            if not idx.size:
-                break
-            stop = min(k + _SERIES_BLOCK, opts.max_terms)
-            ratio = make_ratio(arg)
-            term0, total0 = term, total
-            live = np.ones(idx.shape, dtype=bool)
-            for j in range(k, stop):
-                term = term * ratio(j)
-                nmag = np.abs(term)
-                live &= nmag <= mag
-                total = total + term
-                mag = nmag
-            done = live & (mag <= _ASYMPTOTIC_TOL * np.abs(total))
-            grew = np.flatnonzero(~live)
-            if grew.size:
-                ratio = make_ratio(arg[grew])
-                t, s = term0[grew], total0[grew]
-                alive = np.ones(grew.shape, dtype=bool)
-                for j in range(k, stop):
-                    nxt = t * ratio(j)
-                    alive &= np.abs(nxt) <= np.abs(t)
-                    t = np.where(alive, nxt, 0.0)
-                    s = s + t
-                    reached = alive & (np.abs(t) <= _ASYMPTOTIC_TOL * np.abs(s))
-                    done[grew[reached]] = True
-                    total[grew[reached]] = s[reached]
-                    alive &= ~reached
-            out[idx[done]] = total[done]
-            ok[idx[done]] = True
-            keep = live & ~done
-            idx, arg = idx[keep], arg[keep]
-            term, total, mag = term[keep], total[keep], mag[keep]
+        for k in range(max_terms + 1):
+            nxt = term * ratio(k)
+            nmag = np.abs(nxt)
+            keep = nmag <= mag
+            test = (k > 0 and k % _SERIES_BLOCK == 0) or k == max_terms
+            # count_nonzero is the cheapest all() on a bool array: one per term
+            if test or np.count_nonzero(keep) < keep.size:
+                # The sum and last term so far: terms 0..k of the scalar loop.
+                small = mag <= _ASYMPTOTIC_TOL * np.abs(total)
+                if test:
+                    keep &= ~small
+                reached = small & ~keep
+                out[idx[reached]] = total[reached]
+                ok[idx[reached]] = True
+                idx, arg, total = idx[keep], arg[keep], total[keep]
+                nxt, nmag = nxt[keep], nmag[keep]
+                if not idx.size or k == max_terms:
+                    break
+                ratio = make_ratio(arg)
+            term, mag = nxt, nmag
+            total = total + term
     return out, ok
 
 
@@ -672,23 +667,18 @@ def _growth(p: float, q: float, r: float, x: float) -> float:
     return max(1.0, abs(p) / q) * x / r
 
 
-def _series_1f1_array(
-    a: float, b: float, z: np.ndarray, opts: EvalOptions
-) -> tuple[np.ndarray, np.ndarray]:
+def _series_1f1_array(a: float, b: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     zmax = float(np.abs(z).max())
     return _series_array(
         _kummer_ratio(a, b, z),
         np.ones_like(z),
         _kmin(a, b, 1.0, zmax),
         _growth(a, b, 1.0, zmax),
-        opts,
         lambda: f"1F1 series (a={a}, b={b}); worst |z|={zmax:g}",
     )
 
 
-def _hyp1f1_asymptotic_array(
-    a: float, b: float, u: np.ndarray, opts: EvalOptions
-) -> tuple[np.ndarray, np.ndarray]:
+def _hyp1f1_asymptotic_array(a: float, b: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Elementwise _hyp1f1_asymptotic: (values, ok), ok False where the Kummer
     # series has to serve instead.
     coefs = _kummer_asymptotic_coefs(a, b)
@@ -696,8 +686,8 @@ def _hyp1f1_asymptotic_array(
         return np.zeros_like(u), np.zeros(u.shape, dtype=bool)
     dom, sub = coefs
     ones = np.ones_like(u)
-    s1, ok1 = _asymptotic_array(partial(_f20_ratio, a, a - b + 1.0), 1.0 / u, ones, opts)
-    s2, ok2 = _asymptotic_array(partial(_f20_ratio, b - a, 1.0 - a), -1.0 / u, ones, opts)
+    s1, ok1 = _asymptotic_array(partial(_f20_ratio, a, a - b + 1.0), 1.0 / u, ones)
+    s2, ok2 = _asymptotic_array(partial(_f20_ratio, b - a, 1.0 - a), -1.0 / u, ones)
     lnu = np.log(u)
     lmag = math.log(abs(dom)) - a * lnu
     direct = (np.abs(a * lnu) < -_DIRECT_EXP_LIMIT) & (np.abs(lmag) < -_DIRECT_EXP_LIMIT)
@@ -715,9 +705,7 @@ def _hyp1f1_asymptotic_array(
     return vals, ok1 & ok2
 
 
-def _hyp1f1_array(
-    a: float, b: float, z: np.ndarray, opts: EvalOptions = DEFAULT_OPTIONS
-) -> np.ndarray:
+def _hyp1f1_array(a: float, b: float, z: np.ndarray) -> np.ndarray:
     _require_no_pole(b, ParameterError, "b")
     z = np.asarray(z, dtype=np.float64)
     if np.any(z > 0.0):
@@ -726,17 +714,17 @@ def _hyp1f1_array(
     out = np.empty_like(z)
     near = z >= -1.0
     if near.any():
-        total, n2 = _series_1f1_array(a, b, z[near], opts)
+        total, n2 = _series_1f1_array(a, b, z[near])
         out[near] = np.ldexp(total, n2.astype(np.int32))
     far = ~near
     big = np.flatnonzero(z <= -_ASYMPTOTIC_LIMIT)
     if big.size:
-        vals, ok = _hyp1f1_asymptotic_array(a, b, -z[big], opts)
+        vals, ok = _hyp1f1_asymptotic_array(a, b, -z[big])
         out[big[ok]] = vals[ok]
         far[big[ok]] = False
     if far.any():
         zf = z[far]
-        total, n2 = _series_1f1_array(b - a, b, -zf, opts)
+        total, n2 = _series_1f1_array(b - a, b, -zf)
         abst = np.abs(total)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             mag = zf + np.log(np.where(abst > 0.0, abst, 1.0)) + n2 * _LN2
@@ -753,20 +741,20 @@ def _hyp1f1_array(
     return out
 
 
-def _kernel_array(a: float, u: np.ndarray, opts: EvalOptions = DEFAULT_OPTIONS) -> np.ndarray:
+def _kernel_array(a: float, u: np.ndarray) -> np.ndarray:
     """Elementwise :func:`_kernel` over an array of u >= 0 (integer arrays
     are read as float64)."""
     u = np.asarray(u, dtype=np.float64)
     _require_finite_array(u, "kernel")
     out = np.empty_like(u)
-    describe = lambda: f"vectorized kernel series (a={a})"  # noqa: E731
+    describe = lambda: f"kernel series (a={a})"  # noqa: E731
     near = u <= 1.0
     if near.any():
         un = u[near]
         x = float(un.max())
         kmin, growth = _kmin(a + 1.0, 1.5, 2.0, x), _growth(a + 1.0, 1.5, 2.0, x)
         ratio = _kernel_ratio(a, -un)
-        total, _ = _series_array(ratio, np.ones_like(un), kmin, growth, opts, describe)
+        total, _ = _series_array(ratio, np.ones_like(un), kmin, growth, describe)
         out[near] = 2.0 * un * total
     rest = ~near
     if not (a >= 0.5 and float(a - 0.5).is_integer()):
@@ -775,17 +763,14 @@ def _kernel_array(a: float, u: np.ndarray, opts: EvalOptions = DEFAULT_OPTIONS) 
             um = u[mid]
             x = float(um.max())
             total, _ = _series_array(
-                lambda k: um / (k + 2.0), um.copy(), x, x / 2.0, opts, describe,
-                _kummer_brackets(a),
+                lambda k: um / (k + 2.0), um.copy(), x, x / 2.0, describe, _kummer_brackets(a)
             )
             out[mid] = np.exp(-um) * total
         big = np.flatnonzero(u >= _ASYMPTOTIC_LIMIT)
         rest = np.zeros(u.shape, dtype=bool)
         if big.size:
             ub = u[big]
-            tail, ok = _asymptotic_array(
-                partial(_kernel_tail_ratio, a), 1.0 / ub, (a + 0.5) / ub, opts
-            )
+            tail, ok = _asymptotic_array(partial(_kernel_tail_ratio, a), 1.0 / ub, (a + 0.5) / ub)
             deficit, r, s_bound = _kernel_asymptotic_parts(a, ub, np)
             vals = deficit - r * tail
             ok &= s_bound <= _ASYMPTOTIC_TOL * np.abs(vals)
@@ -794,6 +779,8 @@ def _kernel_array(a: float, u: np.ndarray, opts: EvalOptions = DEFAULT_OPTIONS) 
     if rest.any():
         # As in _kernel.
         if a == 0.0:
-            raise ConvergenceError(f"{describe()} did not converge within {opts.max_terms} terms")
-        out[rest] = (1.0 - _hyp1f1_array(a, 0.5, -u[rest], opts)) / a
+            raise ConvergenceError(
+                f"vectorized {describe()} did not converge within {DEFAULT_OPTIONS.max_terms} terms"
+            )
+        out[rest] = (1.0 - _hyp1f1_array(a, 0.5, -u[rest])) / a
     return out

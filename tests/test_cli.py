@@ -201,6 +201,17 @@ def test_parallel_upper_bound():
         SweepSpec(mode="nm-scan", q_values=(1.0,), gamma0_values=(1.0,), parallel=65).validate()
 
 
+@pytest.mark.parametrize("key, bounds", [("n_grid", "[16, 65536]"), ("parallel", "[1, 64]")])
+def test_integers_past_the_digit_limit_are_spec_errors(key, bounds):
+    # 10**5000 has more digits than the interpreter converts to a string;
+    # the range message names its bit length instead of raising ValueError
+    spec = SweepSpec("corr-series", (1.0,), (1.0,), **{key: 10**5000})
+    for check in (spec.validate, lambda: run(spec)):
+        with pytest.raises(SpecError) as got:
+            check()
+        assert str(got.value) == f"{key}: must lie in {bounds}, got a 16610-bit integer"
+
+
 def test_runner_rejects_foreign_mode():
     spec = SweepSpec(mode="bogus", q_values=(1.0,), gamma0_values=(1.0,))
     with pytest.raises(SpecError):

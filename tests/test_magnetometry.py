@@ -22,6 +22,7 @@ from topoqubit import (
     qfi_series,
 )
 from conftest import richardson_derivative
+from test_dtype import QFI_RTOL
 
 HALF_PI = math.pi / 2.0
 
@@ -147,6 +148,21 @@ def test_series_gap_and_shape():
     assert series.f_general[0] == 0.0 and series.f_closed[0] == 0.0
     resolved = series.f_closed > 1e-280
     assert np.all(series.rel_gap[resolved] <= 1e-8)
+
+
+@pytest.mark.parametrize("q, g0, b", [(3.0, 1.6, 0.3), (1.0, 1.0, 1.0), (2.5, 0.01, 0.002),
+                                      (0.5, 1.0, 0.1)])
+def test_closed_form_holds_at_every_angle(q, g0, b):
+    # the evolved family's spectrum, (1 +/- alpha^2)^2/4 and (1 - alpha^4)/4
+    # twice, does not depend on theta, and its eigenvectors do not depend on
+    # B: the closed QFI is the general route's at every theta, |00> included
+    ch = chan(q, g0, b)
+    w = TimeWindow.for_cutoff(g0)
+    for theta in (0.0, 0.3, 1.1, HALF_PI, 2.9, math.pi):
+        series = qfi_series(ch, theta, w)
+        resolved = series.f_closed >= 1e-280
+        assert resolved.sum() >= 170, theta
+        assert np.all(series.rel_gap[resolved] <= QFI_RTOL), theta
 
 
 def test_series_zero_field_is_flat():

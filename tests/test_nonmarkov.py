@@ -243,6 +243,22 @@ def test_cb_scales_with_preparation_angle():
     assert abs(tilted - math.sin(0.25 * math.pi) * full) <= 1e-10
 
 
+@pytest.mark.parametrize("q", [2.5, 3.0, 4.0, 7.0])
+def test_witnesses_depend_on_field_over_cutoff_alone(q):
+    # E is (B/gamma0)^2 times a function of Q and x = t gamma0, and the
+    # revival ends in x depend on Q alone, so on default windows every
+    # witness is unchanged under (B, gamma0) -> (cB, c gamma0)
+    for b, g0 in ((0.3, 1.6), (0.05, 0.5)):
+        def witnesses(c):
+            ch, w = chan(q, c * g0, c * b), TimeWindow.for_cutoff(c * g0)
+            return blp(ch, w), lpp(ch, w), cb(1.1, ch, w)
+
+        want = witnesses(1.0)
+        assert min(want) > 0.0
+        for c in (0.01, 37.0):
+            assert witnesses(c) == pytest.approx(want, rel=1e-13, abs=0.0), (b, g0, c)
+
+
 # ---------------------------------------------------------------------------
 # shared revival intervals
 # ---------------------------------------------------------------------------

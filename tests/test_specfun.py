@@ -26,6 +26,7 @@ from topoqubit import (
     hyp2f2_11_32_2,
     magnetometry,
     nonmarkov,
+    specfun,
 )
 from topoqubit.specfun import (
     _FULL_PRECISION,
@@ -41,6 +42,7 @@ from topoqubit.specfun import (
     _hyp1f1_array,
     _hyp1f1_asymptotic_array,
     _kernel_array,
+    _kernel_tail_ratio,
     _kmin,
     _kummer_ratio,
     _series,
@@ -325,7 +327,7 @@ def test_hyp1f1_large_u_oracle(q):
     a = (q - 1.0) / 2.0
     z = -np.array(LARGE_U)
     for ab in ((a, 0.5), (a + 1.0, 1.5)):
-        arr = _hyp1f1_array(ab[0], ab[1], z, DEFAULT_OPTIONS)
+        arr = _hyp1f1_array(ab[0], ab[1], z)
         for u, got_arr in zip(LARGE_U, arr):
             want = mp_hyp1f1(ab[0], ab[1], -u)
             for got in (hyp1f1(ab[0], ab[1], -u), got_arr):
@@ -340,9 +342,9 @@ def test_hyp2f2_large_u_oracle():
     array kernel, 2F2(-u) = K(0, u)/(2u) and
     d2F2/dz(-u) = K(0, u)/(2u^2) - M(1; 3/2; -u)/u."""
     u = np.array(LARGE_U)
-    k_arr = _kernel_array(0.0, u, DEFAULT_OPTIONS)
+    k_arr = _kernel_array(0.0, u)
     f_arr = k_arr / (2.0 * u)
-    df_arr = k_arr / (2.0 * u * u) - _hyp1f1_array(1.0, 1.5, -u, DEFAULT_OPTIONS) / u
+    df_arr = k_arr / (2.0 * u * u) - _hyp1f1_array(1.0, 1.5, -u) / u
     for u, fa, dfa in zip(LARGE_U, f_arr, df_arr):
         want, dwant = mp_hyp2f2(-u), mp_dhyp2f2(-u)
         for got in (hyp2f2_11_32_2(-u), fa):
@@ -358,7 +360,7 @@ def test_hyp1f1_large_q_large_u_is_finite():
     a = (121.3 - 1.0) / 2.0
     for ab in ((a, 0.5), (a + 1.0, 1.5)):
         want = mp_hyp1f1(ab[0], ab[1], -u)
-        got_arr = _hyp1f1_array(ab[0], ab[1], np.array([-u]), DEFAULT_OPTIONS)[0]
+        got_arr = _hyp1f1_array(ab[0], ab[1], np.array([-u]))[0]
         for got in (hyp1f1(ab[0], ab[1], -u), got_arr):
             assert math.isfinite(got)
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -370,11 +372,12 @@ def test_hyp1f1_large_u_needs_few_terms():
     assert got == pytest.approx(mp_hyp1f1(1.0, 0.5, -900.0), rel=1e-14, abs=0.0)
 
 
-def test_dawson_large_argument():
-    # the array route: D(x) = x M(1; 3/2; -x^2)
+def test_dawson_large_argument(monkeypatch):
+    # the array route at the scalar dawson's budget: D(x) = x M(1; 3/2; -x^2)
     xs = [7.7, 7.8, 50.0, 1e3, 1e5, 5e6]
     x = np.array(xs)
-    arr = x * _hyp1f1_array(1.0, 1.5, -x * x, _FULL_PRECISION)
+    monkeypatch.setattr(specfun, "DEFAULT_OPTIONS", _FULL_PRECISION)
+    arr = x * _hyp1f1_array(1.0, 1.5, -x * x)
     for x, got_arr in zip(xs, arr):
         for got in (dawson(x), got_arr):
             assert got == pytest.approx(mp_dawson(x), rel=1e-14, abs=0.0), x
@@ -391,7 +394,7 @@ def test_hyp1f1_array_matches_scalar_across_kummer_seam(q, u):
     a = (q - 1.0) / 2.0
     us = np.array([u, 0.9, 1.0 - 1e-12, 1.0, np.nextafter(1.0, 2.0), 1.0 + 1e-12, 1.1])
     for ab in ((a, 0.5), (a + 1.0, 1.5)):
-        arr = _hyp1f1_array(ab[0], ab[1], -us, DEFAULT_OPTIONS)
+        arr = _hyp1f1_array(ab[0], ab[1], -us)
         for x, got in zip(us, arr):
             assert got == pytest.approx(hyp1f1(ab[0], ab[1], -x), rel=1e-12, abs=0.0), (ab, x)
 
@@ -405,10 +408,10 @@ def test_hyp1f1_array_rescale_branch_matches_scalar():
         a = (q - 1.0) / 2.0
         count = 0
         for ab in ((a, 0.5), (a + 1.0, 1.5)):
-            _, ok = _hyp1f1_asymptotic_array(ab[0], ab[1], u, DEFAULT_OPTIONS)
-            _, n2 = _series_1f1_array(ab[1] - ab[0], ab[1], u[~ok], DEFAULT_OPTIONS)
+            _, ok = _hyp1f1_asymptotic_array(ab[0], ab[1], u)
+            _, n2 = _series_1f1_array(ab[1] - ab[0], ab[1], u[~ok])
             count += int(np.count_nonzero(n2))
-            arr = _hyp1f1_array(ab[0], ab[1], -u, DEFAULT_OPTIONS)
+            arr = _hyp1f1_array(ab[0], ab[1], -u)
             for x, got in zip(u, arr):
                 assert got == pytest.approx(hyp1f1(ab[0], ab[1], -x), rel=1e-12, abs=0.0), (q, x)
         assert count == n_rescaled
@@ -426,8 +429,8 @@ def test_non_finite_argument_fails_at_once(bad):
                     f(bad)
             z = np.array([-0.5, -30.0, bad])
             for f in (
-                lambda z: _hyp1f1_array(1.0, 0.5, z, DEFAULT_OPTIONS),
-                lambda z: _kernel_array(0.0, -z, DEFAULT_OPTIONS),
+                lambda z: _hyp1f1_array(1.0, 0.5, z),
+                lambda z: _kernel_array(0.0, -z),
             ):
                 with pytest.raises(ConvergenceError, match="non-finite"):
                     f(z)
@@ -449,18 +452,53 @@ def test_asymptotic_array_assigns_branches_like_scalar():
     # Near the switch the expansion's smallest term sits close to the 1e-17
     # stop: some elements reach it a term or two before their terms grow
     # (Q = 9.1 at u = 67.9), which a once-per-block test alone would miss.
-    u = np.linspace(60.0, 100.0, 401)
-    for q in (5.3, 9.1, 12.3, 20.5):
+    # At large Q the terms grow at once up to u ~ 1000.  Every flag and
+    # every sum is the scalar loop's, bit for bit: past the scalar stop each
+    # term is below half an ulp of the sum.
+    u = np.concatenate([np.linspace(60.0, 100.0, 401), np.geomspace(100.0, 1e6, 200)])
+    for q in (0.0, 1.2, 3.0, 5.3, 9.1, 12.3, 20.5, 60.5, 120.3, 170.0):
         a = (q - 1.0) / 2.0
-        for p, r, sign in ((a, a + 0.5, 1.0), (0.5 - a, 1.0 - a, -1.0), (a + 1.0, a + 0.5, 1.0),
-                           (0.5 - a, -a, -1.0)):
-            sums, ok = _asymptotic_array(partial(_f20_ratio, p, r), sign / u, np.ones_like(u),
-                                         DEFAULT_OPTIONS)
-            for x, s, o in zip(u, sums, ok):
-                want = _asymptotic(_f20_ratio(p, r, sign / x), 1.0, DEFAULT_OPTIONS)
-                assert o == (want is not None), (q, p, r, x)
-                if o:
-                    assert s == pytest.approx(want, rel=1e-16, abs=0.0)
+        families = [
+            (partial(_f20_ratio, p, r), sign / u, np.ones_like(u))
+            for p, r, sign in ((a, a + 0.5, 1.0), (0.5 - a, 1.0 - a, -1.0),
+                               (a + 1.0, a + 0.5, 1.0), (0.5 - a, -a, -1.0))
+        ]
+        families.append((partial(_kernel_tail_ratio, a), 1.0 / u, (a + 0.5) / u))
+        for make_ratio, arg, first in families:
+            sums, ok = _asymptotic_array(make_ratio, arg, first)
+            for w, f, s, o in zip(arg, first, sums, ok):
+                want = _asymptotic(make_ratio(w), f, DEFAULT_OPTIONS)
+                assert o == (want is not None), (q, make_ratio, w)
+                assert s == (want if o else f), (q, make_ratio, w)
+
+
+def test_array_functions_take_no_accuracy_option():
+    # the array path runs at the module's DEFAULT_OPTIONS, read when called;
+    # only the public scalar functions take an EvalOptions
+    names = {n for n, f in vars(specfun).items() if inspect.isfunction(f) and n.endswith("_array")}
+    assert {"_series_array", "_asymptotic_array", "_series_1f1_array", "_hyp1f1_asymptotic_array",
+            "_hyp1f1_array", "_kernel_array"} <= names
+    for name in names:
+        assert "opts" not in inspect.signature(getattr(specfun, name)).parameters, name
+
+
+def test_array_budget_is_read_from_the_module_default(monkeypatch):
+    monkeypatch.setattr(specfun, "DEFAULT_OPTIONS", EvalOptions(max_terms=10))
+    # the Kummer-transformed series needs ~70 terms at z = -50
+    with pytest.raises(ConvergenceError) as got:
+        _hyp1f1_array(1.0, 0.5, np.array([-50.0]))
+    assert str(got.value) == (
+        "vectorized 1F1 series (a=-0.5, b=0.5); worst |z|=50 did not converge within 10 terms"
+    )
+    # K(0, u) at u = 60 has no 1/a form to fall back on once its expansion
+    # runs out of terms
+    monkeypatch.setattr(specfun, "DEFAULT_OPTIONS", EvalOptions(max_terms=2))
+    with pytest.raises(ConvergenceError) as got:
+        _kernel_array(0.0, np.array([60.0]))
+    assert str(got.value) == "vectorized kernel series (a=0.0) did not converge within 2 terms"
+    with pytest.raises(ConvergenceError) as got:
+        _kernel_array(0.0, np.array([30.0]))
+    assert str(got.value) == "vectorized kernel series (a=0.0) did not converge within 2 terms"
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +511,7 @@ def test_hyp1f1_near_terminating_series_sums_its_tail(u):
     # tail past them is not, and two small terms must not end the sum there
     a = 1.4999999999999996
     want = mp_hyp1f1(a, 0.5, -u)
-    arr = _hyp1f1_array(a, 0.5, np.array([-u]), DEFAULT_OPTIONS)[0]
+    arr = _hyp1f1_array(a, 0.5, np.array([-u]))[0]
     for got in (hyp1f1(a, 0.5, -u), arr):
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -494,8 +532,8 @@ def test_array_paths_read_integer_arguments_as_float(a):
     # an integer grid spans the near, Kummer and asymptotic branches
     u = np.arange(0, 200, 7)
     for fn in (
-        lambda v: _kernel_array(a, v, DEFAULT_OPTIONS),
-        lambda v: _hyp1f1_array(a + 1.0, 1.5, -v, DEFAULT_OPTIONS),
+        lambda v: _kernel_array(a, v),
+        lambda v: _hyp1f1_array(a + 1.0, 1.5, -v),
     ):
         got = fn(u)
         assert got.dtype == np.float64
