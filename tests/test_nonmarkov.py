@@ -9,6 +9,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from topoqubit import (
     ConvergenceError,
@@ -395,10 +396,83 @@ def test_critical_q_range_validation():
 
 
 def test_critical_q_default_range_pinned():
-    # bisection over (0, 12); every step is a cold witness call at a new Q
-    pinned = {0.5: 3.7060546875, 1.0: 2.797119140625, 1.6: 2.232421875, 3.0: 2.000244140625}
-    for g0, want in pinned.items():
-        assert critical_q_scan(g0) == want
+    # bisection over (0, 12), the doubles of the scan before steps with
+    # 2 < Q <= 4 were bounded by the window-end coherence
+    pinned = {
+        (0.5, 1.0): 3.7060546875,
+        (0.5, 0.3): 2.1884765625,
+        (1.0, 1.0): 2.797119140625,
+        (1.0, 0.3): 2.000244140625,
+        (1.6, 1.0): 2.232421875,
+        (1.6, 0.3): 2.000244140625,
+        (3.0, 1.0): 2.000244140625,
+        (3.0, 0.3): 2.000244140625,
+        (0.1, 1.0): 5.786865234375,
+        (0.1, 0.3): 4.244384765625,
+        (0.01, 1.0): 8.608154296875,
+        (0.01, 0.3): 7.15283203125,
+    }
+    for (g0, b), want in pinned.items():
+        assert critical_q_scan(g0, b=b) == want, (g0, b)
+
+
+def test_critical_q_short_window_pinned():
+    # x_max = 3.2 ends before the first zero at Q near 2, so the scan's low
+    # steps have no revival in the window at all
+    assert critical_q_scan(1.6, w=TimeWindow(2.0)) == 2.783935546875
+    assert critical_q_scan(1.0, w=TimeWindow(5.0), b=0.5) == 2.101318359375
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    q=st.floats(2.0, 4.0, exclude_min=True),
+    g0=st.floats(0.05, 3.0),
+    b=st.floats(0.01, 2.0),
+    x_max=st.floats(0.5, 100.0),
+)
+@example(q=4.0, g0=1.6, b=1.0, x_max=100.0)
+@example(q=4.0, g0=0.5, b=0.3, x_max=1.0)
+@example(q=2.0001, g0=1.6, b=1.0, x_max=3.2)
+@example(q=3.0, g0=1.6, b=0.05, x_max=2.0)
+def test_blp_bounded_by_window_end_coherence(q, g0, b, x_max):
+    # for 2 < Q <= 4 the one rising stretch ends at t_max, so
+    # n_blp = alpha(t_max)^2 - alpha(t_1)^2 <= alpha(t_max)^2 in double too;
+    # the bound critical_q_scan decides its steps with
+    ch, w = chan(q, g0, b), TimeWindow(x_max / g0)
+    s_i, x_end = nonmarkov._reduced_window(ch, w)
+    a_end = math.exp(-nonmarkov._reduced_exponent(s_i, q, x_end))
+    n_blp = blp(ch, w)
+    assert n_blp <= a_end * a_end
+    first_zero = _reduced_revival(q)[0][0]
+    if x_end <= first_zero:
+        assert n_blp == 0.0
+
+
+def test_critical_q_scan_bound_keeps_the_window_overflow_error():
+    # the first step (Q = 3.5) is bounded and still checks the window
+    with pytest.raises(ConvergenceError, match="leaves the double range"):
+        critical_q_scan(1.0, q_range=(2.5, 3.5), w=TimeWindow(1e160))
+
+
+@pytest.mark.parametrize(
+    "g0, q_range, want", [(1.6, (0.0, 12.0), 2.232421875), (0.01, (2.5, 3.5), None)]
+)
+def test_critical_q_scan_warns_once_at_the_caller(g0, q_range, want):
+    # one warning per scan, attributed to the line that called it, also when
+    # only bounded steps (no revival search) see the truncation, as every
+    # step does at gamma0 = 0.01, where nothing in (2.5, 3.5] fires
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert critical_q_scan(g0, q_range=q_range) == want
+    assert [c.category for c in caught] == [HorizonWarning]
+    assert caught[0].filename == __file__
+
+
+def test_critical_q_scan_without_revivals_does_not_warn():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert critical_q_scan(1.6, q_range=(0.0, 2.0)) is None
+    assert caught == []
 
 
 # ---------------------------------------------------------------------------
@@ -570,11 +644,13 @@ def _no_hyp1f1_array(*args, **kwargs):
 
 def test_critical_q_scan_call_count(monkeypatch):
     # work-count guard: with a cold revival memo the scan makes no array 1F1
-    # call and at most 302 scalar 1F1 calls (302), at most 192 of them
-    # refining roots (181, about 10 per refined root).  The walk at every
-    # 0.3 in x made 394; the walk on the window grid, narrowed to one grid
-    # cell per root, made 484 and 192; before it, 198 scalar calls and 3853
-    # array elements; plain bisection made 813 refining calls.
+    # call and 229 (gamma0 = 1.6) or 187 (1.0) scalar 1F1 calls, 141 or 119
+    # of them refining roots, in 9 or 7 revival searches.  Before steps with
+    # 2 < Q <= 4 were bounded by the window-end coherence it made 302 or 311
+    # calls (181 or 193 refining) in 13 or 14 searches.  The walk at every
+    # 0.3 in x made 394 at 1.6; the walk on the window grid, narrowed to one
+    # grid cell per root, made 484 and 192; before it, 198 scalar calls and
+    # 3853 array elements; plain bisection made 813 refining calls.
     calls = []
     refining = []
     hyp1f1 = specfun.hyp1f1
@@ -594,10 +670,18 @@ def test_critical_q_scan_call_count(monkeypatch):
     monkeypatch.setattr(specfun, "hyp1f1", counted)
     monkeypatch.setattr(specfun, "_hyp1f1_array", _no_hyp1f1_array)
     monkeypatch.setattr(nonmarkov, "_refine_sign_change", refine_counted)
-    _reduced_revival.cache_clear()
-    assert critical_q_scan(1.6) == 2.232421875
-    assert 0 < sum(calls) <= 192
-    assert len(calls) <= 302
+    for g0, want, n_calls, n_refining, n_searches in (
+        (1.6, 2.232421875, 229, 141, 9),
+        (1.0, 2.797119140625, 187, 119, 7),
+    ):
+        calls.clear()
+        _reduced_revival.cache_clear()
+        assert critical_q_scan(g0) == want
+        assert 0 < sum(calls) <= n_refining
+        assert len(calls) <= n_calls
+        # a bounded step adds no memo entry
+        assert _reduced_revival.cache_info().misses == n_searches
+        assert _reduced_revival.cache_info().currsize == n_searches
 
 
 def _no_eigvalsh(*args, **kwargs):
