@@ -309,13 +309,16 @@ def _backflow(exponents: tuple[tuple[float, float], ...], g) -> float:
     # Positive variation of g(alpha(t)) for a strictly increasing g, from the
     # exponents E = -ln alpha at the ends of each revival interval: g is
     # called once, on the (n, 2) array of alpha at the starts and ends, and
-    # the differences are summed in interval order.
+    # the differences are summed in interval order.  An interval whose end
+    # term does not exceed its start term adds nothing, as in _log_blp: the
+    # exponent can rise by an ulp over a revival in rounding.
     if not exponents:
         return 0.0
     ends = np.array([[math.exp(-e_start), math.exp(-e_end)] for e_start, e_end in exponents])
     value = 0.0
     for g_start, g_end in g(ends).tolist():
-        value += g_end - g_start
+        if g_end > g_start:
+            value += g_end - g_start
     return value
 
 

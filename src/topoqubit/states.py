@@ -38,10 +38,12 @@ _ATOL = 1e-12
 # Members per stack where a time series is evaluated or written block by
 # block.  _BLOCK bounds the QFI's batched eigh, whose (n, 4, 4) temporaries
 # are 32 kB per 256 members for the real Bell-like family (64 kB for complex
-# states), and the CSV writer's tuple of Python floats per block; larger
-# blocks only raised the peak RSS.  The closed-form measures keep O(n) float
-# temporaries, so their stacks are _MEASURE_BLOCK members long: one stack per
-# combination at the recipes' 2048-4096 points.
+# states), and the CSV writer's numpy temporaries per block, a few hundred
+# bytes per cell that varies within the block.  Larger blocks only raised the
+# QFI's peak RSS; the writer was slower at 128 rows per block and, within
+# this VM's noise, no faster at 512.  The closed-form measures keep O(n)
+# float temporaries, so their stacks are _MEASURE_BLOCK members long: one
+# stack per combination at the recipes' 2048-4096 points.
 _BLOCK = 256
 _MEASURE_BLOCK = 4096
 

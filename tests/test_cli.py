@@ -13,6 +13,8 @@ import shutil
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -534,6 +536,100 @@ def test_csv_matches_per_value_writer(rng):
             assert lines[-1] == ",".join(format(v, ".17g") for v in table.rows[512])
         elif case == "all-constant":
             assert set(lines) == {"3,0.01,-0,1e-300"}
+
+
+_RECIPES = sorted((Path(__file__).resolve().parents[1] / "recipes").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", _RECIPES, ids=[p.stem for p in _RECIPES])
+def test_recipe_csv_matches_per_value_writer(path):
+    # the recipes' own value mix: long zero runs, QFI values near 1e-293
+    # (fig7) and nm-scan's tiny backflows
+    table = run(parse_spec(str(path)))
+    fh = io.StringIO()
+    table.to_csv(fh)
+    assert fh.getvalue() == _reference_csv(table)
+
+
+def _g17_cells(values: np.ndarray) -> list[str]:
+    # The text cli._g17_words lays out for each value, its ',' dropped.
+    words = cli._g17_words(values).astype("<u8")
+    return words.tobytes().translate(None, b"\0").decode("ascii").split(",")[:-1]
+
+
+def _oracle_doubles(rng) -> np.ndarray:
+    # 1.2e6 doubles of the kinds that stress 17-digit text: random bit
+    # patterns (both signs, every binary exponent), and with both signs
+    # subnormals, every 10**k with both neighbours, integers, dyadic ties and
+    # short decimals.
+    bits = rng.integers(0, 2**64, size=600_000, dtype=np.uint64).view(np.float64)
+    subnormal = rng.integers(1, 2**52, size=30_000, dtype=np.int64).view(np.float64)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    powers = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    integers = np.concatenate([
+        rng.integers(-10**6, 10**6, size=50_000),
+        rng.integers(-2**62, 2**62, size=100_000),
+        rng.integers(10**16 - 10**4, 10**16 + 10**4, size=10_000),
+        rng.integers(10**17 - 10**5, 10**17 + 10**5, size=10_000),
+    ]).astype(np.float64)
+    # n + j / 2**k with 18 - k digits in n and j odd: exactly 18 significant
+    # digits, the last a 5, so the 17th is a tie that rounds to even
+    ties = []
+    for k in range(2, 18):
+        n = rng.integers(10 ** (17 - k), min(10 ** (18 - k), 2 ** (53 - k)), size=4_000)
+        j = 2 * rng.integers(0, 2 ** (k - 1), size=4_000) + 1
+        ties.append(n + j / 2.0**k)
+    mantissas = rng.integers(1, 10**6, size=60_000).tolist()
+    exponents = rng.integers(-330, 300, size=60_000).tolist()
+    short = np.array([float(f"{m}e{e}") for m, e in zip(mantissas, exponents)])
+    others = np.concatenate([subnormal, powers, integers, *ties, short])
+    return np.concatenate([bits[np.isfinite(bits)], others, -others])
+
+
+def test_g17_words_match_format_on_a_million_doubles(rng):
+    values = _oracle_doubles(rng)
+    assert values.size > 10**6
+    for chunk in np.array_split(values, 16):
+        got = ",".join(_g17_cells(chunk))
+        want = ",".join(map(format, chunk.tolist(), repeat(".17g")))
+        if got != want:
+            cells = [(v, g, w) for v, g, w in zip(chunk.tolist(), got.split(","), want.split(","))]
+            pytest.fail("value, got, want: %r" % next(c for c in cells if c[1] != c[2]))
+
+
+@pytest.mark.parametrize("value, text", [
+    (2251799813685247.75, "2251799813685247.8"),  # exact ties: half to even
+    (2251799813685246.25, "2251799813685246.2"),
+    (5e-324, "4.9406564584124654e-324"),
+    (-1.7976931348623157e308, "-1.7976931348623157e+308"),
+    (-0.0, "-0"),
+    (1e16, "10000000000000000"),
+    (1e17, "1e+17"),
+    (0.0001, "0.0001"),
+    (1e-5, "1.0000000000000001e-05"),
+    (123.5, "123.5"),
+])
+def test_g17_edge_cells(value, text):
+    assert format(value, ".17g") == text
+    assert _g17_cells(np.array([value, 1.5])) == [text, "1.5"]
+    # a block of 4 varying cells is written by one '%' call, one of
+    # 2 * _G17_MIN_CELLS by _g17_words
+    for n_rows in (2, cli._G17_MIN_CELLS):
+        rows = np.ones((n_rows, 2))
+        rows[0, 0] = rows[1, 1] = value
+        fh = io.StringIO()
+        SeriesTable(("a", "b"), rows).to_csv(fh)
+        lines = fh.getvalue().splitlines()[3:]
+        assert lines == [f"{text},1", f"1,{text}"] + ["1,1"] * (n_rows - 2)
+
+
+def test_g17_powers_of_ten_are_double_doubles():
+    # 10**(16 - e) 2**s = hi + lo to 1e-30 relative, 2**-s = down1 down2
+    for e, down1, down2, hi, lo in zip(
+        range(-324, 309), cli._POW2_DOWN1, cli._POW2_DOWN2, cli._POW10_HI, cli._POW10_LO
+    ):
+        exact = Fraction(10) ** (16 - e) / (Fraction(down1) * Fraction(down2))
+        assert abs((Fraction(hi) + Fraction(lo)) / exact - 1) < Fraction(1, 10**30), e
 
 
 def test_json_rows_are_the_table_values(rng):

@@ -434,18 +434,31 @@ def test_critical_q_short_window_pinned():
 @example(q=4.0, g0=0.5, b=0.3, x_max=1.0)
 @example(q=2.0001, g0=1.6, b=1.0, x_max=3.2)
 @example(q=3.0, g0=1.6, b=0.05, x_max=2.0)
+@example(q=2.0000000000000004, g0=1.0, b=1.0, x_max=13.0)
 def test_blp_bounded_by_window_end_coherence(q, g0, b, x_max):
     # for 2 < Q <= 4 the one rising stretch ends at t_max, so
-    # n_blp = alpha(t_max)^2 - alpha(t_1)^2 <= alpha(t_max)^2 in double too;
-    # the bound critical_q_scan decides its steps with
+    # 0 <= n_blp = alpha(t_max)^2 - alpha(t_1)^2 <= alpha(t_max)^2 in double
+    # too; the bound critical_q_scan decides its steps with
     ch, w = chan(q, g0, b), TimeWindow(x_max / g0)
     s_i, x_end = nonmarkov._reduced_window(ch, w)
     a_end = math.exp(-nonmarkov._reduced_exponent(s_i, q, x_end))
     n_blp = blp(ch, w)
-    assert n_blp <= a_end * a_end
+    assert 0.0 <= n_blp <= a_end * a_end
     first_zero = _reduced_revival(q)[0][0]
     if x_end <= first_zero:
         assert n_blp == 0.0
+
+
+def test_backflow_of_an_interval_whose_exponent_rises_in_rounding_is_zero():
+    # the one interval, (12.9187, 13.0), has exponents that rise by 4.4e-15
+    # in rounding; each witness must read 0, not a negative backflow
+    ch, w = chan(2.0000000000000004, 1.0, 1.0), TimeWindow(13.0)
+    (e_start, e_end), = _revival(ch, w)[1]
+    assert e_end > e_start
+    assert blp(ch, w) == 0.0
+    assert lpp(ch, w) == 0.0
+    assert cb(1.1, ch, w) == 0.0
+    assert nm_report(ch, w).n_blp == 0.0
 
 
 def test_critical_q_scan_bound_keeps_the_window_overflow_error():
