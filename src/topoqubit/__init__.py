@@ -23,6 +23,7 @@ from .correlations import (
 from .dephasing import (
     DephasingChannel,
     OhmicEnvironment,
+    TimeWindow,
     alpha,
     alpha_profile,
     beta,
@@ -45,7 +46,6 @@ from .errors import (
 from .magnetometry import QfiSeries, drho_db, qfi_closed, qfi_general, qfi_series
 from .nonmarkov import (
     NonMarkovReport,
-    TimeWindow,
     blp,
     blp_pair_scan,
     cb,

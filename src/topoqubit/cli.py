@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__, correlations, dephasing, magnetometry, states
 from .errors import ConvergenceError, HorizonWarning, SpecError, TopoqubitError
-from .nonmarkov import _FIRING_THRESHOLD, TimeWindow, blp, lpp
+from .nonmarkov import _FIRING_THRESHOLD, blp, lpp
 
 __all__ = [
     "SweepSpec",
@@ -564,11 +564,11 @@ def parse_spec(path: str | None = None, mode: str | None = None, overrides: dict
 
 def _combo(
     spec: SweepSpec, q: float, g0: float
-) -> tuple[dephasing.DephasingChannel, TimeWindow]:
+) -> tuple[dephasing.DephasingChannel, dephasing.TimeWindow]:
     ch = dephasing.DephasingChannel(dephasing.OhmicEnvironment(q, g0), spec.b)
     if spec.t_max is None:
-        return ch, TimeWindow.for_cutoff(g0, spec.n_grid)
-    return ch, TimeWindow(spec.t_max, spec.n_grid)
+        return ch, dephasing.TimeWindow.for_cutoff(g0, spec.n_grid)
+    return ch, dephasing.TimeWindow(spec.t_max, spec.n_grid)
 
 
 def _new_rows(q: float, g0: float, n_rows: int, n_cols: int) -> np.ndarray:

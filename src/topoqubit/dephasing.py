@@ -22,10 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import specfun
 from .errors import ConvergenceError, DomainError
-from .specfun import _hyp1f1_array, _kernel, _kernel_array, gamma, hyp1f1
+from .specfun import _hyp1f1_array, _kernel_array, gamma
 
 __all__ = [
+    "TimeWindow",
     "OhmicEnvironment",
     "DephasingChannel",
     "beta",
@@ -74,6 +76,38 @@ class DephasingChannel:
         return -beta(self.env)
 
 
+@dataclass(frozen=True, slots=True)
+class TimeWindow:
+    """Uniform grid of ``n_grid`` times over [0, t_max].
+
+    The witnesses read ``t_max`` alone: their revival intervals are the
+    memoized reduced stretches of their Q, clipped to t_max gamma0, so the
+    grid does not enter them.  ``blp_pair_scan`` and the time-series modes
+    sample ``times()``.
+    """
+
+    t_max: float
+    n_grid: int = 4096
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.t_max) and self.t_max > 0.0):
+            raise DomainError(f"t_max must be finite and > 0, got {self.t_max}")
+        if not isinstance(self.n_grid, (int, np.integer)):
+            raise DomainError(f"n_grid must be an integer, got {self.n_grid!r}")
+        if self.n_grid < 16:
+            raise DomainError(f"n_grid must be >= 16, got {self.n_grid}")
+
+    @classmethod
+    def for_cutoff(cls, gamma0: float, n_grid: int = 4096) -> "TimeWindow":
+        """Window covering t gamma0 in [0, 100], where the kernel has settled."""
+        if not (gamma0 > 0.0 and 0.0 < 100.0 / gamma0 < math.inf):
+            raise DomainError(f"gamma0 must be > 0 with 100/gamma0 finite, got gamma0={gamma0!r}")
+        return cls(t_max=100.0 / gamma0, n_grid=n_grid)
+
+    def times(self) -> np.ndarray:
+        return np.linspace(0.0, self.t_max, self.n_grid)
+
+
 def _cutoff_power(env: OhmicEnvironment, p: float) -> float:
     # gamma0 ** p, which must stay a normal double: an overflow would raise
     # OverflowError, an underflow would divide by zero or lose digits.
@@ -98,7 +132,7 @@ def beta(env: OhmicEnvironment) -> float:
 
 
 def _check_time(t: float) -> None:
-    if t < 0.0:
+    if not t >= 0.0:  # a NaN too, named here rather than as a series failure
         raise DomainError(f"time must be >= 0, got {t}")
 
 
@@ -116,7 +150,7 @@ def i_q(env: OhmicEnvironment, t: float) -> float:
     x = t * env.gamma0
     a = 0.5 * (env.q - 1.0)
     pref = 2.0 * _cutoff_power(env, env.q - 1.0) * gamma(a + 1.0)
-    return pref * _kernel(a, 0.25 * x * x)
+    return pref * specfun._kernel(a, 0.25 * x * x)
 
 
 def di_q_dt(env: OhmicEnvironment, t: float) -> float:
@@ -131,7 +165,7 @@ def di_q_dt(env: OhmicEnvironment, t: float) -> float:
     x = t * env.gamma0
     a1 = 0.5 * (env.q + 1.0)
     z = -0.25 * x * x
-    return 2.0 * gamma(a1) * _cutoff_power(env, env.q + 1.0) * t * hyp1f1(a1, 1.5, z)
+    return 2.0 * gamma(a1) * _cutoff_power(env, env.q + 1.0) * t * specfun.hyp1f1(a1, 1.5, z)
 
 
 def _exponent_scales(ch: DephasingChannel) -> tuple[float, float]:
@@ -151,11 +185,37 @@ def _exponent_scales(ch: DephasingChannel) -> tuple[float, float]:
     return s_i, s_d
 
 
+def _reduced_exponent(s_i: float, q: float, x: float) -> float:
+    # E = -ln alpha at reduced time x = t gamma0; at x = x_max it is the exponent
+    # of a clipped interval's end, so a bound built on it is n_blp's own end term.
+    return s_i * specfun._kernel(0.5 * (q - 1.0), 0.25 * x * x)
+
+
+def _reduced_slope(q: float, x: float) -> float:
+    """-x M((Q+1)/2; 3/2; -x^2/4): for B > 0 it has the sign of d alpha/dt at
+    t = x / gamma0, whatever B and gamma0.  A non-finite value raises
+    DomainError naming x: a NaN would read as "not rising" and move or hide
+    a sign change."""
+    d = -x * specfun.hyp1f1(0.5 * (q + 1.0), 1.5, -0.25 * x * x)
+    if not math.isfinite(d):
+        raise DomainError(f"reduced slope is {d} at x = {x!r}, not finite")
+    return d
+
+
+def _reduced_window(ch: DephasingChannel, w: TimeWindow) -> tuple[float, float]:
+    # (s_i, x_max = t_max gamma0), E = s_i K((Q-1)/2, x^2/4) at reduced time x,
+    # or a ConvergenceError where x_max^2/4 overflows.
+    s_i, _ = _exponent_scales(ch)
+    x_max = w.t_max * ch.env.gamma0
+    if not math.isfinite(0.25 * x_max * x_max):
+        raise ConvergenceError("kernel argument (t gamma0)^2/4 leaves the double range")
+    return s_i, x_max
+
+
 def _exponent(ch: DephasingChannel, t: float) -> float:
     # E(t) = 2 B^2 |beta| I_Q(t).
     _check_time(t)
-    x = t * ch.env.gamma0
-    return _exponent_scales(ch)[0] * _kernel(0.5 * (ch.env.q - 1.0), 0.25 * x * x)
+    return _reduced_exponent(_exponent_scales(ch)[0], ch.env.q, t * ch.env.gamma0)
 
 
 def alpha(ch: DephasingChannel, t: float) -> float:
@@ -170,8 +230,8 @@ def dalpha_dt(ch: DephasingChannel, t: float) -> float:
         return 0.0
     s_i, s_d = _exponent_scales(ch)
     x = t * ch.env.gamma0
-    u, a = 0.25 * x * x, 0.5 * (ch.env.q - 1.0)
-    return -s_d * t * hyp1f1(a + 1.0, 1.5, -u) * math.exp(-s_i * _kernel(a, u))
+    d = -s_d * t * specfun.hyp1f1(0.5 * (ch.env.q - 1.0) + 1.0, 1.5, -0.25 * x * x)
+    return d * math.exp(-_reduced_exponent(s_i, ch.env.q, x))
 
 
 def dalpha_db(ch: DephasingChannel, t: float) -> float:
@@ -195,8 +255,8 @@ def _reduced_time(env: OhmicEnvironment, ts: np.ndarray) -> tuple[np.ndarray, np
     ts = np.asarray(ts, dtype=np.float64)
     if ts.ndim != 1:
         raise DomainError("time grid must be one-dimensional")
-    if ts.size and float(ts.min()) < 0.0:
-        raise DomainError("time grid must be nonnegative")
+    if ts.size and not float(ts.min()) >= 0.0:  # a NaN minimum too
+        raise DomainError(f"time grid must be nonnegative, got a minimum of {ts.min()}")
     with np.errstate(over="ignore"):
         x = ts * env.gamma0
         u = 0.25 * x * x

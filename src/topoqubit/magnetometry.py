@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dephasing, states
+from .dephasing import TimeWindow
 from .errors import DomainError
-from .nonmarkov import TimeWindow
 
 __all__ = [
     "QfiSeries",
@@ -137,8 +137,7 @@ def _closed_from(eb, a):
 def qfi_closed(ch: dephasing.DephasingChannel, t: float) -> float:
     """Closed-form QFI of the Bell-like family, the same at every theta in
     [0, pi]: F = 128 B^2 beta^2 I_Q^2 alpha^4 / (1 - alpha^4)."""
-    if t < 0.0:
-        raise DomainError(f"time must be >= 0, got {t}")
+    dephasing._check_time(t)
     if t == 0.0 or ch.b == 0.0:
         return 0.0
     e = dephasing._exponent(ch, t)

@@ -49,8 +49,9 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from . import correlations, dephasing, specfun, states
-from .errors import ConvergenceError, DomainError, HorizonWarning
+from . import correlations, dephasing, states
+from .dephasing import TimeWindow, _reduced_exponent, _reduced_slope, _reduced_window
+from .errors import DomainError, HorizonWarning
 
 __all__ = [
     "TimeWindow",
@@ -67,38 +68,6 @@ __all__ = [
 _FIRING_THRESHOLD = 1e-10
 
 _TRUNCATED = "derivative still positive at t_max; a revival is truncated by the window"
-
-
-@dataclass(frozen=True, slots=True)
-class TimeWindow:
-    """Uniform grid of ``n_grid`` times over [0, t_max].
-
-    The witnesses read ``t_max`` alone: their revival intervals are the
-    memoized reduced stretches of their Q, clipped to t_max gamma0, so the
-    grid does not enter them.  ``blp_pair_scan`` and the time-series modes
-    sample ``times()``.
-    """
-
-    t_max: float
-    n_grid: int = 4096
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.t_max) and self.t_max > 0.0):
-            raise DomainError(f"t_max must be finite and > 0, got {self.t_max}")
-        if not isinstance(self.n_grid, (int, np.integer)):
-            raise DomainError(f"n_grid must be an integer, got {self.n_grid!r}")
-        if self.n_grid < 16:
-            raise DomainError(f"n_grid must be >= 16, got {self.n_grid}")
-
-    @classmethod
-    def for_cutoff(cls, gamma0: float, n_grid: int = 4096) -> "TimeWindow":
-        """Window covering t gamma0 in [0, 100], where the kernel has settled."""
-        if not (gamma0 > 0.0):
-            raise DomainError(f"gamma0 must be > 0, got {gamma0}")
-        return cls(t_max=100.0 / gamma0, n_grid=n_grid)
-
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_max, self.n_grid)
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,17 +124,6 @@ def _refine_sign_change(g, lo: float, hi: float, g_lo: float, g_hi: float) -> fl
             push = 2.0
         moved = side
     return 0.5 * (lo + hi)
-
-
-def _reduced_slope(q: float, x: float) -> float:
-    """-x M((Q+1)/2; 3/2; -x^2/4): for B > 0 it has the sign of d alpha/dt at
-    t = x / gamma0, whatever B and gamma0.  A non-finite value raises
-    DomainError naming x: a NaN would read as "not rising" and move or hide
-    a sign change."""
-    d = -x * specfun.hyp1f1(0.5 * (q + 1.0), 1.5, -0.25 * x * x)
-    if not math.isfinite(d):
-        raise DomainError(f"reduced slope is {d} at x = {x!r}, not finite")
-    return d
 
 
 # Reduced-time step of the revival search's walk, below the narrowest gap
@@ -275,23 +233,6 @@ def _revival(
         (_reduced_exponent(s_i, q, x0), _reduced_exponent(s_i, q, x1)) for x0, x1 in x_intervals
     )
     return intervals, exponents, truncated
-
-
-def _reduced_window(ch: dephasing.DephasingChannel, w: TimeWindow) -> tuple[float, float]:
-    # (s_i, x_max): the exponent's scale, E = s_i K((Q-1)/2, x^2/4) at reduced
-    # time x, and the window end x_max = t_max gamma0, or a ConvergenceError
-    # where x_max^2/4 overflows.
-    s_i, _ = dephasing._exponent_scales(ch)
-    x_max = w.t_max * ch.env.gamma0
-    if not math.isfinite(0.25 * x_max * x_max):
-        raise ConvergenceError("kernel argument (t gamma0)^2/4 leaves the double range")
-    return s_i, x_max
-
-
-def _reduced_exponent(s_i: float, q: float, x: float) -> float:
-    # E = -ln alpha at reduced time x; at x = x_max it is the exponent of a
-    # clipped interval's end, so a bound built on it is n_blp's own end term.
-    return s_i * specfun._kernel(0.5 * (q - 1.0), 0.25 * x * x)
 
 
 def _revival_exponents(
@@ -430,8 +371,8 @@ def critical_q_scan(
     subtracts a term >= 0 from that end term, the same double.  Where
     alpha(t_max)^2 is at most the threshold the step does not fire and no
     revival search runs; every other step runs the search as ``blp`` does.
-    A cold scan at gamma0 = 1.6 makes 229 scalar 1F1 calls and 9 searches
-    (302 and 13 without the bound), at gamma0 = 1.0 187 and 7 (311 and 14).
+    A cold scan at gamma0 = 1.6 makes 229 scalar 1F1 calls and 9 searches,
+    at gamma0 = 1.0 187 and 7.
 
     Warns at most once, at the caller, when the window truncates a revival
     at any step, judged by the sign of the slope at the window end, which a

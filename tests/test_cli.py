@@ -316,6 +316,16 @@ def test_exit_three_on_cutoff_power_underflow(tmp_path, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
+def test_default_window_overflow_names_gamma0(tmp_path, capsys):
+    # the window 100/gamma0 overflows at gamma0 = 1e-307; the message named
+    # t_max = inf, which the spec never set
+    rc = main(["corr-series", "--q", "1", "--gamma0", "1e-307", "--n-grid", "16",
+               "--out", str(tmp_path / "t.csv")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "gamma0=1e-307" in err and "t_max" not in err
+
+
 def test_main_leaves_warning_filters_alone(tmp_path):
     # main warns once through its own "once" filter, then restores ours
     with pytest.warns(HorizonWarning, match="truncated by the window") as record:
@@ -621,6 +631,40 @@ def test_g17_edge_cells(value, text):
         SeriesTable(("a", "b"), rows).to_csv(fh)
         lines = fh.getvalue().splitlines()[3:]
         assert lines == [f"{text},1", f"1,{text}"] + ["1,1"] * (n_rows - 2)
+
+
+def _carrying_doubles() -> np.ndarray:
+    # The normal doubles below a power of ten 10**k whose 17-digit rounding is
+    # 10**k itself: the nearest double to 10**k, where it is that close.
+    found = []
+    for k in range(-307, 309):
+        v, exact = float(f"1e{k}"), Fraction(10) ** k
+        if Fraction(v) < exact and round(Fraction(v) / exact * 10**17) == 10**17:
+            found.append(v)
+    return np.array(found)
+
+
+def test_g17_carry_to_the_next_power_of_ten(monkeypatch):
+    # np.log10 rounds these |v| up to k, so the formatter sends them through
+    # '%.17g'; a log10 that rounds down there gives e = k - 1 and digits that
+    # round up to 10**17, the carry to "1" at exponent k
+    carrying = _carrying_doubles()
+    assert carrying.size == 14
+    log10 = np.log10
+
+    def rounds_down(a):
+        x = log10(a)
+        return np.where(np.isin(a, carrying), np.nextafter(x, -np.inf), x)
+
+    monkeypatch.setattr(np, "log10", rounds_down)
+    values = np.concatenate([carrying, -carrying])
+    want = [format(v, ".17g") for v in values.tolist()]
+    assert _g17_cells(values) == want
+    rows = np.ones((cli._G17_MIN_CELLS, 2))
+    rows[: values.size, 0] = values
+    fh = io.StringIO()
+    SeriesTable(("a", "b"), rows).to_csv(fh)
+    assert fh.getvalue().splitlines()[3 : 3 + values.size] == [f"{t},1" for t in want]
 
 
 def test_g17_powers_of_ten_are_double_doubles():

@@ -26,6 +26,7 @@ from topoqubit import (
     i_q,
     i_q_profile,
     kappa_to_q,
+    qfi_closed,
 )
 from topoqubit.dephasing import _exponent_values
 from conftest import mp_di_q_dt, mp_i_q, richardson_derivative
@@ -399,3 +400,28 @@ def test_profile_non_finite_argument_fails_at_once(q):
             i_q_profile(env(q, 1.0), np.array([0.0, 1.0, 1e200]))
         with pytest.raises(ConvergenceError, match="no series"):
             i_q(env(q, 1.0), 1e200)
+
+
+_AT_TIME = {
+    "alpha": lambda ch, t: alpha(ch, t),
+    "i_q": lambda ch, t: i_q(ch.env, t),
+    "di_q_dt": lambda ch, t: di_q_dt(ch.env, t),
+    "dalpha_dt": lambda ch, t: dalpha_dt(ch, t),
+    "dalpha_db": lambda ch, t: dalpha_db(ch, t),
+    "qfi_closed": lambda ch, t: qfi_closed(ch, t),
+    "alpha_profile": lambda ch, t: alpha_profile(ch, np.array([0.0, t, 1.0])),
+    "i_q_profile": lambda ch, t: i_q_profile(ch.env, np.array([0.0, t, 1.0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_AT_TIME))
+def test_nan_time_is_named_as_a_domain_error(name):
+    # a NaN time was reported as a series that failed to converge at u = nan;
+    # an infinite one still is, as documented
+    ch = chan(3.0, 1.6, 1.0)
+    with pytest.raises(DomainError, match="time .*nan"):
+        _AT_TIME[name](ch, math.nan)
+    with pytest.raises(ConvergenceError):
+        _AT_TIME[name](ch, math.inf)
+    with pytest.raises(DomainError, match="time .*-inf"):
+        _AT_TIME[name](ch, -math.inf)

@@ -1,0 +1,72 @@
+"""The package's modules form layers, read from their import statements.
+
+The kernel layer (``dephasing``) is the one module that calls the special
+functions; the witness and QFI layers read the exponent, its slope and the
+time window from it, not from each other.  The test parses the source, so
+it checks the imports as written, not what happens to be loaded.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+_SRC = Path(__file__).resolve().parents[1] / "src" / "topoqubit"
+
+# Each module may import only from modules of a strictly lower layer.
+_LAYERS = {
+    "errors": 0,
+    "specfun": 1,
+    "dephasing": 2,
+    "states": 2,
+    "correlations": 3,
+    "nonmarkov": 4,
+    "magnetometry": 4,
+    "cli": 5,
+}
+
+# The modules that may import specfun.
+_SPECFUN_IMPORTERS = {"dephasing", "__init__"}
+
+
+def _relative_imports(name: str) -> set[str]:
+    # The package modules that ``name`` imports: ``from .m import x`` gives m,
+    # ``from . import m`` gives m, and ``from . import x`` for a name that is
+    # no module gives the package root, "__init__".
+    modules = {p.stem for p in _SRC.glob("*.py")}
+    found = set()
+    for node in ast.walk(ast.parse((_SRC / f"{name}.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.partition(".")[0])
+            else:
+                found.update(a.name if a.name in modules else "__init__" for a in node.names)
+    return found
+
+
+def test_every_module_has_a_layer():
+    assert {p.stem for p in _SRC.glob("*.py")} == set(_LAYERS) | {"__init__"}
+
+
+@pytest.mark.parametrize("name", sorted(_LAYERS))
+def test_imports_go_to_lower_layers(name):
+    # the package root, which cli reads for __version__, is no layer
+    upward = sorted(
+        m for m in _relative_imports(name) - {"__init__"} if _LAYERS[m] >= _LAYERS[name]
+    )
+    assert upward == []
+
+
+def test_only_the_kernel_layer_imports_specfun():
+    importers = {p.stem for p in _SRC.glob("*.py") if "specfun" in _relative_imports(p.stem)}
+    assert importers <= _SPECFUN_IMPORTERS
+    assert "dephasing" in importers
+
+
+def test_witness_layer_binds_no_special_function():
+    from topoqubit import nonmarkov
+
+    assert not hasattr(nonmarkov, "specfun")
+    assert not hasattr(nonmarkov, "ConvergenceError")

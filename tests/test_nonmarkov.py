@@ -66,6 +66,10 @@ def test_time_window_validation():
     with pytest.raises(DomainError, match=r"n_grid must be an integer, got 64\.0"):
         TimeWindow(2.0, 64.0)
     assert TimeWindow(2.0, np.int64(64)).times().shape == (64,)
+    # 100/gamma0 overflows: the error names gamma0, not a t_max never given
+    for g0 in (1e-307, 5e-324, math.inf):
+        with pytest.raises(DomainError, match=f"gamma0={g0!r}"):
+            TimeWindow.for_cutoff(g0)
     w = TimeWindow.for_cutoff(0.5)
     assert w.t_max == pytest.approx(200.0)
     ts = w.times()
