@@ -565,6 +565,9 @@ def _series_array(
     rel_tol, max_terms = DEFAULT_OPTIONS.rel_tol, DEFAULT_OPTIONS.max_terms
     block = _block_len(growth)
     last = max_terms - 1
+    if not kmin <= last:
+        # No element can be done: fail before summing terms that only overflow.
+        raise ConvergenceError(f"vectorized {describe()} did not converge within {max_terms} terms")
     k_first = math.ceil(kmin) + 1
     total = first.copy() if weights is None else first * next(weights)
     term = first.copy()

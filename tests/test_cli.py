@@ -263,6 +263,23 @@ def test_exit_three_on_convergence_failure(tmp_path, capsys):
     assert "convergence error" in err
 
 
+@pytest.mark.parametrize("mode", ["corr-series", "qfi-series", "state-dump"])
+def test_exit_three_at_huge_q_without_overflow_warnings(tmp_path, capsys, mode):
+    # at Q = 1e100 the even-Q kernel's 1F1 series can stop only past
+    # k = 5e99, beyond its 10000-term budget: it fails before summing, where
+    # it summed until a term overflowed and leaked numpy RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main([mode, "--q", "1e100", "--gamma0", "1", "--n-grid", "16",
+                   "--out", str(tmp_path / "t.csv")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == (
+        "convergence error: vectorized 1F1 series (a=-5e+99, b=0.5); worst |z|=2500 "
+        "did not converge within 10000 terms\n"
+    )
+
+
 def test_wide_window_exits_zero(tmp_path):
     # t gamma0 up to 1e7 (u = 2.5e13) needed ~u series terms before the
     # large-u expansion; it now runs, and alpha matches the 40-digit kernel

@@ -2,8 +2,9 @@
 
 The kernel layer (``dephasing``) is the one module that calls the special
 functions; the witness and QFI layers read the exponent, its slope and the
-time window from it, not from each other.  The test parses the source, so
-it checks the imports as written, not what happens to be loaded.
+time window from it, not from each other.  It also holds the package's one
+memo, the per-Q revival search.  The test parses the source, so it checks
+the imports and decorators as written, not what happens to be loaded.
 """
 
 from __future__ import annotations
@@ -70,3 +71,33 @@ def test_witness_layer_binds_no_special_function():
 
     assert not hasattr(nonmarkov, "specfun")
     assert not hasattr(nonmarkov, "ConvergenceError")
+    assert not hasattr(nonmarkov, "_kernel")
+
+
+def test_witness_layer_defines_no_revival_search():
+    # the search, its refiner, its walk and its memo live in the kernel layer
+    from topoqubit import nonmarkov
+
+    assert not hasattr(nonmarkov, "_reduced_revival")
+    assert not hasattr(nonmarkov, "_refine_sign_change")
+    assert [name for name in vars(nonmarkov) if name.startswith("_WALK")] == []
+
+
+def _is_cache(decorator: ast.expr) -> bool:
+    # lru_cache, lru_cache(...), functools.cache, cached_property, ...
+    node = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in {"lru_cache", "cache", "cached_property"}
+
+
+def test_the_revival_search_is_the_one_memo():
+    # one memo of results, per-Q revival data in the kernel layer; cli's
+    # parser cache holds a parser built once per process, no result
+    cached = {
+        (p.stem, node.name)
+        for p in _SRC.glob("*.py")
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(map(_is_cache, node.decorator_list))
+    }
+    assert cached == {("dephasing", "_reduced_revival"), ("cli", "_build_parser")}

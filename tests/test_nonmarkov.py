@@ -32,14 +32,8 @@ from topoqubit import (
     trace_distance,
 )
 from topoqubit import dephasing, nonmarkov, specfun, states
-from topoqubit.nonmarkov import (
-    _WALK_STEP,
-    _log_blp,
-    _reduced_revival,
-    _reduced_slope,
-    _refine_sign_change,
-    _revival,
-)
+from topoqubit.dephasing import _WALK_STEP, _reduced_revival, _refine_sign_change, _revival
+from topoqubit.nonmarkov import _log_blp, _reduced_slope
 from topoqubit.states import PAULIS
 
 # asymptotic recoveries (Q > 2) legitimately outlast any finite window,
@@ -448,7 +442,8 @@ def test_blp_bounded_by_window_end_coherence(q, g0, b, x_max):
     a_end = math.exp(-nonmarkov._reduced_exponent(s_i, q, x_end))
     n_blp = blp(ch, w)
     assert 0.0 <= n_blp <= a_end * a_end
-    first_zero = _reduced_revival(q)[0][0]
+    stretches, _ = _reduced_revival(q)
+    first_zero = stretches[0][0]
     if x_end <= first_zero:
         assert n_blp == 0.0
 
@@ -631,7 +626,7 @@ def test_walked_brackets_refine_onto_a_sign_flip(q, monkeypatch):
     # 14 slope calls per root (14 over Q in (2, 12]; 27 without the
     # Illinois step)
     brackets = []
-    refine = nonmarkov._refine_sign_change
+    refine = dephasing._refine_sign_change
 
     def recorded(g, lo, hi, g_lo, g_hi):
         xs = []
@@ -644,7 +639,7 @@ def test_walked_brackets_refine_onto_a_sign_flip(q, monkeypatch):
         brackets.append((lo, hi, root, len(xs)))
         return root
 
-    monkeypatch.setattr(nonmarkov, "_refine_sign_change", recorded)
+    monkeypatch.setattr(dephasing, "_refine_sign_change", recorded)
     _reduced_revival.cache_clear()
     _reduced_revival(q)
     assert len(brackets) == math.ceil(0.5 * q - 1.0)
@@ -671,7 +666,7 @@ def test_critical_q_scan_call_count(monkeypatch):
     calls = []
     refining = []
     hyp1f1 = specfun.hyp1f1
-    refine = nonmarkov._refine_sign_change
+    refine = dephasing._refine_sign_change
 
     def counted(*args, **kwargs):
         calls.append(bool(refining))
@@ -686,7 +681,7 @@ def test_critical_q_scan_call_count(monkeypatch):
 
     monkeypatch.setattr(specfun, "hyp1f1", counted)
     monkeypatch.setattr(specfun, "_hyp1f1_array", _no_hyp1f1_array)
-    monkeypatch.setattr(nonmarkov, "_refine_sign_change", refine_counted)
+    monkeypatch.setattr(dephasing, "_refine_sign_change", refine_counted)
     for g0, want, n_calls, n_refining, n_searches in (
         (1.6, 2.232421875, 229, 141, 9),
         (1.0, 2.797119140625, 187, 119, 7),
@@ -754,7 +749,7 @@ def test_markovian_exponents_never_revive_numerically(g0):
     d alpha/dt at every field."""
     for q in _FIG1_MARKOVIAN_Q:
         # the search itself, past the Q <= 2 shortcut of _revival
-        assert _reduced_revival(q) == (), q
+        assert _reduced_revival(q) == ((), ()), q
         for w in (TimeWindow.for_cutoff(g0), TimeWindow(1500.0)):
             for t in w.times()[128::256]:
                 t = float(t)
@@ -808,6 +803,36 @@ def test_report_builds_one_profile(monkeypatch):
     weak = nm_report(chan(3.0, 0.01, 1.0), TimeWindow.for_cutoff(0.01))
     assert len(weak.revival_intervals) == 1
     assert calls == [(2.0, 1.5, -2500.0)]
+
+
+@pytest.mark.parametrize("q, n_kernel, n_hyp1f1", [
+    (2.5, 1, 1), (3.0, 1, 1), (5.0, 0, 1), (8.0, 1, 2), (12.0, 1, 2),
+])
+def test_warm_witness_evaluates_the_kernel_only_at_the_window_end(q, n_kernel, n_hyp1f1,
+                                                                  monkeypatch):
+    # work-count guard: the memo holds K at every finite revival end, so a
+    # warm blp evaluates K only where the last stretch is clipped by the
+    # window end (after an odd count of ends), and the 1F1 only for the slope
+    # there and for the even-Q kernel, which sums (1 - M)/a.  It evaluated K
+    # at both ends of every interval: 2, 2, 2, 4 and 6 calls.
+    ch, w = chan(q, 1.6, 0.3), TimeWindow.for_cutoff(1.6)
+    blp(ch, w)
+    kernels, calls = [], []
+    kernel, hyp1f1 = specfun._kernel, specfun.hyp1f1
+
+    def kernel_counted(*args, **kwargs):
+        kernels.append(args)
+        return kernel(*args, **kwargs)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return hyp1f1(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "_kernel", kernel_counted)
+    monkeypatch.setattr(specfun, "hyp1f1", counted)
+    blp(ch, w)
+    assert len(kernels) == n_kernel
+    assert len(calls) == n_hyp1f1
 
 
 def test_pair_scan_sums_no_slope(monkeypatch):
@@ -1041,7 +1066,7 @@ def test_walk_finds_every_sign_change_at_large_q(q, rel):
     # it refines all ceil(Q/2 - 1) of them, each near the mpmath root of
     # M(1 - Q/2; 3/2; x^2/4).  The double 1F1 cancels near its zeros at large
     # Q, so the ends are off by up to 7e-13, 5e-10 and 2e-5 relative.
-    ends = [x for stretch in _reduced_revival(q) for x in stretch if x != math.inf]
+    ends = [x for stretch in _reduced_revival(q)[0] for x in stretch if x != math.inf]
     assert len(ends) == math.ceil(0.5 * q - 1.0)
     with mpmath.workdps(40):
         c = 1 - mpmath.mpf(q) / 2
@@ -1073,7 +1098,7 @@ def _fine_walk_revival(q, refine=_refine_sign_change):
     wanted = max(0, math.ceil(0.5 * q - 1.0))
     ends = []
     x_prev, d_prev = 0.0, 0.0
-    for k in range(1, int(nonmarkov._WALK_END / _WALK_STEP) + 1):
+    for k in range(1, int(dephasing._WALK_END / _WALK_STEP) + 1):
         if len(ends) == wanted:
             break
         x = k * _WALK_STEP
@@ -1098,7 +1123,22 @@ def test_coarse_walk_returns_the_fine_walk_doubles():
     # every 0.3 inside a cell where the sign changes: the same brackets and
     # seeds as the walk over every 0.3, so the same doubles
     for q in _FINE_WALK_Q:
-        assert _reduced_revival.__wrapped__(q) == _fine_walk_revival(q), q
+        assert _reduced_revival.__wrapped__(q)[0] == _fine_walk_revival(q), q
+
+
+@pytest.mark.parametrize("x_max", [0.02, 2.0, 3.0, 15.0, 37.5, 100.0, 160.0])
+def test_stored_kernel_gives_the_exponents_at_the_ends(x_max):
+    # E = s_i K from the memo's K at each kept end is the exponent evaluated
+    # there, double for double, and a clipped end's is the one at the window
+    # end; x = 3.0 lies just before Q = 3's first end at 3.004
+    for q in _FINE_WALK_Q + [27.5, 40.5, 60.5]:
+        ch, w = chan(q, 1.6, 0.3), TimeWindow(x_max / 1.6)
+        s_i, x_end = dephasing._reduced_window(ch, w)
+        want = tuple(
+            tuple(dephasing._reduced_exponent(s_i, q, min(x, x_end)) for x in stretch)
+            for stretch in _reduced_revival(q)[0] if stretch[0] < x_end
+        )
+        assert _revival(ch, w)[1] == want, (q, x_max)
 
 
 @pytest.mark.parametrize("q_top, n", [(12.0, 2000), (30.0, 600)])
@@ -1116,7 +1156,7 @@ def test_coarse_walk_refines_the_fine_walk_brackets(q_top, n, monkeypatch):
     qs = 2.0 + (q_top - 2.0) * (1.0 - np.random.default_rng(int(q_top)).random(n))
     for q in qs.tolist():
         got, want = [], []
-        monkeypatch.setattr(nonmarkov, "_refine_sign_change", recorder(got))
+        monkeypatch.setattr(dephasing, "_refine_sign_change", recorder(got))
         _reduced_revival.__wrapped__(q)
         _fine_walk_revival(q, recorder(want))
         assert got == want and len(got) == math.ceil(0.5 * q - 1.0), q

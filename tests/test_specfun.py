@@ -501,6 +501,25 @@ def test_array_budget_is_read_from_the_module_default(monkeypatch):
     assert str(got.value) == "vectorized kernel series (a=0.0) did not converge within 2 terms"
 
 
+def test_array_series_fails_before_summing_when_no_term_reaches_kmin():
+    # an element is done only at k >= kmin: with kmin past the last allowed
+    # k the sum cannot stop, and summed until a term overflowed (at Q = 1e5,
+    # kmin = 49999 in the even-Q 1F1, after all 10000 terms)
+    ratios = []
+
+    def ratio(k):
+        ratios.append(k)
+        return 0.0
+
+    for kmin in (10000.0, 49999.0, math.inf):
+        with pytest.raises(ConvergenceError, match=r"^vectorized s did not converge within 10000 terms$"):
+            specfun._series_array(ratio, np.ones(2), kmin, 1.0, lambda: "s")
+    assert ratios == []
+    # the last allowed k still reaches kmin = 9999
+    total, _ = specfun._series_array(ratio, np.ones(2), 9999.0, 1.0, lambda: "s")
+    assert total.tolist() == [1.0, 1.0] and len(ratios) == 10000
+
+
 # ---------------------------------------------------------------------------
 # Kummer series stop and the kernel's constants
 # ---------------------------------------------------------------------------
