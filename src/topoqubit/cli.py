@@ -207,8 +207,14 @@ class SeriesTable:
         fh.write(f"# tool: topoqubit {__version__}\n")
         fh.write("# spec: " + json.dumps(self.meta.get("spec", {}), sort_keys=True) + "\n")
         fh.write(",".join(self.columns) + "\n")
-        for block in states._blocks(len(self.rows)):
-            fh.write(_csv_lines(self.rows[block]))
+        n_rows, n_cols = self.rows.shape
+        size = max(_CSV_BLOCK_CELLS // max(n_cols, 1), 1)
+        # A line takes at most 40 bytes a column (a 32-byte slot after up to
+        # 7 of padding, or 25 bytes of text) and 8 of padding after them.
+        block_rows = min(size, n_rows)
+        scratch = _CellScratch(block_rows * n_cols, block_rows * (5 * n_cols + 1))
+        for block in states._blocks(n_rows, size):
+            fh.write(_csv_lines(self.rows[block], scratch))
 
     def to_json(self, fh) -> None:
         self._check_finite()
@@ -231,21 +237,27 @@ class SeriesTable:
 # CSV cell text: format(v, '.17g') for a float64 array, computed in numpy.
 #
 # A nonzero cell's 17 significant digits are D = round(|v| 10**(16 - e)),
-# e = floor(log10 |v|).  |v| is scaled by an exact power of two into
-# [1, 20) and multiplied by the matching 10**(16 - e) (a double-double
-# within 1e-31 relative, from exact integers) as a Dekker product, so the
-# unrounded D is known to about 1e-13 absolute.  A cell goes through
+# e = floor(log10 |v|).  |v| 2**-h, exact, is multiplied by the matching
+# 10**(16 - e) 2**h (a double-double within 1e-31 relative, from exact
+# integers) as a Dekker product, h half the binary exponent of 10**e so that
+# no factor over- or underflows; the unrounded D is known to about 1e-13
+# absolute.  A cell goes through
 # '%.17g' itself when the fraction of D lies within 1e-6 of one half (a tie,
 # which '%.17g' rounds to even, or too near one to decide here) or when its
-# unrounded D falls outside [10**16, 10**17) (log10 was off by one), so the
-# text never rests on an estimate.  The text is laid out by %g's rules in
-# four little-endian 8-byte words per cell, NUL padded: a character's place
-# in the words is fixed, or one byte on where a point is inserted among the
-# digits, and the NUL bytes are dropped from the finished lines.
+# unrounded D falls outside [10**16, 10**17 - 1) (log10 was off by one, or D
+# may round up to the next power of ten), so the text never rests on an
+# estimate.  The text is laid out by %g's rules in four little-endian 8-byte
+# words per cell, NUL padded: a character's place in the words is fixed, or
+# one byte on where a point is inserted among the digits, and the NUL bytes
+# are dropped from the finished lines.
 #
-# Integer tables are built in int64 and viewed as uint64, the bytes of every
-# word staying below 0x80: the formatter then runs only the numpy loops it
-# needs anyway, each of which costs resident code pages the first time.
+# Every step writes into work arrays that a table allocates once
+# (_CellScratch) and all its blocks reuse.  The lookups are ndarray.take
+# with mode="clip", which writes into them unbuffered and keeps the unused
+# digits of '%.17g' cells in range.  Integer tables are built in int64 and
+# viewed as uint64, the bytes of every word staying below 0x80: the
+# formatter then runs only the numpy loops it needs anyway, each of which
+# costs resident code pages the first time.
 # ---------------------------------------------------------------------------
 
 _SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp splits a double into 26-bit halves
@@ -259,8 +271,10 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _pow10_table() -> tuple[np.ndarray, ...]:
     # By e + 324 for every decimal exponent e of a finite nonzero double,
-    # e in [-324, 308], with s = floor(e log2 10): 2**-s as two exact
-    # factors (2**-s alone can overflow) and 10**(16 - e) 2**s as hi + lo.
+    # e in [-324, 308], with h = floor(floor(e log2 10) / 2): 2**-h, and
+    # 10**(16 - e) 2**h as hi + lo.  Half the binary exponent of 10**e each
+    # keeps |v| 2**-h, this 10**(16 - e) 2**h and its parts normal doubles,
+    # far from overflow, whatever the double v of decimal exponent e.
     # Each 10**k is a coarse 10**(23 i), exact from integers as
     # (c_hi + c_lo) 2**c_exp, times an exact double 10**j, j <= 22.
     coarse = []
@@ -283,15 +297,13 @@ def _pow10_table() -> tuple[np.ndarray, ...]:
     (h1, h2), (f1, f2) = _split(c_hi), _split(f)
     hi = c_hi * f
     lo = ((h1 * f1 - hi) + h1 * f2 + h2 * f1) + h2 * f2 + c_lo * f
-    two_s = np.ldexp(1.0, (c_exp + s).astype(np.int32))
-    hi, lo = (hi + lo) * two_s, (lo - ((hi + lo) - hi)) * two_s
-    half = np.floor(0.5 * s)
-    down1 = np.ldexp(1.0, (-half).astype(np.int32))
-    down2 = np.ldexp(1.0, (half - s).astype(np.int32))
-    return down1, down2, hi, lo, *_split(hi)
+    h = np.floor(0.5 * s)
+    two_h = np.ldexp(1.0, (c_exp + h).astype(np.int32))
+    hi, lo = (hi + lo) * two_h, (lo - ((hi + lo) - hi)) * two_h
+    return np.ldexp(1.0, (-h).astype(np.int32)), hi, lo, *_split(hi)
 
 
-_POW2_DOWN1, _POW2_DOWN2, _POW10_HI, _POW10_LO, _POW10_HI1, _POW10_HI2 = _pow10_table()
+_POW2_DOWN, _POW10_HI, _POW10_LO, _POW10_HI1, _POW10_HI2 = _pow10_table()
 
 
 def _word(byte_text: bytes) -> int:
@@ -299,9 +311,9 @@ def _word(byte_text: bytes) -> int:
     return int.from_bytes(byte_text, "little")
 
 
-# The four ASCII digits of 0..9999, first digit in the low byte, built over
-# a (10, 10, 10, 10) grid of digits whose C order is the order of the
-# numbers, and the trailing zero digits of 0..99 written with two (2 for 0).
+# The four ASCII digits of 0..9999, first digit in the low byte, and their
+# trailing zero digits (4 for 0), built over a (10, 10, 10, 10) grid of
+# digits whose C order is the order of the numbers.
 _ASCII = np.arange(48, 58, dtype=np.int64)
 _DIGITS4 = (
     _ASCII[:, None, None, None]
@@ -309,13 +321,30 @@ _DIGITS4 = (
     + _ASCII[:, None] * 2**16
     + _ASCII * 2**24
 ).ravel()
-_TRAILING_ZEROS2 = np.array([(n % 10 == 0) + (n % 100 == 0) for n in range(100)], dtype=np.int64)
-# Word 0 holds the sign, "0." and zeros before the digits of fixed notation
-# (x = -4..-1 at index x + 5), the first digit (byte 6) and a point after it.
-_LEAD_DIGIT = np.array([_word(bytes(6) + bytes([48 + d])) for d in range(10)], dtype=np.uint64)
+_IS_ZERO = np.where(np.arange(10) < 1, 1, 0)
+_TRAILING_ZEROS4 = (
+    _IS_ZERO
+    * (1 + _IS_ZERO[:, None] * (1 + _IS_ZERO[:, None, None] * (1 + _IS_ZERO[:, None, None, None])))
+).ravel()
+# Word 0 by decimal exponent x (index x + 324): the "0." and zeros before
+# the digits of fixed notation (x = -4..-1) and, where %g puts one after the
+# first digit, a point in byte 7.  The first digit goes in byte 6 and the
+# sign in byte 0.
 _FIXED_PREFIX = np.array(
-    [0] + [_word(b"\0" + b"0." + b"0" * (-x - 1)) for x in range(-4, 0)] + [0], dtype=np.uint64
+    [0] + [_word(b"\0" + b"0." + b"0" * (-x - 1)) for x in range(-4, 0)] + [0], dtype=np.int64
 )
+_X = np.arange(-324, 309, dtype=np.int64)
+_FIXED = (_X >= -4) & (_X < 17)
+_WHOLE = _FIXED & (_X > 0)  # digits of the integer part after the first
+_LEAD_WORD = (
+    _FIXED_PREFIX[np.clip(_X + 5, 0, 5)] + np.where(_FIXED & (_X != 0), 0, 46 << 56)
+).view(np.uint64)
+_LEAD_DIGIT = np.array([_word(bytes(6) + bytes([48 + d])) for d in range(10)], dtype=np.uint64)
+# Of the 16 digits after the first, at least x are shown in fixed notation
+# (_MIN_KEPT, 0 elsewhere), and a point goes after digit x where more are
+# (_POINT_AT, 16 elsewhere: no point).
+_MIN_KEPT = np.where(_WHOLE, _X, 0)
+_POINT_AT = np.where(_WHOLE, _X, 16)
 # _LOW_BYTES[j] keeps the first min(j, 8) bytes of a word, _HIGH_BYTES[j]
 # the first max(j - 8, 0): bytes j and on of the 16 digits after the first
 # are cleared.  _POINT_LOW/_POINT_HIGH put a point at byte j of that run.
@@ -327,11 +356,10 @@ _POINT_HIGH = np.array(
 )
 # Word 3 by decimal exponent x (index x + 324): "e+XX" or "e-XXX" from
 # byte 1 where %g takes exponent notation, and the ',' separator in byte 7.
-_X = np.arange(-324, 309, dtype=np.int64)
 _EXPONENT_DIGITS = _DIGITS4[np.where(_X < 0, -_X, _X)]
 _EXPONENT_TEXT = (
     np.where(
-        (_X < -4) | (_X >= 17),
+        ~_FIXED,
         _word(b"\0e")
         + np.where(_X < 0, _word(b"\0\0-"), _word(b"\0\0+"))
         + np.where(
@@ -344,125 +372,200 @@ _EXPONENT_TEXT = (
     + _word(b"\0" * 7 + b",")
 ).view(np.uint64)
 _DIGITS4 = _DIGITS4.view(np.uint64)
-del _ASCII, _X, _EXPONENT_DIGITS
+del _ASCII, _IS_ZERO, _FIXED_PREFIX, _X, _FIXED, _WHOLE, _EXPONENT_DIGITS
 
 _BYTE = np.uint64(8)
 _HALF = np.uint64(32)
 _TOP_BYTE = np.uint64(56)
+_MINUS = np.uint64(45)
+_NO_LEAD_POINT = np.uint64(2**64 - 1 - (46 << 56))
+_DIGITS_SPAN = np.uint64(9 * 10**16 - 1)  # of the unrounded D in range, less 10**16
 
 
-def _g17_words(values: np.ndarray) -> np.ndarray:
+class _CellScratch:
+    """Work arrays for formatting up to ``cells`` cells at once, and text
+    lines of up to ``line_words`` 8-byte words in all: allocated once per
+    table and reused by every block."""
+
+    def __init__(self, cells: int, line_words: int = 0) -> None:
+        self.work = np.empty((10, cells), dtype=np.int64)
+        self.flags = np.empty((3, cells), dtype=bool)
+        self.words = np.empty((4, cells), dtype=np.uint64)
+        self.cells = np.empty(cells)
+        self.lines = np.empty(line_words, dtype=np.uint64)
+
+
+def _divmod(n: np.ndarray, d: int, quotient: np.ndarray, work: np.ndarray) -> None:
+    # quotient = n // d and n %= d in place, for n >= 0: numpy divides by a
+    # scalar faster in floor_divide than in divmod.
+    np.floor_divide(n, d, out=quotient)
+    np.multiply(quotient, d, out=work)
+    np.subtract(n, work, out=n)
+
+
+def _g17_words(values: np.ndarray, scratch: _CellScratch | None = None) -> np.ndarray:
     """format(v, '.17g') + ',' for each finite float64 in ``values``, as an
     (n, 4) uint64 array: each row the little-endian bytes of one cell's
     text, NUL padded, with the ',' in its last byte.  Word 0 holds the sign,
     the "0.000" of small fixed-notation numbers, the first digit and a point
     after it; words 1 and 2 the other 16 digits, with a point inserted at its
     place and the digits after it one byte on; word 3 the digit pushed out of
-    word 2 and the exponent."""
-    a = np.abs(values)
-    zero = a == 0.0
-    a[zero] = 1.0
-    e = np.floor(np.log10(a)).astype(np.int64)
-    k = e + 324
-    # y = |v| 10**(16 - e) = m (t_hi + t_lo) = hi + lo, m in [1, 20): a
-    # Dekker product and the table's low part.
-    m = a * _POW2_DOWN1[k] * _POW2_DOWN2[k]
-    hi = m * _POW10_HI[k]
-    m1, m2 = _split(m)
-    t1, t2 = _POW10_HI1[k], _POW10_HI2[k]
-    lo = ((m1 * t1 - hi) + m1 * t2 + m2 * t1) + m2 * t2 + m * _POW10_LO[k]
-    whole = np.floor(lo)
-    frac = lo - whole
-    hi = hi.astype(np.int64)  # an integer: hi >= 2**53 wherever D is in range
-    unrounded = hi + whole.astype(np.int64)
-    fallback = ~zero & (
-        (np.abs(frac - 0.5) < 1e-6) | (unrounded < 10**16) | (unrounded >= 10**17)
-    )
-    digits = hi + np.floor(lo + 0.5).astype(np.int64)
-    # |v| that rounds up to 10**(e + 1) at 17 digits: a 1 and zeros there.
-    carry = digits == 10**17
-    x = np.where(carry, e + 1, e)
-    digits[carry] = 10**16
-    digits[zero | fallback] = 0
-    x[zero | fallback] = 0
+    word 2 and the exponent.  The result is a view of ``scratch`` (made for
+    ``values`` when not given), valid until its next use."""
+    n = len(values)
+    if scratch is None:
+        scratch = _CellScratch(n)
+    work = scratch.work[:, :n]
+    a, m, m1, m2, hi, t, lo = work[:7].view(np.float64)
+    d0, g1, g2, g3, kept = work[:5]  # a to hi, once the digits are known
+    k, digits, tmp = work[7:]
+    zero, fallback, flag = scratch.flags[:, :n]
+    words = scratch.words[:, :n]
+    w0, w1, w2, w3 = words
+    table = tmp.view(np.uint64)  # a looked-up word
 
-    d0 = digits // 10**16
-    rest = digits - d0 * 10**16
-    high8 = rest // 10**8
-    low8 = rest - high8 * 10**8
-    g1 = high8 // 10**4
-    g2 = high8 - g1 * 10**4
-    g3 = low8 // 10**4
-    g4 = low8 - g3 * 10**4
-    # Trailing zero digits of the 16 after d0: of g4 by its two halves, and
-    # of the rest only where g4 is 0.
-    g4_tens = g4 // 100
-    g4_ones = g4 - g4_tens * 100
-    zeros = np.where(g4_ones == 0, 2 + _TRAILING_ZEROS2[g4_tens], _TRAILING_ZEROS2[g4_ones])
-    z = np.flatnonzero(g4 == 0)
+    np.abs(values, out=a)
+    np.equal(a, 0.0, out=zero)
+    np.add(a, zero, out=a)  # formatted as 1, its first digit then cleared
+    np.log10(a, out=t)
+    np.floor(t, out=t)
+    np.add(t, 324.0, out=k, casting="unsafe")  # e + 324, an exact small integer
+    # y = |v| 10**(16 - e) = m (t_hi + t_lo) = hi + lo, m = |v| 2**-h: a
+    # Dekker product and the table's low part, summed in place as
+    # ((m1 t1 - hi) + m1 t2 + m2 t1) + m2 t2 + m t_lo.
+    _POW2_DOWN.take(k, out=t, mode="clip")
+    np.multiply(a, t, out=m)
+    _POW10_HI.take(k, out=t, mode="clip")
+    np.multiply(m, t, out=hi)
+    np.multiply(m, _SPLITTER, out=t)
+    np.subtract(t, m, out=m1)
+    np.subtract(t, m1, out=m1)
+    np.subtract(m, m1, out=m2)
+    _POW10_HI1.take(k, out=t, mode="clip")
+    np.multiply(m1, t, out=lo)
+    np.subtract(lo, hi, out=lo)
+    np.multiply(m2, t, out=a)
+    _POW10_HI2.take(k, out=t, mode="clip")
+    np.multiply(m1, t, out=m1)
+    np.add(lo, m1, out=lo)
+    np.add(lo, a, out=lo)
+    np.multiply(m2, t, out=m2)
+    np.add(lo, m2, out=lo)
+    _POW10_LO.take(k, out=t, mode="clip")
+    np.multiply(m, t, out=m)
+    np.add(lo, m, out=lo)
+    # digits = floor(y) + 1 where the fraction of y is at least one half.
+    np.floor(lo, out=t)
+    np.subtract(lo, t, out=lo)
+    np.copyto(digits, hi, casting="unsafe")  # an integer: hi >= 2**53 wherever D is in range
+    np.copyto(tmp, t, casting="unsafe")
+    np.add(digits, tmp, out=digits)
+    np.subtract(digits, 10**16, out=tmp)
+    np.greater_equal(tmp.view(np.uint64), _DIGITS_SPAN, out=fallback)
+    np.subtract(lo, 0.5, out=lo)
+    np.greater_equal(lo, 0.0, out=flag)
+    np.add(digits, flag, out=digits)
+    np.abs(lo, out=lo)
+    np.less(lo, 1e-6, out=flag)
+    np.logical_or(fallback, flag, out=fallback)
+    np.copyto(digits, 0, where=zero)
+    # The first digit, and the other 16 in four groups of four.
+    _divmod(digits, 10**16, d0, tmp)
+    _divmod(digits, 10**8, g2, tmp)
+    _divmod(g2, 10**4, g1, tmp)
+    _divmod(digits, 10**4, g3, tmp)
+    g4 = digits
+    # kept counts the digits shown after the first: the 16 less their
+    # trailing zeros (looked up in g4, and in the groups before it only where
+    # all after them are 0), but not fewer than the integer part's in fixed
+    # notation.
+    _TRAILING_ZEROS4.take(g4, out=kept, mode="clip")
+    np.subtract(16, kept, out=kept)
+    np.equal(g4, 0, out=flag)
+    z = flag.nonzero()[0]
     for g in (g3, g2, g1):
+        if not z.size:
+            break
         g = g[z]
-        tens = g // 100
-        ones = g - tens * 100
-        zeros[z] += np.where(ones == 0, 2 + _TRAILING_ZEROS2[tens], _TRAILING_ZEROS2[ones])
+        kept[z] -= _TRAILING_ZEROS4[g]
         z = z[g == 0]
-    # %g: fixed notation for -4 <= x < 17, trailing zeros stripped but not
-    # those of the integer part; kept counts the digits shown after d0.
-    fixed = (x >= -4) & (x < 17)
-    whole_digits = fixed & (x > 0)
-    kept = np.where(whole_digits, np.maximum(16 - zeros, x), 16 - zeros)
-    w1 = (_DIGITS4[g1] | _DIGITS4[g2] << _HALF) & _LOW_BYTES[kept]
-    w2 = (_DIGITS4[g3] | _DIGITS4[g4] << _HALF) & _HIGH_BYTES[kept]
-    lead_point = (kept > 0) & ~(fixed & (x != 0))
-    out = np.empty((len(values), 4), dtype=np.uint64)
-    out[:, 0] = (
-        np.where(np.signbit(values), np.uint64(45), np.uint64(0))
-        | _FIXED_PREFIX[np.clip(x + 5, 0, 5)]
-        | _LEAD_DIGIT[d0]
-        | np.where(lead_point, np.uint64(46 << 56), np.uint64(0))
-    )
-    w3 = _EXPONENT_TEXT[x + 324]
-    inner = whole_digits & (kept > x)
-    if inner.any():
+    # z: the cells with no digit but zeros after the first, so no point
+    # after it either.
+    _MIN_KEPT.take(k, out=tmp, mode="clip")
+    np.maximum(kept, tmp, out=kept)
+    _POINT_AT.take(k, out=tmp, mode="clip")
+    np.greater(kept, tmp, out=flag)  # a point among the digits
+    _DIGITS4.take(g1, out=w1, mode="clip")
+    _DIGITS4.take(g2, out=table, mode="clip")
+    np.left_shift(table, _HALF, out=table)
+    np.bitwise_or(w1, table, out=w1)
+    _LOW_BYTES.take(kept, out=table, mode="clip")
+    np.bitwise_and(w1, table, out=w1)
+    _DIGITS4.take(g3, out=w2, mode="clip")
+    _DIGITS4.take(g4, out=table, mode="clip")
+    np.left_shift(table, _HALF, out=table)
+    np.bitwise_or(w2, table, out=w2)
+    _HIGH_BYTES.take(kept, out=table, mode="clip")
+    np.bitwise_and(w2, table, out=w2)
+    _EXPONENT_TEXT.take(k, out=w3, mode="clip")
+    _LEAD_WORD.take(k, out=w0, mode="clip")
+    _LEAD_DIGIT.take(d0, out=table, mode="clip")
+    np.bitwise_or(w0, table, out=w0)
+    w0[z] &= _NO_LEAD_POINT
+    sign = zero  # the zero cells' digits are cleared
+    np.signbit(values, out=sign)
+    np.bitwise_or(w0, _MINUS, out=w0, where=sign)
+    at = flag.nonzero()[0]
+    if at.size:
         # A point after digit x of the 16 goes to byte x; the bytes from x
         # on move one byte up, the last into word 3.
-        at = np.where(inner, x, 16)
-        before1, before2 = _LOW_BYTES[at], _HIGH_BYTES[at]
-        after1, after2 = w1 & ~before1, w2 & ~before2
-        w1 = (w1 & before1) | (after1 << _BYTE) | _POINT_LOW[at]
-        w2 = (w2 & before2) | (after2 << _BYTE) | (after1 >> _TOP_BYTE) | _POINT_HIGH[at]
-        w3 |= after2 >> _TOP_BYTE
-    out[:, 1] = w1
-    out[:, 2] = w2
-    out[:, 3] = w3
-    at = np.flatnonzero(fallback)
+        x = k[at] - 324
+        before1, before2 = _LOW_BYTES[x], _HIGH_BYTES[x]
+        v1, v2 = w1[at], w2[at]
+        after1, after2 = v1 & ~before1, v2 & ~before2
+        w1[at] = (v1 & before1) | (after1 << _BYTE) | _POINT_LOW[x]
+        w2[at] = (v2 & before2) | (after2 << _BYTE) | (after1 >> _TOP_BYTE) | _POINT_HIGH[x]
+        w3[at] |= after2 >> _TOP_BYTE
+    at = fallback.nonzero()[0]
     if at.size:
         text = b"".join(
             ("%.17g" % v).encode("ascii").ljust(31, b"\0") + b"," for v in values[at].tolist()
         )
-        out[at] = np.frombuffer(text, dtype="<u8").reshape(-1, 4)
-    return out
+        words[:, at] = np.frombuffer(text, dtype="<u8").reshape(-1, 4).T
+    return words.T
 
 
 # Fewest cells varying within a block that _g17_words formats; below it one
-# '%' call over the block's line template is faster.  _g17_words costs about
-# 0.3 ms a call plus 0.2 us a cell, '%' about 1 us a cell (256-row blocks of
-# 16-512 varying cells, CPython 3.11, numpy 2.4, 2-core Xeon VM).
-_G17_MIN_CELLS = 384
+# '%' call over the block's line template is faster.  A block costs about
+# 90 us on the numpy path plus 0.05-0.1 us a cell, and '%' about 0.55 us a
+# cell: even at 170-180 cells (blocks of 1, 3 and 7 varying columns of 9, 5
+# and 9, CPython 3.11, numpy 2.4, 2-core Xeon VM).
+_G17_MIN_CELLS = 176
+
+# Cells in a block of a CSV table, which has _CSV_BLOCK_CELLS // (number of
+# columns) rows.  The work arrays take about 125 bytes a cell.  The eight
+# series-near tables of a benchmark sweep at seeds 101-103 (264,192 cells)
+# format in 16.2-17.9 ms (best to median of 25) at 6144 cells, against
+# 17.8-19.9 ms at 4096 and 18.5-20.5 ms at 8192, whose arrays and lines take
+# about 1.5 MB of this VM's 2 MB L2 cache.
+_CSV_BLOCK_CELLS = 6144
 
 
-def _csv_lines(values: np.ndarray) -> str:
+def _csv_lines(values: np.ndarray, scratch: _CellScratch) -> str:
     # The CSV lines of a block of rows.  A column whose bits are the same
     # over the block (so -0.0 and 0.0 differ) is formatted once into the row
     # template.  Each other cell gets four words of _g17_words at an aligned
     # place in it, and the NUL padding is dropped; or, for a block of few such
     # cells, the template is filled by one '%' call.
+    n_rows, n_cols = values.shape
     bits = values.view(np.int64)
-    varies = (bits != bits[0]).any(axis=0)
+    differs = scratch.flags[0, : n_rows * n_cols].reshape(n_cols, n_rows)
+    varies = np.not_equal(bits.T, bits[0, :, None], out=differs).any(axis=1)
     texts = ["%.17g" % v for v in values[0].tolist()]
-    if varies.sum() * len(values) < _G17_MIN_CELLS:
+    n_cells = int(varies.sum()) * n_rows
+    if n_cells < _G17_MIN_CELLS:
         line = ",".join("%.17g" if vary else text for vary, text in zip(varies.tolist(), texts))
-        return (line + "\n") * len(values) % tuple(values[:, varies].ravel().tolist())
+        return (line + "\n") * n_rows % tuple(values[:, varies].ravel().tolist())
     row = bytearray()
     slots = []
     for j, (vary, text) in enumerate(zip(varies.tolist(), texts)):
@@ -471,12 +574,14 @@ def _csv_lines(values: np.ndarray) -> str:
             slots.append(len(row) // 8)
             row += bytes(32)
         else:
-            row += text.encode("ascii") + (b"," if j < len(texts) - 1 else b"\n")
+            row += text.encode("ascii") + (b"," if j < n_cols - 1 else b"\n")
     row += bytes(-len(row) % 8)
-    lines = np.empty((len(values), len(row) // 8), dtype="<u8")
+    lines = scratch.lines[: n_rows * (len(row) // 8)].reshape(n_rows, -1)
     lines[:] = np.frombuffer(row, dtype="<u8")
-    words = _g17_words(values[:, varies].ravel())
-    lines[:, (np.array(slots)[:, None] + np.arange(4)).ravel()] = words.reshape(len(values), -1)
+    cells = scratch.cells[:n_cells]
+    values.take(np.flatnonzero(varies), axis=1, out=cells.reshape(n_rows, -1), mode="clip")
+    words = _g17_words(cells, scratch).T.reshape(4, n_rows, -1)
+    lines[:, (np.array(slots)[:, None] + np.arange(4)).T] = words.transpose(1, 0, 2)
     if varies[-1]:
         lines.view(np.uint8)[:, -1] = ord("\n")
     return lines.tobytes().translate(None, b"\0").decode("ascii")

@@ -147,7 +147,7 @@ def _series(
     comp = 0.0
     n2 = 0
     small_run = 0
-    for k in range(opts.max_terms):
+    for k in range(_terms_to_sum(kmin, opts.max_terms)):
         term *= ratio(k)
         t = term if weights is None else term * next(weights)
         y = t - comp
@@ -170,6 +170,13 @@ def _series(
     raise ConvergenceError(
         f"{describe()} did not reach rel_tol={opts.rel_tol} within {opts.max_terms} terms"
     )
+
+
+def _terms_to_sum(kmin: float, max_terms: int) -> int:
+    # The term budget of a scalar series, or none of it when no k below
+    # max_terms reaches kmin, so that the sum cannot stop: it then fails at
+    # once rather than after summing terms that only overflow.
+    return max_terms if kmin <= max_terms - 1 else 0
 
 
 def _kmin(p: float, q: float, r: float, x: float) -> float:
@@ -271,7 +278,7 @@ def _series_1f1(a: float, b: float, z: float, opts: EvalOptions) -> tuple[float,
     comp = 0.0
     n2 = 0
     small_run = 0
-    for k in range(opts.max_terms):
+    for k in range(_terms_to_sum(kmin, opts.max_terms)):
         term *= (a + k) * z / ((b + k) * (k + 1.0))
         y = term - comp
         s = total + y

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,15 +35,13 @@ __all__ = [
 
 _ATOL = 1e-12
 
-# Members per stack where a time series is evaluated or written block by
-# block.  _BLOCK bounds the QFI's batched eigh, whose (n, 4, 4) temporaries
-# are 32 kB per 256 members for the real Bell-like family (64 kB for complex
-# states), and the CSV writer's numpy temporaries per block, a few hundred
-# bytes per cell that varies within the block.  Larger blocks only raised the
-# QFI's peak RSS; the writer was slower at 128 rows per block and, within
-# this VM's noise, no faster at 512.  The closed-form measures keep O(n)
-# float temporaries, so their stacks are _MEASURE_BLOCK members long: one
-# stack per combination at the recipes' 2048-4096 points.
+# Members per stack where a time series is evaluated block by block.
+# _BLOCK bounds the QFI's batched eigh, whose (n, 4, 4) temporaries are
+# 32 kB per 256 members for the real Bell-like family (64 kB for complex
+# states); larger blocks only raised the QFI's peak RSS.  The closed-form
+# measures keep O(n) float temporaries, so their stacks are _MEASURE_BLOCK
+# members long: one stack per combination at the recipes' 2048-4096 points.
+# The CSV writer sizes its blocks by cells (cli._CSV_BLOCK_CELLS).
 _BLOCK = 256
 _MEASURE_BLOCK = 4096
 
@@ -184,6 +182,19 @@ class XState4:
     det14: float | None = None
     det23: float | None = None
 
+    @classmethod
+    def _of_valid_entries(cls, *entries) -> XState4:
+        # The state of its eight fields given as float64 arrays of one shape
+        # that form valid states, stored read-only as __post_init__ stores
+        # them but not checked again: for entries that formulas give from
+        # checked inputs.
+        state = object.__new__(cls)
+        for name, v in zip(_X_FIELDS, entries, strict=True):
+            v = np.asarray(v)
+            v.setflags(write=False)
+            object.__setattr__(state, name, v)
+        return state
+
     def __post_init__(self) -> None:
         names = ("rho11", "rho22", "rho33", "rho44", "rho14", "rho23")
         names += tuple(n for n in ("det14", "det23") if getattr(self, n) is not None)
@@ -260,6 +271,9 @@ class XState4:
         m[..., 2, 1] = np.conj(self.rho23)
         m.setflags(write=False)
         return m
+
+
+_X_FIELDS = tuple(f.name for f in fields(XState4))
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,7 +420,10 @@ def evolved_x_state(theta: float, a) -> XState4:
     rho14 = 0.5 * a2 * math.sin(theta)
     # Both block determinants equal rho22^2 = ((1 - a^4)/4)^2 exactly.
     det = rho22 * rho22
-    return XState4(rho11, rho22, rho22, rho44, rho14, 0.0, det, det)
+    # Valid for every theta and factor that passed the checks above.
+    return XState4._of_valid_entries(
+        rho11, rho22, rho22, rho44, rho14, np.zeros(np.shape(a)), det, det
+    )
 
 
 def trace_distance(rho, sigma):

@@ -565,6 +565,31 @@ def test_csv_matches_per_value_writer(rng):
             assert set(lines) == {"3,0.01,-0,1e-300"}
 
 
+def test_csv_bytes_do_not_depend_on_the_block_budget(rng, monkeypatch):
+    # blocks of 1 row ('%' only), of the whole table (_g17_words only), and
+    # of r rows: _g17_words formats the 4 r or 3 r cells of a block whose
+    # columns vary, '%' the r of the block where three columns are constant
+    # and the 28 of the last block
+    r = cli._G17_MIN_CELLS // 2
+    rows = rng.normal(size=(5 * r + 7, 4)) * 10.0 ** rng.integers(-30, 30, size=(5 * r + 7, 4))
+    rows[r // 2 : 2 * r + r // 2, 0] = 0.25  # constant over block 1, crossing its edges
+    rows[2 * r : 4 * r, 1:] = (-0.0, 3.0, 0.0)  # constant over block 2 ...
+    rows[3 * r + 5, 1] = 0.0  # ... and in block 3 but for a 0.0 among the -0.0
+    rows[4 * r - 1 : 4 * r + 2, 3] = -0.0  # and a -0.0 among the 0.0
+    table = SeriesTable(("a", "b", "c", "d"), rows, {"spec": {"mode": "corr-series"}})
+    want = _reference_csv(table)
+    words = cli._g17_words
+    sizes = []
+    monkeypatch.setattr(cli, "_g17_words", lambda v, s: sizes.append(len(v)) or words(v, s))
+    for budget, blocks in ((1, []), (4 * r, [4 * r, 3 * r, 3 * r, 4 * r]), (10**9, [rows.size])):
+        monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", budget)
+        sizes.clear()
+        fh = io.StringIO()
+        table.to_csv(fh)
+        assert fh.getvalue() == want, budget
+        assert sizes == blocks, budget
+
+
 _RECIPES = sorted((Path(__file__).resolve().parents[1] / "recipes").glob("*.json"))
 
 
@@ -663,15 +688,18 @@ def _carrying_doubles() -> np.ndarray:
 
 def test_g17_carry_to_the_next_power_of_ten(monkeypatch):
     # np.log10 rounds these |v| up to k, so the formatter sends them through
-    # '%.17g'; a log10 that rounds down there gives e = k - 1 and digits that
-    # round up to 10**17, the carry to "1" at exponent k
+    # '%.17g'; a log10 that rounds down there gives e = k - 1 and digits
+    # 10**17 - 1 that round up to 10**17 (a carry to "1" at exponent k), and
+    # those go through '%.17g' too
     carrying = _carrying_doubles()
     assert carrying.size == 14
     log10 = np.log10
 
-    def rounds_down(a):
-        x = log10(a)
-        return np.where(np.isin(a, carrying), np.nextafter(x, -np.inf), x)
+    def rounds_down(a, out=None):
+        x = log10(a, out=out)
+        hit = np.isin(a, carrying)
+        x[hit] = np.nextafter(x[hit], -np.inf)
+        return x
 
     monkeypatch.setattr(np, "log10", rounds_down)
     values = np.concatenate([carrying, -carrying])
@@ -685,11 +713,9 @@ def test_g17_carry_to_the_next_power_of_ten(monkeypatch):
 
 
 def test_g17_powers_of_ten_are_double_doubles():
-    # 10**(16 - e) 2**s = hi + lo to 1e-30 relative, 2**-s = down1 down2
-    for e, down1, down2, hi, lo in zip(
-        range(-324, 309), cli._POW2_DOWN1, cli._POW2_DOWN2, cli._POW10_HI, cli._POW10_LO
-    ):
-        exact = Fraction(10) ** (16 - e) / (Fraction(down1) * Fraction(down2))
+    # 10**(16 - e) 2**h = hi + lo to 1e-30 relative, 2**-h = down
+    for e, down, hi, lo in zip(range(-324, 309), cli._POW2_DOWN, cli._POW10_HI, cli._POW10_LO):
+        exact = Fraction(10) ** (16 - e) / Fraction(down)
         assert abs((Fraction(hi) + Fraction(lo)) / exact - 1) < Fraction(1, 10**30), e
 
 

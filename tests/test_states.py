@@ -288,6 +288,32 @@ def test_evolved_x_state_entries():
     assert evolved_x_state(theta, 0.0).matrix[0, 3] == 0.0
 
 
+_X_FIELDS = ("rho11", "rho22", "rho33", "rho44", "rho14", "rho23", "det14", "det23")
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.1, math.pi / 2, math.pi])
+@pytest.mark.parametrize("a", [0.0, 1e-300, 0.5, 1.0, (0.0, 1e-300, 0.5, 1.0)])
+def test_evolved_x_state_stores_what_the_checks_would(theta, a):
+    # evolved_x_state skips XState4's checks; its fields are the read-only
+    # float64 arrays the checking constructor stores for the same entries,
+    # bit for bit (0.0 against -0.0 too), and that constructor accepts them
+    a2 = np.asarray(a) ** 2
+    a4 = a2 * a2
+    c = math.cos(theta)
+    rho22 = 0.25 * (1.0 - a4)
+    entries = (
+        0.25 * (1.0 + a4) + 0.5 * a2 * c, rho22, rho22, 0.25 * (1.0 + a4) - 0.5 * a2 * c,
+        0.5 * a2 * math.sin(theta), 0.0, rho22 * rho22, rho22 * rho22,
+    )
+    got = evolved_x_state(theta, a)
+    for want in (XState4(*entries), XState4(*(getattr(got, name) for name in _X_FIELDS))):
+        for name in _X_FIELDS:
+            g, w = getattr(got, name), getattr(want, name)
+            assert isinstance(g, np.ndarray) and not g.flags.writeable, name
+            assert g.dtype == w.dtype == np.float64 and g.shape == w.shape == np.shape(a), name
+            assert np.array_equal(g.view(np.int64), w.view(np.int64)), name
+
+
 # ---------------------------------------------------------------------------
 # trace distance
 # ---------------------------------------------------------------------------
