@@ -54,8 +54,6 @@ from .nonmarkov import (
     nm_report,
 )
 from .specfun import (
-    DEFAULT_OPTIONS,
-    EvalOptions,
     dawson,
     dhyp1f1_dz,
     dhyp2f2_11_32_2_dz,

@@ -7,13 +7,16 @@ integral are thin wrappers around these.  Plain double precision with
 compensated series summation: arbitrary-precision cross-checks live in the
 test suite, never here, so the runtime footprint stays numpy-only.
 
+Accuracy is one policy, not an option: every series, scalar or array, stops
+at full double precision (``_REL_TOL``) within one term budget
+(``_MAX_TERMS``), and no function takes an accuracy argument.
+
 All functions are pure; concurrent use is unrestricted.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from itertools import count
 
@@ -22,8 +25,6 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, ParameterError, PoleError
 
 __all__ = [
-    "EvalOptions",
-    "DEFAULT_OPTIONS",
     "gamma",
     "hyp1f1",
     "dhyp1f1_dz",
@@ -31,6 +32,14 @@ __all__ = [
     "dhyp2f2_11_32_2_dz",
     "dawson",
 ]
+
+# A series stops once two consecutive terms are at most _REL_TOL of the
+# running sum, or fails with ConvergenceError after _MAX_TERMS terms.  At
+# full double precision the scalar stop and the array loop's later stop give
+# the same K to an ulp or two, so an element hardly depends on its batch.
+# Every loop reads both when called: a test sets a budget by patching them.
+_REL_TOL = 1e-16
+_MAX_TERMS = 10_000
 
 _LN2 = math.log(2.0)
 _LN_SQRT_PI = 0.5 * math.log(math.pi)
@@ -59,7 +68,9 @@ _F22_DIRECT_LIMIT = 8.0
 # kernel uses (2.5e-10 at u = 40, Q = 3.9).
 _ASYMPTOTIC_LIMIT = 60.0
 # An asymptotic sum is truncated at its first term below this share of it.
-# It must stay below 2**-54 for the array sums to be the scalar's doubles.
+# It must stay below 2**-54 for the array sums to be the scalar's doubles:
+# every term summed past the scalar stop is then under half an ulp of the
+# sum.  _REL_TOL (1e-16) is above 2**-54, so the two must not be merged.
 _ASYMPTOTIC_TOL = 1e-17
 
 # Below this |a|, (lnGamma(1/2 - a) - lnGamma(1/2))/a comes from its Taylor
@@ -76,40 +87,22 @@ _LGAMMA_HALF_TAYLOR = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class EvalOptions:
-    """Accuracy controls for series evaluation.
-
-    Parameters
-    ----------
-    rel_tol : float
-        Target relative tolerance; a series stops once two consecutive terms
-        drop below ``rel_tol`` times the running sum.
-    max_terms : int
-        Hard cap on series length before ConvergenceError is raised.
-    """
-
-    rel_tol: float = 1e-13
-    max_terms: int = 10_000
-
-    def __post_init__(self) -> None:
-        if not (self.rel_tol > 0.0):
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-DEFAULT_OPTIONS = EvalOptions()
-# At the default rel_tol a Kummer series can stop ~4e-14 short below u = 60.
-_FULL_PRECISION = EvalOptions(rel_tol=1e-16)
-
-
 def _require_no_pole(x: float, exc: type, name: str) -> None:
     # Non-positive integers are poles of Gamma; reject anything within 1e-12.
     if x < 0.5:
         nearest = round(x)
         if nearest <= 0 and abs(x - nearest) <= 1e-12:
             raise exc(f"{name}={x!r} is within 1e-12 of the pole at {nearest}")
+
+
+def _require_kummer_parameters(a: float, b: float) -> None:
+    # A NaN or infinite a, or a NaN b, would sum the whole budget of NaN
+    # terms before failing; b = +inf is left to give the limit M = 1.
+    if not math.isfinite(a):
+        raise ParameterError(f"a={a!r} is not finite")
+    if math.isnan(b):
+        raise ParameterError(f"b={b!r} is not a number")
+    _require_no_pole(b, ParameterError, "b")
 
 
 def gamma(x: float) -> float:
@@ -129,25 +122,23 @@ def gamma(x: float) -> float:
         raise DomainError(f"Gamma({x!r}) overflows the double range") from None
 
 
-def _series(
-    ratio, first: float, kmin: float, opts: EvalOptions, describe, weights=None
-) -> tuple[float, int]:
+def _series(ratio, first: float, kmin: float, describe, weights=None) -> tuple[float, int]:
     """Kahan-summed ratio series: term_0 = ``first``, term_{k+1} = term_k * ratio(k).
 
     With ``weights``, an iterator of scalars w_0, w_1, ..., the sum is of
-    w_k term_k.  Stops once two consecutive summands drop below ``rel_tol``
+    w_k term_k.  Stops once two consecutive summands drop below ``_REL_TOL``
     times the running sum and k >= ``kmin``.  Returns (total, n2) meaning
     total * 2**n2.  ``describe()`` names the series in the error raised when
     the term budget runs out; it is a callable so that no message is
     formatted otherwise.
     """
-    rel_tol = opts.rel_tol
+    rel_tol = _REL_TOL
     total = first if weights is None else first * next(weights)
     term = first
     comp = 0.0
     n2 = 0
     small_run = 0
-    for k in range(_terms_to_sum(kmin, opts.max_terms)):
+    for k in range(_terms_to_sum(kmin)):
         term *= ratio(k)
         t = term if weights is None else term * next(weights)
         y = t - comp
@@ -168,15 +159,15 @@ def _series(
             comp = math.ldexp(comp, -_RESCALE_BITS)
             n2 += _RESCALE_BITS
     raise ConvergenceError(
-        f"{describe()} did not reach rel_tol={opts.rel_tol} within {opts.max_terms} terms"
+        f"{describe()} did not reach rel_tol={rel_tol} within {_MAX_TERMS} terms"
     )
 
 
-def _terms_to_sum(kmin: float, max_terms: int) -> int:
+def _terms_to_sum(kmin: float) -> int:
     # The term budget of a scalar series, or none of it when no k below
-    # max_terms reaches kmin, so that the sum cannot stop: it then fails at
+    # _MAX_TERMS reaches kmin, so that the sum cannot stop: it then fails at
     # once rather than after summing terms that only overflow.
-    return max_terms if kmin <= max_terms - 1 else 0
+    return _MAX_TERMS if kmin <= _MAX_TERMS - 1 else 0
 
 
 def _kmin(p: float, q: float, r: float, x: float) -> float:
@@ -248,13 +239,13 @@ def _kummer_asymptotic_coefs(a: float, b: float) -> tuple[float, float] | None:
     return dom, sub
 
 
-def _asymptotic(ratio, first: float, opts: EvalOptions) -> float | None:
+def _asymptotic(ratio, first: float) -> float | None:
     """Asymptotic ratio series truncated at its first term below
     ``_ASYMPTOTIC_TOL`` of the sum; None if the terms grow before that (the
     expansion cannot reach double precision there) or the budget runs out.
     """
     total = term = first
-    for k in range(opts.max_terms):
+    for k in range(_MAX_TERMS):
         nxt = term * ratio(k)
         if abs(nxt) > abs(term):
             return None
@@ -265,20 +256,20 @@ def _asymptotic(ratio, first: float, opts: EvalOptions) -> float | None:
     return None
 
 
-def _series_1f1(a: float, b: float, z: float, opts: EvalOptions) -> tuple[float, int]:
-    # _series(_kummer_ratio(a, b, z), 1.0, kmin, opts, ...) with the ratio,
+def _series_1f1(a: float, b: float, z: float) -> tuple[float, int]:
+    # _series(_kummer_ratio(a, b, z), 1.0, kmin, ...) with the ratio,
     # the Kahan step and both tests written into the loop, in the same
     # order, so each term costs no Python call: the root refinement of the
     # revival search makes hundreds of these calls.  Same (total, n2) and
     # the same error.
     kmin = _kmin(a, b, 1.0, abs(z))
-    rel_tol = opts.rel_tol
+    rel_tol = _REL_TOL
     limit = _RESCALE_LIMIT
     total = term = 1.0
     comp = 0.0
     n2 = 0
     small_run = 0
-    for k in range(_terms_to_sum(kmin, opts.max_terms)):
+    for k in range(_terms_to_sum(kmin)):
         term *= (a + k) * z / ((b + k) * (k + 1.0))
         y = term - comp
         s = total + y
@@ -298,20 +289,20 @@ def _series_1f1(a: float, b: float, z: float, opts: EvalOptions) -> tuple[float,
             comp = math.ldexp(comp, -_RESCALE_BITS)
             n2 += _RESCALE_BITS
     raise ConvergenceError(
-        f"1F1 series for (a={a}, b={b}, z={z}) did not reach rel_tol={opts.rel_tol} "
-        f"within {opts.max_terms} terms"
+        f"1F1 series for (a={a}, b={b}, z={z}) did not reach rel_tol={rel_tol} "
+        f"within {_MAX_TERMS} terms"
     )
 
 
-def _hyp1f1_asymptotic(a: float, b: float, u: float, opts: EvalOptions) -> float | None:
+def _hyp1f1_asymptotic(a: float, b: float, u: float) -> float | None:
     # M(a;b;-u) by the expansion of _kummer_asymptotic_coefs; None where the
     # Kummer series has to serve instead.
     coefs = _kummer_asymptotic_coefs(a, b)
     if coefs is None:
         return None
     dom, sub = coefs
-    s1 = _asymptotic(_f20_ratio(a, a - b + 1.0, 1.0 / u), 1.0, opts)
-    s2 = _asymptotic(_f20_ratio(b - a, 1.0 - a, -1.0 / u), 1.0, opts)
+    s1 = _asymptotic(_f20_ratio(a, a - b + 1.0, 1.0 / u), 1.0)
+    s2 = _asymptotic(_f20_ratio(b - a, 1.0 - a, -1.0 / u), 1.0)
     if s1 is None or s2 is None:
         return None
     lnu = math.log(u)
@@ -332,7 +323,7 @@ def _hyp1f1_asymptotic(a: float, b: float, u: float, opts: EvalOptions) -> float
     return val
 
 
-def hyp1f1(a: float, b: float, z: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def hyp1f1(a: float, b: float, z: float) -> float:
     """Kummer's confluent hypergeometric function M(a; b; z).
 
     For z <= -60 the large-argument expansion (DLMF 13.7.2) is summed, unless
@@ -346,23 +337,24 @@ def hyp1f1(a: float, b: float, z: float, opts: EvalOptions = DEFAULT_OPTIONS) ->
     Raises
     ------
     ParameterError
-        If ``b`` is within 1e-12 of a non-positive integer.
+        If ``a`` is not finite, ``b`` is NaN, or ``b`` is within 1e-12 of a
+        non-positive integer.
     ConvergenceError
         If ``z`` is not finite or the series budget is exhausted.
     """
-    _require_no_pole(b, ParameterError, "b")
+    _require_kummer_parameters(a, b)
     if not math.isfinite(z):
         raise ConvergenceError(f"1F1 (a={a}, b={b}) has no series at z={z}")
     if z == 0.0:
         return 1.0
     if z >= -1.0:
-        total, n2 = _series_1f1(a, b, z, opts)
+        total, n2 = _series_1f1(a, b, z)
         return math.ldexp(total, n2)
     if z <= -_ASYMPTOTIC_LIMIT:
-        val = _hyp1f1_asymptotic(a, b, -z, opts)
+        val = _hyp1f1_asymptotic(a, b, -z)
         if val is not None:
             return val
-    total, n2 = _series_1f1(b - a, b, -z, opts)
+    total, n2 = _series_1f1(b - a, b, -z)
     if n2 == 0 and z > _DIRECT_EXP_LIMIT:
         return math.exp(z) * total
     if total == 0.0:
@@ -373,10 +365,10 @@ def hyp1f1(a: float, b: float, z: float, opts: EvalOptions = DEFAULT_OPTIONS) ->
     return math.copysign(math.exp(mag), total)
 
 
-def dhyp1f1_dz(a: float, b: float, z: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def dhyp1f1_dz(a: float, b: float, z: float) -> float:
     """d/dz of M(a;b;z) via the contiguous relation dM/dz = (a/b) M(a+1;b+1;z)."""
-    _require_no_pole(b, ParameterError, "b")
-    return (a / b) * hyp1f1(a + 1.0, b + 1.0, z, opts)
+    _require_kummer_parameters(a, b)
+    return (a / b) * hyp1f1(a + 1.0, b + 1.0, z)
 
 
 def _kummer_brackets(a: float):
@@ -436,7 +428,7 @@ def _kernel_asymptotic_parts(a: float, u, lib):
     return (1.0 - r) / a, r, s_bound
 
 
-def _kernel(a: float, u: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def _kernel(a: float, u: float) -> float:
     """K(a, u) = (1 - M(a; 1/2; -u))/a = F(a, u)/Gamma(a+1) for u >= 0 and
     a >= -1/2, with the 1/a of the Gamma((Q-1)/2) pole cancelled in every branch:
 
@@ -454,15 +446,15 @@ def _kernel(a: float, u: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
         return 0.0
     describe = lambda: f"kernel series for (a={a}, u={u})"  # noqa: E731
     if u <= 1.0:
-        total, _ = _series(_kernel_ratio(a, -u), 1.0, _kmin(a + 1.0, 1.5, 2.0, u), opts, describe)
+        total, _ = _series(_kernel_ratio(a, -u), 1.0, _kmin(a + 1.0, 1.5, 2.0, u), describe)
         return 2.0 * u * total
     if not (a >= 0.5 and float(a - 0.5).is_integer()):
         if u < _ASYMPTOTIC_LIMIT:
             # Terms C_{k+1} u^(k+1)/(k+1)!, far below the rescale limit.
             ratio = lambda k: u / (k + 2.0)  # noqa: E731
-            total, _ = _series(ratio, u, u, opts, describe, _kummer_brackets(a))
+            total, _ = _series(ratio, u, u, describe, _kummer_brackets(a))
             return math.exp(-u) * total
-        tail = _asymptotic(_kernel_tail_ratio(a, 1.0 / u), (a + 0.5) / u, opts)
+        tail = _asymptotic(_kernel_tail_ratio(a, 1.0 / u), (a + 0.5) / u)
         if tail is not None:
             deficit, r, s_bound = _kernel_asymptotic_parts(a, u, math)
             val = deficit - r * tail
@@ -471,11 +463,11 @@ def _kernel(a: float, u: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
     # Even Q, or an expansion that fails or whose e^-u part counts: only for
     # a > ~4, far from the pole, or a term budget too small for it.
     if a == 0.0:
-        raise ConvergenceError(f"{describe()} did not converge within {opts.max_terms} terms")
-    return (1.0 - hyp1f1(a, 0.5, -u, opts)) / a
+        raise ConvergenceError(f"{describe()} did not converge within {_MAX_TERMS} terms")
+    return (1.0 - hyp1f1(a, 0.5, -u)) / a
 
 
-def hyp2f2_11_32_2(z: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def hyp2f2_11_32_2(z: float) -> float:
     """The specialized hypergeometric 2F2({1,1}; {3/2,2}; z) for z <= 0.
 
     It is K(0, u)/(2u) at u = -z, the Ohmic dephasing kernel; see the
@@ -492,10 +484,10 @@ def hyp2f2_11_32_2(z: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
         raise DomainError(f"hyp2f2_11_32_2 requires z <= 0, got {z}")
     if z == 0.0:
         return 1.0
-    return _kernel(0.0, -z, opts) / (-2.0 * z)
+    return _kernel(0.0, -z) / (-2.0 * z)
 
 
-def dhyp2f2_11_32_2_dz(z: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def dhyp2f2_11_32_2_dz(z: float) -> float:
     """d/dz of 2F2({1,1};{3/2,2};z) for z <= 0.
 
     Shifted-parameter series for |z| <= 8, where the identity used beyond,
@@ -508,10 +500,10 @@ def dhyp2f2_11_32_2_dz(z: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
         return 1.0 / 3.0
     if z >= -_F22_DIRECT_LIMIT:
         total, _ = _series(
-            _df22_ratio(z), 1.0 / 3.0, abs(z), opts, lambda: f"2F2 derivative series at z={z}"
+            _df22_ratio(z), 1.0 / 3.0, abs(z), lambda: f"2F2 derivative series at z={z}"
         )
         return total
-    return _kernel(0.0, -z, opts) / (2.0 * z * z) + hyp1f1(1.0, 1.5, z, opts) / z
+    return _kernel(0.0, -z) / (2.0 * z * z) + hyp1f1(1.0, 1.5, z) / z
 
 
 def dawson(x: float) -> float:
@@ -521,18 +513,19 @@ def dawson(x: float) -> float:
     if u == math.inf:
         # D(x) = (1/2x)(1 + 1/(2x^2) + ...): the correction is below an ulp.
         return 0.5 / x
-    return x * hyp1f1(1.0, 1.5, -u, _FULL_PRECISION)
+    return x * hyp1f1(1.0, 1.5, -u)
 
 
 # ---------------------------------------------------------------------------
 # Vectorized counterparts used by the dense-profile evaluator.  The same
 # algorithms, elementwise over a numpy array of nonpositive arguments; term
 # rescaling is applied per element so small-|z| entries are never squashed.
-# They take no accuracy option: each reads the module's DEFAULT_OPTIONS when
-# called.  They share only the term ratios, the stopping bounds, the Kummer
-# brackets and the expansion weights with the scalar loops above, which serve
-# root refinement and check this path: the asymptotic sums return the scalar
-# loop's doubles, and the series may sum a few terms past the scalar stop.
+# Like the scalar loops, each reads _REL_TOL and _MAX_TERMS when called.
+# They share only the term ratios, the stopping bounds, the Kummer brackets
+# and the expansion weights with the scalar loops above, which serve root
+# refinement and check this path: the asymptotic sums return the scalar
+# loop's doubles, and the series may sum a few terms past the scalar stop,
+# which at _REL_TOL moves a sum by an ulp or two at most.
 # ---------------------------------------------------------------------------
 
 
@@ -569,7 +562,7 @@ def _series_array(
     small, each against the sum it ended; the loop stops when every element
     is done, so it may sum a few terms past the scalar stop.
     """
-    rel_tol, max_terms = DEFAULT_OPTIONS.rel_tol, DEFAULT_OPTIONS.max_terms
+    rel_tol, max_terms = _REL_TOL, _MAX_TERMS
     block = _block_len(growth)
     last = max_terms - 1
     if not kmin <= last:
@@ -631,7 +624,7 @@ def _asymptotic_array(
     term is at most _ASYMPTOTIC_TOL < 2**-54 of the sum, below half an ulp
     of it, so adding it rounds back to the same double.
     """
-    max_terms = DEFAULT_OPTIONS.max_terms
+    max_terms = _MAX_TERMS
     out = first.copy()
     ok = np.zeros(first.shape, dtype=bool)
     idx = np.arange(first.size)
@@ -790,7 +783,7 @@ def _kernel_array(a: float, u: np.ndarray) -> np.ndarray:
         # As in _kernel.
         if a == 0.0:
             raise ConvergenceError(
-                f"vectorized {describe()} did not converge within {DEFAULT_OPTIONS.max_terms} terms"
+                f"vectorized {describe()} did not converge within {_MAX_TERMS} terms"
             )
         out[rest] = (1.0 - _hyp1f1_array(a, 0.5, -u[rest])) / a
     return out

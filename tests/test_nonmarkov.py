@@ -449,9 +449,19 @@ def test_blp_bounded_by_window_end_coherence(q, g0, b, x_max):
 
 
 def test_backflow_of_an_interval_whose_exponent_rises_in_rounding_is_zero():
-    # the one interval, (12.9187, 13.0), has exponents that rise by 4.4e-15
-    # in rounding; each witness must read 0, not a negative backflow
-    ch, w = chan(2.0000000000000004, 1.0, 1.0), TimeWindow(13.0)
+    # an exponent can rise by an ulp over a revival interval in rounding:
+    # such an interval adds 0 to every witness, not a negative backflow, and
+    # nothing to ln n_blp
+    rising = ((44.54662397465348, 44.54662397465349),)
+    falling = ((2.5, 2.0),)
+    for signal in (nonmarkov._blp_signal, nonmarkov._lpp_signal, nonmarkov._cb_signal(1.1)):
+        assert nonmarkov._backflow(rising, signal) == 0.0
+        want = nonmarkov._backflow(falling, signal)
+        assert want > 0.0 and nonmarkov._backflow(rising + falling, signal) == want
+    assert _log_blp(rising) == -math.inf
+    assert _log_blp(rising + falling) == _log_blp(falling)
+    # a channel whose one interval, (12.6272, 13.0), is such a rise
+    ch, w = chan(2.0000000000000027, 1.0, 1.0), TimeWindow(13.0)
     (e_start, e_end), = _revival(ch, w)[1]
     assert e_end > e_start
     assert blp(ch, w) == 0.0

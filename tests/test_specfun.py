@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import math
+import pkgutil
 import warnings
 from functools import partial
 
@@ -11,10 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import topoqubit
 from topoqubit import (
     ConvergenceError,
     DomainError,
-    EvalOptions,
     ParameterError,
     PoleError,
     dawson,
@@ -29,12 +31,10 @@ from topoqubit import (
     specfun,
 )
 from topoqubit.specfun import (
-    _FULL_PRECISION,
     _LGAMMA_HALF_TAYLOR,
     _OVERFLOW_GUARD,
     _RESCALE_LIMIT,
     _SERIES_BLOCK,
-    DEFAULT_OPTIONS,
     _asymptotic,
     _asymptotic_array,
     _block_len,
@@ -166,25 +166,44 @@ def test_hyp1f1_parameter_pole(b):
         hyp1f1(1.0, b, -1.0)
 
 
-def test_hyp1f1_budget_exhaustion():
+def test_hyp1f1_budget_exhaustion(monkeypatch):
     # below the large-u switch the Kummer series needs ~70 terms here
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 10)
     with pytest.raises(ConvergenceError):
-        hyp1f1(1.0, 0.5, -50.0, EvalOptions(max_terms=10))
+        hyp1f1(1.0, 0.5, -50.0)
     # above it the expansion needs 8 terms and the series ~1000: 5 fit neither
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 5)
     with pytest.raises(ConvergenceError):
-        hyp1f1(1.0, 0.5, -900.0, EvalOptions(max_terms=5))
+        hyp1f1(1.0, 0.5, -900.0)
 
 
-def _generic_series_1f1(a, b, z, opts):
+@pytest.mark.parametrize(
+    "a, b, name",
+    [(math.nan, 1.5, "a"), (math.inf, 1.5, "a"), (-math.inf, 0.5, "a"), (1.0, math.nan, "b")],
+)
+def test_hyp1f1_non_finite_parameter_fails_before_summing(monkeypatch, a, b, name):
+    # a NaN or infinite a, or a NaN b, used to sum all 10000 NaN terms and
+    # then report a tolerance it could not reach; b = +inf is the limit M = 1
+    assert hyp1f1(1.0, math.inf, -1.0) == 1.0
+    calls = []
+    monkeypatch.setattr(specfun, "_series_1f1", lambda *args: calls.append(args))
+    for f in (hyp1f1, dhyp1f1_dz):
+        for z in (-0.5, -30.0, 0.5):
+            with pytest.raises(ParameterError, match=f"^{name}="):
+                f(a, b, z)
+    assert calls == []
+
+
+def _generic_series_1f1(a, b, z):
     # The ratio-series loop with the Kummer ratio: the reference for the
     # scalar 1F1 series, which writes both into one loop.
     return _series(
-        _kummer_ratio(a, b, z), 1.0, _kmin(a, b, 1.0, abs(z)), opts,
+        _kummer_ratio(a, b, z), 1.0, _kmin(a, b, 1.0, abs(z)),
         lambda: f"1F1 series for (a={a}, b={b}, z={z})",
     )
 
 
-def test_inlined_1f1_series_equals_the_generic_loop():
+def test_inlined_1f1_series_equals_the_generic_loop(monkeypatch):
     # the same (total, n2) bits over a grid that takes in terminating and
     # near-terminating series, both signs of z, and z ~ 700, where the terms
     # pass the rescale limit
@@ -192,22 +211,21 @@ def test_inlined_1f1_series_equals_the_generic_loop():
     for a in (-6.0, -2.5, 0.0, 0.5, 1.4999999999999996, 2.0, 3.7, 40.25):
         for b in (0.5, 1.5, 2.0000000000000004, 7.25):
             for z in (-1.0, -0.25, 0.5, 1.0, 6.0, 59.9, 300.0, 699.5, 705.0):
-                for opts in (DEFAULT_OPTIONS, _FULL_PRECISION):
-                    got = _series_1f1(a, b, z, opts)
-                    want = _generic_series_1f1(a, b, z, opts)
-                    assert got[1] == want[1] and got[0] == want[0], (a, b, z, opts)
-                    assert math.copysign(1.0, got[0]) == math.copysign(1.0, want[0])
-                    rescaled += got[1] != 0
+                got = _series_1f1(a, b, z)
+                want = _generic_series_1f1(a, b, z)
+                assert got[1] == want[1] and got[0] == want[0], (a, b, z)
+                assert math.copysign(1.0, got[0]) == math.copysign(1.0, want[0])
+                rescaled += got[1] != 0
     assert rescaled > 0
     # the same error once the term budget runs out
-    short = EvalOptions(max_terms=10)
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 10)
     with pytest.raises(ConvergenceError) as want:
-        _generic_series_1f1(1.0, 0.5, 50.0, short)
+        _generic_series_1f1(1.0, 0.5, 50.0)
     with pytest.raises(ConvergenceError) as got:
-        _series_1f1(1.0, 0.5, 50.0, short)
+        _series_1f1(1.0, 0.5, 50.0)
     assert str(got.value) == str(want.value)
     assert str(got.value) == (
-        "1F1 series for (a=1.0, b=0.5, z=50.0) did not reach rel_tol=1e-13 within 10 terms"
+        "1F1 series for (a=1.0, b=0.5, z=50.0) did not reach rel_tol=1e-16 within 10 terms"
     )
 
 
@@ -258,24 +276,30 @@ def test_dawson_sweep_and_oddness():
     assert dawson(0.0) == 0.0
 
 
-def test_eval_options_validation():
-    with pytest.raises(DomainError):
-        EvalOptions(rel_tol=0.0)
-    with pytest.raises(DomainError):
-        EvalOptions(max_terms=0)
-    opts = EvalOptions()
-    assert opts.rel_tol == 1e-13 and opts.max_terms == 10_000
+_MODULES = [
+    importlib.import_module(f"topoqubit.{m.name}") for m in pkgutil.iter_modules(topoqubit.__path__)
+]
+_ACCURACY_OPTIONS = {"opts", "options", "rel_tol", "max_terms"}
 
 
-@pytest.mark.parametrize("module", [dephasing, magnetometry, nonmarkov])
+@pytest.mark.parametrize("module", [topoqubit, *_MODULES], ids=lambda m: m.__name__)
 def test_accuracy_policy_lives_in_specfun(module):
-    # the physics layers run at specfun's default budget: no function of
-    # theirs takes an accuracy option, and none binds the option type
-    for name, fn in vars(module).items():
-        if inspect.isfunction(fn) and fn.__module__ == module.__name__:
-            assert "opts" not in inspect.signature(fn).parameters, name
-    assert not hasattr(module, "EvalOptions")
-    assert not hasattr(module, "DEFAULT_OPTIONS")
+    # one series tolerance and budget, specfun's private constants: no
+    # function or method takes an accuracy option, no module binds an
+    # option object, and no module but specfun holds the constants
+    assert {specfun, dephasing, magnetometry, nonmarkov} <= set(_MODULES)
+    fns = [f for f in vars(module).values() if inspect.isfunction(f)]
+    for cls in vars(module).values():
+        if inspect.isclass(cls) and cls.__module__ == module.__name__:
+            fns += [f for f in vars(cls).values() if inspect.isfunction(f)]
+    for fn in fns:
+        if fn.__module__ == module.__name__:
+            params = set(inspect.signature(fn).parameters)
+            assert not params & _ACCURACY_OPTIONS, fn.__qualname__
+    for name in ("EvalOptions", "DEFAULT_OPTIONS", "_FULL_PRECISION"):
+        assert not hasattr(module, name), name
+    assert hasattr(module, "_REL_TOL") == (module is specfun)
+    assert hasattr(module, "_MAX_TERMS") == (module is specfun)
 
 
 @settings(deadline=None, max_examples=60)
@@ -366,17 +390,17 @@ def test_hyp1f1_large_q_large_u_is_finite():
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-def test_hyp1f1_large_u_needs_few_terms():
+def test_hyp1f1_large_u_needs_few_terms(monkeypatch):
     # z = -900 needs ~1000 Kummer-series terms but 8 expansion terms
-    got = hyp1f1(1.0, 0.5, -900.0, EvalOptions(max_terms=10))
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 10)
+    got = hyp1f1(1.0, 0.5, -900.0)
     assert got == pytest.approx(mp_hyp1f1(1.0, 0.5, -900.0), rel=1e-14, abs=0.0)
 
 
-def test_dawson_large_argument(monkeypatch):
-    # the array route at the scalar dawson's budget: D(x) = x M(1; 3/2; -x^2)
+def test_dawson_large_argument():
+    # the array route against the scalar dawson: D(x) = x M(1; 3/2; -x^2)
     xs = [7.7, 7.8, 50.0, 1e3, 1e5, 5e6]
     x = np.array(xs)
-    monkeypatch.setattr(specfun, "DEFAULT_OPTIONS", _FULL_PRECISION)
     arr = x * _hyp1f1_array(1.0, 1.5, -x * x)
     for x, got_arr in zip(xs, arr):
         for got in (dawson(x), got_arr):
@@ -467,23 +491,13 @@ def test_asymptotic_array_assigns_branches_like_scalar():
         for make_ratio, arg, first in families:
             sums, ok = _asymptotic_array(make_ratio, arg, first)
             for w, f, s, o in zip(arg, first, sums, ok):
-                want = _asymptotic(make_ratio(w), f, DEFAULT_OPTIONS)
+                want = _asymptotic(make_ratio(w), f)
                 assert o == (want is not None), (q, make_ratio, w)
                 assert s == (want if o else f), (q, make_ratio, w)
 
 
-def test_array_functions_take_no_accuracy_option():
-    # the array path runs at the module's DEFAULT_OPTIONS, read when called;
-    # only the public scalar functions take an EvalOptions
-    names = {n for n, f in vars(specfun).items() if inspect.isfunction(f) and n.endswith("_array")}
-    assert {"_series_array", "_asymptotic_array", "_series_1f1_array", "_hyp1f1_asymptotic_array",
-            "_hyp1f1_array", "_kernel_array"} <= names
-    for name in names:
-        assert "opts" not in inspect.signature(getattr(specfun, name)).parameters, name
-
-
 def test_array_budget_is_read_from_the_module_default(monkeypatch):
-    monkeypatch.setattr(specfun, "DEFAULT_OPTIONS", EvalOptions(max_terms=10))
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 10)
     # the Kummer-transformed series needs ~70 terms at z = -50
     with pytest.raises(ConvergenceError) as got:
         _hyp1f1_array(1.0, 0.5, np.array([-50.0]))
@@ -492,7 +506,7 @@ def test_array_budget_is_read_from_the_module_default(monkeypatch):
     )
     # K(0, u) at u = 60 has no 1/a form to fall back on once its expansion
     # runs out of terms
-    monkeypatch.setattr(specfun, "DEFAULT_OPTIONS", EvalOptions(max_terms=2))
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 2)
     with pytest.raises(ConvergenceError) as got:
         _kernel_array(0.0, np.array([60.0]))
     assert str(got.value) == "vectorized kernel series (a=0.0) did not converge within 2 terms"
@@ -540,17 +554,17 @@ def test_scalar_series_fail_before_summing_when_no_term_reaches_kmin():
         return 0.0
 
     for kmin in (10000.0, 49999.0, math.inf, math.nan):
-        with pytest.raises(ConvergenceError, match=r"^s did not reach rel_tol=1e-13 within 10000 terms$"):
-            _series(ratio, 1.0, kmin, DEFAULT_OPTIONS, lambda: "s")
+        with pytest.raises(ConvergenceError, match=r"^s did not reach rel_tol=1e-16 within 10000 terms$"):
+            _series(ratio, 1.0, kmin, lambda: "s")
     assert ratios == []
-    total, _ = _series(ratio, 1.0, 9999.0, DEFAULT_OPTIONS, lambda: "s")
+    total, _ = _series(ratio, 1.0, 9999.0, lambda: "s")
     assert total == 1.0 and len(ratios) == 10000
     # the inlined Kummer loop sums (a + k) once a term: kmin is about 3.5e51
     a = _CountingFloat(0.5 + 5e99)
     assert _kmin(a, 1.5, 1.0, 2500.0) > 1e51 and _CountingFloat.sums == 0
-    want = r"^1F1 series for \(a=5e\+99, b=1\.5, z=-2500\.0\) did not reach rel_tol=1e-13 within 10000 terms$"
+    want = r"^1F1 series for \(a=5e\+99, b=1\.5, z=-2500\.0\) did not reach rel_tol=1e-16 within 10000 terms$"
     with pytest.raises(ConvergenceError, match=want):
-        _series_1f1(a, 1.5, -2500.0, DEFAULT_OPTIONS)
+        _series_1f1(a, 1.5, -2500.0)
     assert _CountingFloat.sums == 0
 
 
@@ -594,14 +608,14 @@ def test_array_paths_read_integer_arguments_as_float(a):
 
 
 def test_kernel_array_depends_on_its_batch_within_bounds():
-    # On the Kummer branch an element's value depends on its array mates: the
-    # loop sums until the slowest element stops, so a fast one takes extra
-    # terms.  Measured over a in [-0.5, 5] and u in [1.5, 59]: up to 3.8e-14
-    # relative between a one-element call and a batch ending at u = 59, and
-    # up to 4e-14 against the scalar _kernel.  A table is reproducible for a
-    # fixed grid, not across grids that share a time.
+    # On the Kummer branch the loop sums until the slowest element stops, so
+    # a fast element takes a few terms past its own stop.  At the full
+    # double precision tolerance those terms move a sum by an ulp or two at
+    # most: measured over a in [-0.5, 5] and u in [1.5, 59], 0 between a
+    # one-element call and a batch ending at u = 59, and 2.2e-16 against the
+    # scalar _kernel and for the slope M(a+1; 3/2; -u) against hyp1f1.
     us = np.linspace(1.5, 59.0, 24)
-    batch_gap = scalar_gap = 0.0
+    batch_gap = scalar_gap = slope_gap = 0.0
     for a in np.linspace(-0.5, 5.0, 12).tolist():
         one = np.array([_kernel_array(a, us[i : i + 1])[0] for i in range(us.size)])
         scalar = np.array([specfun._kernel(a, u) for u in us.tolist()])
@@ -611,5 +625,10 @@ def test_kernel_array_depends_on_its_batch_within_bounds():
             n = got.size
             batch_gap = max(batch_gap, float(np.max(np.abs(got / one[k : k + n] - 1.0))))
             scalar_gap = max(scalar_gap, float(np.max(np.abs(got / scalar[k : k + n] - 1.0))))
-    assert batch_gap <= 5e-14
-    assert scalar_gap <= 1e-13
+        slope = _hyp1f1_array(a + 1.0, 1.5, -us)
+        want = np.array([hyp1f1(a + 1.0, 1.5, -u) for u in us.tolist()])
+        nz = want != 0.0  # even Q: M(a+1; 3/2; -u) has exact zeros
+        slope_gap = max(slope_gap, float(np.max(np.abs(slope[nz] / want[nz] - 1.0))))
+    assert batch_gap <= 5e-16
+    assert scalar_gap <= 5e-16
+    assert slope_gap <= 5e-16
