@@ -16,10 +16,10 @@ table can be reproduced from itself.  Exit codes: 0 success, 2 bad spec,
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
+import re
 import sys
 import time
 import warnings
@@ -103,8 +103,9 @@ def _require_between(name: str, value: int, lo: int, hi: int) -> None:
 @dataclass(frozen=True, slots=True)
 class SweepSpec:
     """Resolved sweep parameters for one run.  Each field is a spec key (a
-    spec-file key and its flag's dest) with its only default; ``validate``
-    checks each key's type and range, for ``parse_spec`` and ``run`` alike."""
+    spec-file key, and the key its flag sets in ``_FLAGS``) with its only
+    default; ``validate`` checks each key's type and range, for
+    ``parse_spec`` and ``run`` alike."""
 
     mode: str
     q_values: tuple[float, ...]
@@ -612,7 +613,7 @@ def parse_spec(path: str | None = None, mode: str | None = None, overrides: dict
     """Build a SweepSpec from an optional JSON file plus override values.
 
     The file is a flat JSON object whose keys are SweepSpec's fields;
-    overrides (the flags, whose dests are those keys) replace file values,
+    overrides (the flags, read into those keys) replace file values,
     and an override of None counts as not given.  ``mode`` given both ways
     must agree.  ``q_values`` is required; nm-scan falls back to
     DEFAULT_NM_GAMMA0.  Other keys default as in SweepSpec, and
@@ -806,38 +807,182 @@ def run(spec: SweepSpec) -> SeriesTable:
     return SeriesTable(columns=columns, rows=rows, meta=meta)
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # Built once per process: each add_argument queries the terminal size.
-    # Every mode takes the same options, so one parser with a positional
-    # mode serves all four.
-    parser = argparse.ArgumentParser(
-        prog="topoqubit",
-        description="Sweep driver for topological-qubit dephasing tables.",
+# ---------------------------------------------------------------------------
+# Command line.  The argv is read by the rules of the standard library's
+# argument parser, for one positional mode and the flags of _FLAGS, but no
+# parser is built: building one took 1.7-2.9 ms a run, the locale import of
+# its message translations included (CPython 3.11, 2-core Xeon VM).
+# ---------------------------------------------------------------------------
+
+# flag -> (key, value type or its choices, list of values, help text).  The
+# key is the spec key the flag sets; for --spec, the spec file.
+_FLAGS = {
+    "--spec": ("spec", str, False, "JSON spec file; flags override its values"),
+    "--q": ("q_values", float, True, "spectral exponents Q"),
+    "--gamma0": ("gamma0_values", float, True, "cutoff rates gamma0"),
+    "--b": ("b", float, False, "field strength B (default 1.0)"),
+    "--theta": ("theta", float, False, "initial-state angle (default pi/2)"),
+    "--t-max": ("t_max", float, False, "window end (default 100/gamma0)"),
+    "--n-grid": ("n_grid", int, False, "time-grid points (default 4096)"),
+    "--out": ("output_path", str, False, "output path (default stdout)"),
+    "--format": ("format", ("csv", "json"), False, "output format (default csv)"),
+    "--parallel": ("parallel", int, False, "worker processes (default 1)"),
+}
+_HELP = ("-h", "--help")
+_OPTIONS = _HELP + tuple(_FLAGS)
+
+
+def _choices(names) -> str:
+    return "{" + ",".join(names) + "}"
+
+
+def _metavar(flag: str) -> str:
+    _, kind, many, _ = _FLAGS[flag]
+    name = _choices(kind) if isinstance(kind, tuple) else flag[2:].upper().replace("-", "_")
+    return f"{name} [{name} ...]" if many else name
+
+
+def _usage() -> str:
+    # Wrapped at 79 columns, each line after the first under the first option.
+    line = "usage: topoqubit"
+    lines, indent = [], " " * len(line)
+    for word in ("[-h]", *(f"[{flag} {_metavar(flag)}]" for flag in _FLAGS), _choices(_MODES)):
+        if len(line) + 1 + len(word) > 79:
+            lines.append(line)
+            line = indent
+        line += " " + word
+    return "\n".join(lines + [line]) + "\n"
+
+
+def _help() -> str:
+    rows = [("-h, --help", "show this help message and exit")]
+    rows += [(f"{flag} {_metavar(flag)}", text) for flag, (*_, text) in _FLAGS.items()]
+    options = "".join(
+        f"  {name:<20}  {text}\n" if len(name) <= 20 else f"  {name}\n{'':24}{text}\n"
+        for name, text in rows
     )
-    parser.add_argument(
-        "mode",
-        choices=tuple(_MODES),
-        help="; ".join(f"{mode}: {help_text}" for mode, (_, _, help_text) in _MODES.items()),
+    modes = "".join(f"  {mode}: {text}\n" for mode, (*_, text) in _MODES.items())
+    return (
+        f"{_usage()}\nSweep driver for topological-qubit dephasing tables.\n\n"
+        f"modes:\n{modes}\noptions:\n{options}"
     )
-    parser.add_argument("--spec", help="JSON spec file; flags override its values")
-    # Every other flag's dest is the spec key it sets.
-    parser.add_argument("--q", nargs="+", type=float, dest="q_values", help="spectral exponents Q")
-    parser.add_argument("--gamma0", nargs="+", type=float, dest="gamma0_values", help="cutoff rates gamma0")
-    parser.add_argument("--b", type=float, help="field strength B (default 1.0)")
-    parser.add_argument("--theta", type=float, help="initial-state angle (default pi/2)")
-    parser.add_argument("--t-max", type=float, dest="t_max", help="window end (default 100/gamma0)")
-    parser.add_argument("--n-grid", type=int, dest="n_grid", help="time-grid points (default 4096)")
-    parser.add_argument("--out", dest="output_path", help="output path (default stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-    parser.add_argument("--parallel", type=int, help="worker processes (default 1)")
-    return parser
+
+
+def _argv_error(message: str):
+    # The exit for a bad argv: the usage, then the error, on stderr.
+    sys.stderr.write(f"{_usage()}topoqubit: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _option(token: str) -> tuple[str | None, str | None] | None:
+    # What a token before "--" is: (flag, explicit value or None) for an
+    # option, (None, None) for an unknown one, None for a value.
+    if not token.startswith("-") or token == "-":
+        return None
+    if token in _OPTIONS:
+        return token, None
+    name, eq, value = token.partition("=")
+    if eq and name in _OPTIONS:
+        return name, value
+    if token.startswith("--"):
+        # a unique prefix of a flag, before any "="
+        matches, explicit = [o for o in _OPTIONS if o.startswith(name)], value if eq else None
+    else:
+        # -h with a tail attached
+        matches, explicit = (["-h"], token[2:]) if token.startswith("-h") else ([], None)
+    if len(matches) > 1:
+        _argv_error(f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], explicit
+    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
+        return None  # a negative number, or a value with a space in it
+    return None, None
+
+
+def _value(name: str, kind, text: str):
+    # One value of the mode or a flag: converted by its type, or checked
+    # against its choices.
+    if isinstance(kind, tuple):
+        if text not in kind:
+            choices = ", ".join(map(repr, kind))
+            _argv_error(f"argument {name}: invalid choice: {text!r} (choose from {choices})")
+        return text
+    try:
+        return kind(text)
+    except ValueError:
+        _argv_error(f"argument {name}: invalid {kind.__name__} value: {text!r}")
+
+
+def _read_argv(argv: list[str] | None = None) -> dict:
+    """The mode, the spec file and the spec key of every flag, read from
+    ``argv`` (default ``sys.argv[1:]``), None where not given: options
+    before or after the mode, ``--flag value`` or ``--flag=value``, a unique
+    prefix for a flag, ``--`` to end the options, the last of a repeated
+    flag wins.  -h/--help prints the help and exits 0; a bad argv prints the
+    usage and an error and exits 2."""
+    tokens = sys.argv[1:] if argv is None else list(argv)
+    # Every token is classified before any value is taken, so an ambiguous
+    # prefix is an error wherever it stands; all after the first "--" are
+    # values.
+    parsed: list = []
+    for i, token in enumerate(tokens):
+        if token == "--":
+            parsed += ["--"] + [None] * (len(tokens) - i - 1)
+            break
+        parsed.append(_option(token))
+    read = dict.fromkeys(("mode", *(key for key, *_ in _FLAGS.values())))
+    extras = []
+    i = 0
+    while i < len(tokens):
+        if not isinstance(parsed[i], tuple):
+            # Values up to the next option: the first is the mode, after a
+            # "--" and taking one after it, if none was read; the rest are
+            # extra.
+            options = (j for j in range(i, len(tokens)) if isinstance(parsed[j], tuple))
+            stop = next(options, len(tokens))
+            first = i + (parsed[i] == "--")
+            if read["mode"] is None and first < stop:
+                read["mode"] = _value("mode", tuple(_MODES), tokens[first])
+                i = first + 1 + (first + 1 < stop and parsed[first + 1] == "--")
+            extras += tokens[i:stop]
+            i = stop
+            continue
+        flag, explicit = parsed[i]
+        i += 1
+        if flag is None:
+            extras.append(tokens[i - 1])
+        elif flag in _HELP:
+            if flag == "-h" and explicit:
+                explicit = explicit.lstrip("h") or None  # -hh is -h twice
+            if explicit is not None:
+                _argv_error(f"argument -h/--help: ignored explicit argument {explicit!r}")
+            sys.stdout.write(_help())
+            raise SystemExit(0)
+        else:
+            key, kind, many, _ = _FLAGS[flag]
+            if explicit is not None:
+                strings = [] if explicit == "--" else [explicit]  # a "--" value is dropped
+            else:
+                stop = i
+                while stop < len(tokens) and parsed[stop] is None and (many or stop == i):
+                    stop += 1
+                if stop == i:
+                    expected = "at least one argument" if many else "one argument"
+                    _argv_error(f"argument {flag}: expected {expected}")
+                strings, i = tokens[i:stop], stop
+            values = [_value(flag, kind, text) for text in strings]
+            read[key] = values if many or len(values) != 1 else values[0]
+    if read["mode"] is None:
+        _argv_error("the following arguments are required: mode")
+    if extras:
+        _argv_error(f"unrecognized arguments: {' '.join(extras)}")
+    return read
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code.  The caller's warning
     filters are left as they were."""
-    overrides = vars(_build_parser().parse_args(argv))
+    overrides = _read_argv(argv)
     path, mode = overrides.pop("spec"), overrides.pop("mode")
     t0 = time.monotonic()
     try:

@@ -97,11 +97,12 @@ def _require_no_pole(x: float, exc: type, name: str) -> None:
 
 def _require_kummer_parameters(a: float, b: float) -> None:
     # A NaN or infinite a, or a NaN b, would sum the whole budget of NaN
-    # terms before failing; b = +inf is left to give the limit M = 1.
+    # terms before failing, and b = -inf has no nearest pole to check; b =
+    # +inf is left to give the limit M = 1.
     if not math.isfinite(a):
         raise ParameterError(f"a={a!r} is not finite")
-    if math.isnan(b):
-        raise ParameterError(f"b={b!r} is not a number")
+    if math.isnan(b) or b == -math.inf:
+        raise ParameterError(f"b={b!r} is neither finite nor +inf")
     _require_no_pole(b, ParameterError, "b")
 
 
@@ -113,8 +114,11 @@ def gamma(x: float) -> float:
     PoleError
         If ``x`` lies within 1e-12 of a non-positive integer.
     DomainError
-        If Gamma(x) overflows the double range (x > ~171.6).
+        If ``x`` is NaN or -inf, or Gamma(x) overflows the double range
+        (x > ~171.6).
     """
+    if math.isnan(x) or x == -math.inf:
+        raise DomainError(f"x={x!r}: Gamma is defined for finite x and +inf")
     _require_no_pole(x, PoleError, "x")
     try:
         return math.gamma(x)
@@ -337,8 +341,8 @@ def hyp1f1(a: float, b: float, z: float) -> float:
     Raises
     ------
     ParameterError
-        If ``a`` is not finite, ``b`` is NaN, or ``b`` is within 1e-12 of a
-        non-positive integer.
+        If ``a`` is not finite, ``b`` is NaN or -inf, or ``b`` is within
+        1e-12 of a non-positive integer.
     ConvergenceError
         If ``z`` is not finite or the series budget is exhausted.
     """

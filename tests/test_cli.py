@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
+import functools
 import importlib.metadata
 import io
 import json
@@ -768,7 +770,6 @@ def test_main_twice_carries_no_parsed_value(tmp_path, monkeypatch, capsys):
     assert seen[1:] == [SweepSpec("qfi-series", (1.0,), (2.0,)),
                         SweepSpec("corr-series", (1.0,), (2.0,))]
     assert capsys.readouterr().out.startswith("# tool: topoqubit")
-    assert cli._build_parser() is cli._build_parser()
 
 
 _NO_OPTIONS = dict.fromkeys(
@@ -798,12 +799,137 @@ _NO_OPTIONS = dict.fromkeys(
 def test_parser_reads_every_mode_as_before(argv, want):
     # the values the per-mode subparsers gave, each under the spec key its
     # flag sets: the mode, --spec and the nine keys, None where not given
-    assert vars(cli._build_parser().parse_args(argv)) == dict(_NO_OPTIONS, **want)
+    assert cli._read_argv(argv) == dict(_NO_OPTIONS, **want)
+
+
+@functools.cache
+def _reference_parser() -> argparse.ArgumentParser:
+    # The argparse parser the command line was read with before _read_argv.
+    parser = argparse.ArgumentParser(
+        prog="topoqubit",
+        description="Sweep driver for topological-qubit dephasing tables.",
+    )
+    parser.add_argument(
+        "mode",
+        choices=tuple(cli._MODES),
+        help="; ".join(f"{mode}: {help_text}" for mode, (_, _, help_text) in cli._MODES.items()),
+    )
+    parser.add_argument("--spec", help="JSON spec file; flags override its values")
+    parser.add_argument("--q", nargs="+", type=float, dest="q_values", help="spectral exponents Q")
+    parser.add_argument("--gamma0", nargs="+", type=float, dest="gamma0_values", help="cutoff rates gamma0")
+    parser.add_argument("--b", type=float, help="field strength B (default 1.0)")
+    parser.add_argument("--theta", type=float, help="initial-state angle (default pi/2)")
+    parser.add_argument("--t-max", type=float, dest="t_max", help="window end (default 100/gamma0)")
+    parser.add_argument("--n-grid", type=int, dest="n_grid", help="time-grid points (default 4096)")
+    parser.add_argument("--out", dest="output_path", help="output path (default stdout)")
+    parser.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
+    parser.add_argument("--parallel", type=int, help="worker processes (default 1)")
+    return parser
+
+
+def _outcome(read, argv):
+    # The dict ``read`` returns for argv, or the code it exits with.
+    try:
+        return read(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+def _reference_read(argv):
+    return vars(_reference_parser().parse_args(argv))
+
+
+# Error lines as Python 3.11's argparse words them.
+_ARGV_ERRORS = {
+    ("bogus", "--q", "1"): "argument mode: invalid choice: 'bogus' (choose from 'nm-scan', "
+                           "'corr-series', 'qfi-series', 'state-dump')",
+    (): "the following arguments are required: mode",
+    ("nm-scan", "--t", "1", "--q", "1"): "ambiguous option: --t could match --theta, --t-max",
+    ("nm-scan", "--q", "1", "--b"): "argument --b: expected one argument",
+    ("nm-scan", "--q", "x"): "argument --q: invalid float value: 'x'",
+    ("nm-scan", "extra", "--q", "1"): "unrecognized arguments: extra",
+}
+
+
+@pytest.mark.parametrize("argv", [
+    # the README examples
+    ["nm-scan", "--q", "0.5", "1.0", "2.5", "3.0", "--gamma0", "1.6", "--out", "scan.csv"],
+    ["corr-series", "--q", "1.0", "--gamma0", "0.01", "--t-max", "2.0", "--n-grid", "2001",
+     "--out", "corr.csv"],
+    ["qfi-series", "--spec", "recipes/fig7.json", "--out", "qfi.csv"],
+    ["state-dump", "--q", "3.0", "--gamma0", "1.6", "--n-grid", "64", "--format", "json"],
+    # options before the mode; a list flag reads the mode as a value
+    ["--spec", "recipes/fig1.json", "nm-scan"],
+    ["--b", "0.5", "--format=json", "qfi-series", "--q", "1"],
+    ["--q", "1.0", "nm-scan"],
+    ["--q", "1.0", "--", "nm-scan"],
+    # an "=" value is the flag's only value
+    ["nm-scan", "--q=0.5"],
+    ["nm-scan", "--q=0.5", "3"],
+    ["nm-scan", "--q="],
+    ["nm-scan", "--q=--"],
+    # unique and ambiguous prefixes
+    ["nm-scan", "--gam", "1.6", "--q", "1"],
+    ["nm-scan", "--gam=1.6", "--q", "1"],
+    ["nm-scan", "--t", "1", "--q", "1"],
+    ["nm-scan", "--q", "1", "--th=1"],
+    # the last of a repeated flag
+    ["nm-scan", "--q", "1", "--b", "0.5", "--b", "0.25", "--q", "2", "3"],
+    # missing and malformed values
+    ["nm-scan", "--q", "1", "--b"],
+    ["nm-scan", "--q", "--b", "1"],
+    ["state-dump", "--q", "1", "--n-grid", "64.0"],
+    ["nm-scan", "--q", "x"],
+    ["nm-scan", "--q", "1", "--format", "xml"],
+    # negative numbers are values, other "-"-led tokens options
+    ["corr-series", "--q", "1", "--theta", "-0.5"],
+    ["corr-series", "--q", "1", "--theta", "-.5"],
+    ["corr-series", "--q", "1", "--theta", "-1e-3"],
+    ["corr-series", "--q", "1", "--theta", "-1 2"],
+    # unknown options, extra values, "--" and no argv
+    ["nm-scan", "--bogus", "--q", "1"],
+    ["--bogus", "nm-scan"],
+    ["nm-scan", "extra", "--q", "1"],
+    ["bogus", "--q", "1"],
+    ["nm-scan", "--"],
+    ["--", "nm-scan"],
+    ["--"],
+    ["nm-scan", "--", "--q", "1"],
+    ["nm-scan", "--q", "1", "--"],
+    [],
+    # help, and help with a value
+    ["-h"], ["nm-scan", "--he"], ["-hh"], ["-hx"], ["--help=x"], ["bogus", "-h"], ["--t", "-h"],
+])
+def test_argv_reads_as_the_reference_parser_read_it(argv, capsys):
+    # the same dict, or the same exit code: 2 for every argv error, 0 for help
+    want = _outcome(_reference_read, argv)
+    capsys.readouterr()
+    assert _outcome(cli._read_argv, argv) == want
+    if want == 2:
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.startswith("topoqubit: error: ")
+        if tuple(argv) in _ARGV_ERRORS:
+            assert error == "topoqubit: error: " + _ARGV_ERRORS[tuple(argv)]
+
+
+
+def test_random_argvs_read_as_the_reference_parser_read_them(capsys):
+    # seeded argvs of up to seven tokens drawn from flags, prefixes, values,
+    # "=" forms and "--"
+    tokens = [*cli._MODES, "bogus", *cli._FLAGS, "--g", "--t", "--n", "--he", "-h", "-hh",
+              "-hx", "-h=h", "--help=", "1", "0.5", "-0.5", "-.5", "-1e-3", "x", "64.0", "csv",
+              "xml", "a b", "-", "--", "", "--q=", "--q=--", "--b=--", "--gam=1.6", "--format=xml",
+              "-x", "---q", "--=1"]
+    rng = np.random.default_rng(29)
+    for _ in range(1000):
+        argv = [str(t) for t in rng.choice(tokens, size=rng.integers(0, 8))]
+        assert _outcome(cli._read_argv, argv) == _outcome(_reference_read, argv), argv
+        capsys.readouterr()
 
 
 def test_every_spec_key_is_a_flag_dest_and_a_file_key(tmp_path):
     keys = [f.name for f in dataclasses.fields(SweepSpec)]
-    dests = {action.dest for action in cli._build_parser()._actions}
+    dests = {"mode"} | {key for key, *_ in cli._FLAGS.values()}
     assert set(keys) <= dests
     values = {"mode": "qfi-series", "q_values": (3.0,), "gamma0_values": (1.6,), "b": 0.5,
               "theta": 1.0, "t_max": 4.0, "n_grid": 32, "format": "json",
@@ -858,6 +984,21 @@ def test_import_leaves_process_pool_unloaded():
                           timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_run_loads_no_argument_parser_or_locale(tmp_path):
+    # The argv is read without argparse, whose gettext messages load locale.
+    src = Path(cli.__file__).resolve().parents[1]
+    argv = ["corr-series", "--q", "1.0", "--gamma0", "1.0", "--t-max", "1.0", "--n-grid", "16",
+            "--out", str(tmp_path / "corr.csv")]
+    code = ("import sys, topoqubit.cli\n"
+            f"rc = topoqubit.cli.main({argv!r})\n"
+            "print(rc, [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
+    assert (tmp_path / "corr.csv").read_text().count("\n") == 19
 
 
 def test_metadata_line_reproduces_run(tmp_path):

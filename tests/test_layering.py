@@ -91,8 +91,7 @@ def _is_cache(decorator: ast.expr) -> bool:
 
 
 def test_the_revival_search_is_the_one_memo():
-    # one memo of results, per-Q revival data in the kernel layer; cli's
-    # parser cache holds a parser built once per process, no result
+    # one memo of results, per-Q revival data in the kernel layer
     cached = {
         (p.stem, node.name)
         for p in _SRC.glob("*.py")
@@ -100,4 +99,4 @@ def test_the_revival_search_is_the_one_memo():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and any(map(_is_cache, node.decorator_list))
     }
-    assert cached == {("dephasing", "_reduced_revival"), ("cli", "_build_parser")}
+    assert cached == {("dephasing", "_reduced_revival")}

@@ -98,6 +98,14 @@ def test_gamma_pole(x):
         gamma(x)
 
 
+@pytest.mark.parametrize("x", [-math.inf, math.nan])
+def test_gamma_non_finite_is_domain_error(x):
+    # -inf raised a bare OverflowError from round(), and NaN returned NaN
+    with pytest.raises(DomainError, match=r"^x=(-inf|nan)"):
+        gamma(x)
+    assert gamma(math.inf) == math.inf
+
+
 def test_gamma_overflow_is_domain_error():
     assert gamma(171.5) == pytest.approx(mp_gamma(171.5), rel=1e-13, abs=0.0)
     with pytest.raises(DomainError):
@@ -160,10 +168,12 @@ def test_dhyp1f1_matches_finite_difference(a, b, z):
     assert got == pytest.approx(want, rel=1e-6, abs=1e-12)
 
 
-@pytest.mark.parametrize("b", [0.0, -1.0, -5.0])
+@pytest.mark.parametrize("b", [0.0, -1.0, -5.0, -math.inf])
 def test_hyp1f1_parameter_pole(b):
-    with pytest.raises(ParameterError):
-        hyp1f1(1.0, b, -1.0)
+    # -inf used to raise a bare OverflowError from round()
+    for f in (hyp1f1, dhyp1f1_dz):
+        with pytest.raises(ParameterError, match="^b="):
+            f(1.0, b, -1.0)
 
 
 def test_hyp1f1_budget_exhaustion(monkeypatch):
