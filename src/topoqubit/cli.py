@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -619,11 +620,13 @@ def parse_spec(path: str | None = None, mode: str | None = None, overrides: dict
     DEFAULT_NM_GAMMA0.  Other keys default as in SweepSpec, and
     ``SweepSpec.validate`` checks every key.
 
-    Raises SpecError for malformed content; lets OSError from an unreadable
-    path propagate (the CLI maps it to exit code 4).
+    Raises SpecError for a ``path`` that is no file path (``--spec=--``
+    reads as []) or malformed content; lets OSError from an unreadable path
+    propagate (the CLI maps it to exit code 4).
     """
     data: dict = {}
     if path is not None:
+        _require("spec", path, (str, os.PathLike), "a file path")
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         try:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .states import XState4, _check_theta, evolved_x_state
+from .states import XState4, _check_theta
 
 __all__ = [
     "CorrelationReport",

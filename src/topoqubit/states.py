@@ -7,6 +7,10 @@ copies of the channel acting on a pair give the entrywise map implemented in
 cos(theta/2)|00> + sin(theta/2)|11> stays of X form under it, and
 :func:`evolved_x_state` writes that X state down directly.
 
+A state is checked where it enters the package, by its public
+constructor.  What this module's formulas build from checked inputs is
+stored as built, through :func:`_unchecked`.
+
 Ordering convention for the pair basis: |00>, |01>, |10>, |11>.
 """
 
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,33 +74,13 @@ def _check_density(m: np.ndarray) -> None:
     # Hermitian, of unit trace and positive semidefinite.
     if not np.isfinite(m).all():
         raise DomainError("density matrix entries must be finite")
-    if m.shape[-1] == 2:
-        # d = 2 in closed form, as _eigvalsh: the defect |m - m^H| is
-        # |m01 - conj(m10)| off the diagonal (the same value at 1, 0) and
-        # |mii - conj(mii)| = |0 + 2i Im mii| = 2 |Im mii| on it, the trace
-        # m00 + m11, and the smaller eigenvalue mean - radius alone, whose
-        # least is the least of both since mean - r <= mean + r in rounding:
-        # the same doubles as the general expressions, without building the
-        # conjugate transpose of the stack or the larger eigenvalues.
-        m00, m01, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 1]
-        herm_defect = max(
-            float(np.abs(m01 - m[..., 1, 0].conj()).max()),
-            2.0 * float(np.abs(m00.imag).max()),
-            2.0 * float(np.abs(m11.imag).max()),
-        )
-        trace = m00 + m11
-        d0, d1 = m00.real, m11.real
-        lam = 0.5 * (d0 + d1) - np.hypot(0.5 * (d0 - d1), np.abs(m01))
-    else:
-        herm_defect = float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
-        trace = np.trace(m, axis1=-2, axis2=-1)
-        lam = _eigvalsh(m)
+    herm_defect = float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
     if herm_defect > _ATOL:
         raise DomainError(f"matrix is not Hermitian (defect {herm_defect:.3e} > {_ATOL})")
-    tr_defect = float(np.abs(trace - 1.0).max())
+    tr_defect = float(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0).max())
     if tr_defect > _ATOL:
         raise DomainError(f"trace deviates from 1 by {tr_defect:.3e} > {_ATOL}")
-    lam_min = float(lam.min())
+    lam_min = float(_eigvalsh(m).min())
     if lam_min < -_ATOL:
         raise DomainError(f"matrix has negative eigenvalue {lam_min:.3e} < -{_ATOL}")
 
@@ -182,19 +166,6 @@ class XState4:
     det14: float | None = None
     det23: float | None = None
 
-    @classmethod
-    def _of_valid_entries(cls, *entries) -> XState4:
-        # The state of its eight fields given as float64 arrays of one shape
-        # that form valid states, stored read-only as __post_init__ stores
-        # them but not checked again: for entries that formulas give from
-        # checked inputs.
-        state = object.__new__(cls)
-        for name, v in zip(_X_FIELDS, entries, strict=True):
-            v = np.asarray(v)
-            v.setflags(write=False)
-            object.__setattr__(state, name, v)
-        return state
-
     def __post_init__(self) -> None:
         names = ("rho11", "rho22", "rho33", "rho44", "rho14", "rho23")
         names += tuple(n for n in ("det14", "det23") if getattr(self, n) is not None)
@@ -273,7 +244,17 @@ class XState4:
         return m
 
 
-_X_FIELDS = tuple(f.name for f in fields(XState4))
+def _unchecked(cls: type, **arrays):
+    # The instance of the state class cls with the given fields, stored as
+    # read-only arrays but not checked: for what this module's formulas
+    # build from checked inputs, with the dtypes and shapes the checking
+    # constructor would store.
+    state = object.__new__(cls)
+    for name, v in arrays.items():
+        v = np.asarray(v)
+        v.setflags(write=False)
+        object.__setattr__(state, name, v)
+    return state
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,8 +305,12 @@ def _coherence_factors(a) -> np.ndarray:
     return a
 
 
-def _one_state(rho) -> np.ndarray:
-    # The matrix of a single state; a stack is an error, only ``a`` may vary.
+def _one_state(rho, kinds: tuple[type, ...]) -> np.ndarray:
+    # The matrix of a single state of one of the checked classes ``kinds``;
+    # any other object or a stack is an error, only ``a`` may vary.
+    if not isinstance(rho, kinds):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise DomainError(f"expected a {names}, got {type(rho).__name__}")
     r = rho.matrix
     if r.ndim != 2:
         raise DomainError(f"expected one initial state, got a stack of shape {r.shape[:-2]}")
@@ -339,15 +324,18 @@ def evolve_single(rho0: DensityMatrix2, a) -> DensityMatrix2:
         rho'_00 = (1 + (2 rho_00 - 1) a^2) / 2,   rho'_01 = a rho_01.
     ``a`` lies in [0, 1]; a = 0 gives the fully dephased state I/2.  ``a``
     may be an array of factors; the result is then the stack of images of
-    the one state ``rho0``, shape ``a.shape + (2, 2)``.  The result has the
-    dtype of ``rho0.matrix``: a real state stays real.
+    the one state ``rho0``, shape ``a.shape + (2, 2)``.  ``rho0`` must be a
+    :class:`DensityMatrix2`, which was checked when built; the result has
+    the dtype of ``rho0.matrix`` (a real state stays real) and is stored as
+    the formula gives it, not checked again.
     """
-    return _dephased(_one_state(rho0), a)
+    return _dephased(_one_state(rho0, (DensityMatrix2,)), a)
 
 
 def _dephased(r: np.ndarray, a) -> DensityMatrix2:
-    # The images of the states r (..., 2, 2) under every factor of a, shape
-    # a.shape + r.shape[:-2] + (2, 2) and of r's dtype, validated as one stack.
+    # The images of the checked states r (..., 2, 2) under every factor of a,
+    # shape a.shape + r.shape[:-2] + (2, 2) and of r's dtype, stored
+    # unchecked: the channel maps states to states.
     a = _coherence_factors(a)
     out = np.empty(a.shape + r.shape, dtype=r.dtype)
     a = a.reshape(a.shape + (1,) * (r.ndim - 2))
@@ -356,14 +344,16 @@ def _dephased(r: np.ndarray, a) -> DensityMatrix2:
     out[..., 1, 1] = 0.5 * (1.0 + (2.0 * r[..., 1, 1].real - 1.0) * a2)
     out[..., 0, 1] = a * r[..., 0, 1]
     out[..., 1, 0] = np.conj(out[..., 0, 1])
-    return DensityMatrix2(out)
+    return _unchecked(DensityMatrix2, matrix=out)
 
 
 def evolve_pair(rho0: DensityMatrix4, a: float) -> DensityMatrix4:
     """Apply two independent copies of the dephasing channel to one pair
-    state with one coherence factor ``a`` in [0, 1].  The result has the
-    dtype of ``rho0.matrix``: a real state stays real."""
-    r = _one_state(rho0)
+    state with one coherence factor ``a`` in [0, 1].  ``rho0`` must be a
+    :class:`DensityMatrix4` or an :class:`XState4`, each checked when built;
+    the result has the dtype of ``rho0.matrix`` (a real state stays real)
+    and is stored as the formula gives it, not checked again."""
+    r = _one_state(rho0, (DensityMatrix4, XState4))
     a = _coherence_factors(a)
     if a.ndim:
         raise DomainError(f"expected one coherence factor, got an array of shape {a.shape}")
@@ -386,7 +376,7 @@ def evolve_pair(rho0: DensityMatrix4, a: float) -> DensityMatrix4:
     for i in range(4):
         for j in range(i + 1, 4):
             out[j, i] = np.conj(out[i, j])
-    return DensityMatrix4(out)
+    return _unchecked(DensityMatrix4, matrix=out)
 
 
 def bell_like(theta: float) -> DensityMatrix4:
@@ -396,7 +386,7 @@ def bell_like(theta: float) -> DensityMatrix4:
     c = math.cos(0.5 * theta)
     s = math.sin(0.5 * theta)
     psi = np.array([c, 0.0, 0.0, s])
-    return DensityMatrix4(np.outer(psi, psi))
+    return _unchecked(DensityMatrix4, matrix=np.outer(psi, psi))
 
 
 def evolved_x_state(theta: float, a) -> XState4:
@@ -421,8 +411,9 @@ def evolved_x_state(theta: float, a) -> XState4:
     # Both block determinants equal rho22^2 = ((1 - a^4)/4)^2 exactly.
     det = rho22 * rho22
     # Valid for every theta and factor that passed the checks above.
-    return XState4._of_valid_entries(
-        rho11, rho22, rho22, rho44, rho14, np.zeros(np.shape(a)), det, det
+    return _unchecked(
+        XState4, rho11=rho11, rho22=rho22, rho33=rho22, rho44=rho44,
+        rho14=rho14, rho23=np.zeros(np.shape(a)), det14=det, det23=det,
     )
 
 
@@ -444,8 +435,8 @@ def trace_distance(rho, sigma):
 
 
 # The probe states (I + sigma_j)/2, (I - sigma_j)/2 for j = x, y, z, in that
-# order, as one stack from whose images the Bloch map is read off, and the
-# stacked Paulis.
+# order, as one stack from whose images the Bloch map is read off, checked
+# once here, and the stacked Paulis.
 _PROBES = DensityMatrix2(np.stack([0.5 * m for sj in PAULIS for m in (_ID2 + sj, _ID2 - sj)]))
 _PAULI_STACK = np.stack(PAULIS)
 
@@ -457,8 +448,9 @@ def bloch_affine_map(a) -> BlochAffineMap:
     of sigma_j is reconstructed as E((I+sigma_j)/2) - E((I-sigma_j)/2), the
     offset from E(I).  No diagonal form is assumed.  ``a`` may be an array of
     factors; the result is then the stack of maps, ``m`` of shape
-    ``a.shape + (3, 3)``.  The six probes are evolved by the channel formula
-    of :func:`evolve_single` as one stack, validated once.
+    ``a.shape + (3, 3)``.  The six probes, checked once at import, are
+    evolved by the channel formula of :func:`evolve_single` as one stack,
+    whose images are not checked again.
     """
     images = _dephased(_PROBES.matrix, a).matrix
     plus, minus = images[..., 0::2, :, :], images[..., 1::2, :, :]

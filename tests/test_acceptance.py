@@ -13,7 +13,6 @@ so the change gets noticed.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 
@@ -37,7 +36,6 @@ from topoqubit import (
     critical_q_scan,
     dalpha_db,
     dalpha_dt,
-    dawson,
     dhyp1f1_dz,
     dhyp2f2_11_32_2_dz,
     di_q_dt,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from topoqubit import (
+    DomainError,
     XState4,
     coherence_l1,
     concurrence_evolved,
@@ -245,3 +246,13 @@ def test_measure_ranges_on_random_states(rng):
         assert -1e-9 <= u <= 1.0 + 1e-9
         assert -1e-12 <= t <= 0.5 + 1e-9
         assert 0.0 <= h <= 2.0 + 1e-12
+
+
+@pytest.mark.parametrize("closed", [
+    lambda a: concurrence_evolved(1.1, a), discord_closed, lambda a: lqu_closed(1.1, a),
+], ids=["concurrence_evolved", "discord_closed", "lqu_closed"])
+@pytest.mark.parametrize("a", [-0.1, 1.5, math.nan])
+def test_closed_forms_reject_factors_outside_the_unit_interval(closed, a):
+    with pytest.raises(DomainError) as got:
+        closed(a)
+    assert str(got.value) == f"coherence factor must lie in [0, 1], got {a}"

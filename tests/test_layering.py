@@ -100,3 +100,46 @@ def test_the_revival_search_is_the_one_memo():
         and any(map(_is_cache, node.decorator_list))
     }
     assert cached == {("dephasing", "_reduced_revival")}
+
+
+def _imported_names(tree: ast.Module) -> set[str]:
+    # The names the module's import statements bind: ``import a.b`` binds a,
+    # ``from m import x as y`` binds y; ``from __future__`` binds nothing.
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+@pytest.mark.parametrize("name", sorted(_LAYERS))
+def test_every_imported_name_is_used(name):
+    # __init__ imports to re-export; every other module reads what it imports
+    tree = ast.parse((_SRC / f"{name}.py").read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(_imported_names(tree) - used) == []
+
+
+def _object_new_sites(node: ast.AST, where: tuple[str, ...] = ()):
+    # The enclosing class and function names of every object.__new__ below node.
+    for child in ast.iter_child_nodes(node):
+        inner = where
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = where + (child.name,)
+        elif (isinstance(child, ast.Attribute) and child.attr == "__new__"
+              and isinstance(child.value, ast.Name) and child.value.id == "object"):
+            yield where
+        yield from _object_new_sites(child, inner)
+
+
+def test_states_bypass_their_checks_in_one_place():
+    # a state built without its constructor's checks is built by
+    # states._unchecked, for what the states module's formulas give
+    sites = [
+        (p.stem, *where)
+        for p in sorted(_SRC.glob("*.py"))
+        for where in _object_new_sites(ast.parse(p.read_text()))
+    ]
+    assert sites == [("states", "_unchecked")]

@@ -16,7 +16,6 @@ from topoqubit import (
     dalpha_db,
     drho_db,
     evolved_x_state,
-    i_q,
     qfi_closed,
     qfi_general,
     qfi_series,

@@ -711,8 +711,8 @@ def _no_eigvalsh(*args, **kwargs):
 
 
 def test_pair_scan_calls_no_eigvalsh(monkeypatch):
-    # work-count guard: the 2x2 spectra of the states' validation and of the
-    # trace distance are closed-form (LAPACK ran 45 times here)
+    # work-count guard: the 2x2 spectra of the axis states' checks and of
+    # the trace distance are closed-form (LAPACK ran 45 times here)
     monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigvalsh)
     axis, val = blp_pair_scan(chan(3.0, 1.6, 1.0), TimeWindow(62.5, 4096), 3)
     assert axis == (0.5 * math.pi, 0.0)
@@ -737,8 +737,9 @@ def test_pair_scan_evolves_one_pair_per_polar_angle(monkeypatch):
 
 
 def test_lpp_calls_no_eigvalsh(monkeypatch):
-    # work-count guard: one stacked Bloch map, validated in closed form
-    # (LAPACK ran 24 times here, 12 per interval end)
+    # work-count guard: one stacked Bloch map from the probes checked at
+    # import, their images stored unchecked (LAPACK ran 24 times here, 12
+    # per interval end)
     monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigvalsh)
     got = lpp(chan(3.0, 1.6, 1.0), TimeWindow.for_cutoff(1.6))
     assert got == pytest.approx(2.0107476985926902e-6, rel=1e-9, abs=0.0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -66,8 +67,8 @@ def test_density_validation():
 
 
 def _generic_check_density(m):
-    # The checks as written for any d, with the conjugate transpose and
-    # np.trace: the reference for the d = 2 closed form.
+    # The checks written out for any d, with the conjugate transpose and
+    # np.trace: the reference the crafted qubit stacks hold the check to.
     if not np.isfinite(m).all():
         raise DomainError("density matrix entries must be finite")
     herm_defect = float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
@@ -136,8 +137,9 @@ _QUBIT_STACKS = _crafted_qubit_stacks()
 
 @pytest.mark.parametrize("name, m", _QUBIT_STACKS, ids=[name for name, _ in _QUBIT_STACKS])
 def test_qubit_check_density_equals_the_general_checks(name, m):
-    # the d = 2 closed form passes or fails as the general expressions do,
-    # with the same message and defect value
+    # qubit stacks on both sides of every tolerance pass or fail the one
+    # check path as the written-out checks do, with the same message and
+    # defect value
     if name.startswith("valid") or name.endswith("at the tolerance"):
         _generic_check_density(m)
         _check_density(m)
@@ -371,6 +373,73 @@ def test_evolved_states_legitimate(rng):
             assert np.linalg.eigvalsh(m).min() >= -1e-12
 
 
+def _assert_stored_as_checked(out, cls, fields, dtype):
+    # out's fields are read-only arrays of the dtype the rule gives, and the
+    # checking constructor cls accepts them and stores the same values
+    checked = cls(**{name: getattr(out, name) for name in fields})
+    for name in fields:
+        got, want = getattr(out, name), getattr(checked, name)
+        assert isinstance(got, np.ndarray) and not got.flags.writeable, name
+        assert got.dtype == want.dtype == dtype, name
+        assert got.shape == want.shape and np.array_equal(got, want), name
+
+
+def test_formula_outputs_pass_their_constructors(rng):
+    # what the formulas store unchecked, for real and complex inputs and
+    # factors across [0, 1], ends included
+    factors = np.concatenate(([0.0, 1.0], rng.uniform(size=30)))
+    for _ in range(20):
+        cplx2, cplx4 = random_density(rng, 2), random_density(rng, 4)
+        # the real part of a state is a state: (rho + conj(rho)) / 2
+        for m2, m4 in ((cplx2, cplx4), (cplx2.real, cplx4.real)):
+            q, p = DensityMatrix2(m2), DensityMatrix4(m4)
+            _assert_stored_as_checked(evolve_single(q, factors), DensityMatrix2, ["matrix"],
+                                      m2.dtype)
+            for a in factors[:6]:
+                _assert_stored_as_checked(evolve_pair(p, a), DensityMatrix4, ["matrix"], m4.dtype)
+    probes = states._dephased(states._PROBES.matrix, factors)
+    _assert_stored_as_checked(probes, DensityMatrix2, ["matrix"], np.complex128)
+    for theta in (0.0, 1.1, math.pi / 2, math.pi):
+        _assert_stored_as_checked(bell_like(theta), DensityMatrix4, ["matrix"], np.float64)
+        for a in factors[:6]:
+            _assert_stored_as_checked(evolve_pair(bell_like(theta), a), DensityMatrix4,
+                                      ["matrix"], np.float64)
+        _assert_stored_as_checked(evolved_x_state(theta, factors), XState4, _X_FIELDS, np.float64)
+
+
+def test_formulas_run_no_density_check(monkeypatch):
+    # a state is checked where it enters, by its public constructor; what
+    # the formulas build from checked inputs is stored as built
+    q = DensityMatrix2([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.7]])
+    p = DensityMatrix4(np.diag([0.1, 0.2, 0.3, 0.4]))
+    x = XState4(0.4, 0.1, 0.1, 0.4, rho14=0.3j)
+
+    def refuse(m):
+        raise AssertionError(f"density check on a stack of shape {m.shape}")
+
+    monkeypatch.setattr(states, "_check_density", refuse)
+    a = np.linspace(0.0, 1.0, 11)
+    assert evolve_single(q, a).matrix.shape == (11, 2, 2)
+    assert evolve_pair(p, 0.3).matrix.shape == (4, 4)
+    assert evolve_pair(x, 0.3).matrix.shape == (4, 4)
+    assert bell_like(1.1).matrix.shape == (4, 4)
+    assert bloch_affine_map(a).m.shape == (11, 3, 3)
+    assert evolved_x_state(1.1, a).shape == (11,)
+
+
+@pytest.mark.parametrize("evolve, kinds, wrong", [
+    (evolve_single, "DensityMatrix2", DensityMatrix4(np.eye(4) / 4)),
+    (evolve_single, "DensityMatrix2", XState4(0.25, 0.25, 0.25, 0.25)),
+    (evolve_pair, "DensityMatrix4 or XState4", DensityMatrix2(np.eye(2) / 2)),
+], ids=["single-given-pair", "single-given-x-state", "pair-given-qubit"])
+def test_evolve_takes_only_checked_states_of_its_size(evolve, kinds, wrong):
+    dim = 2 if evolve is evolve_single else 4
+    for rho in (wrong, np.eye(dim) / dim, SimpleNamespace(matrix=np.eye(dim) / dim), None):
+        with pytest.raises(DomainError) as got:
+            evolve(rho, 0.5)
+        assert str(got.value) == f"expected a {kinds}, got {type(rho).__name__}"
+
+
 # ---------------------------------------------------------------------------
 # Bloch picture
 # ---------------------------------------------------------------------------
@@ -398,9 +467,9 @@ def test_bloch_affine_map_structure():
 
 
 def test_bloch_affine_map_validates_only_its_images(monkeypatch):
-    # work-count guard: the six probe states are built and validated once,
-    # at import, and a call evolves them as one stack, so it validates their
-    # images once (six validations before, 12 before that)
+    # work-count guard: the six probe states are built and checked once, at
+    # import, and a call evolves them as one stack whose images it stores
+    # unchecked (one check per call before, six before that, 12 before that)
     calls = []
     check = states._check_density
 
@@ -411,7 +480,7 @@ def test_bloch_affine_map_validates_only_its_images(monkeypatch):
     monkeypatch.setattr(states, "_check_density", counted)
     a = np.linspace(0.0, 1.0, 101)
     am = bloch_affine_map(a)
-    assert calls == [(101, 6, 2, 2)]
+    assert calls == []
     assert np.allclose(am.det, a**4, rtol=1e-12, atol=0.0)
 
 
