@@ -30,7 +30,7 @@ from topoqubit import (
     SpecError,
     __version__,
 )
-from topoqubit import cli
+from topoqubit import _csvcells, cli
 from topoqubit.cli import (
     DEFAULT_NM_GAMMA0,
     SeriesTable,
@@ -634,9 +634,9 @@ def test_csv_bytes_do_not_depend_on_the_block_budget(rng, monkeypatch):
     rows[4 * r - 1 : 4 * r + 2, 3] = -0.0  # and a -0.0 among the 0.0
     table = SeriesTable(("a", "b", "c", "d"), rows, {"spec": {"mode": "corr-series"}})
     want = _reference_csv(table)
-    words = cli._g17_words
+    words = _csvcells._g17_words
     sizes = []
-    monkeypatch.setattr(cli, "_g17_words", lambda v, s: sizes.append(len(v)) or words(v, s))
+    monkeypatch.setattr(_csvcells, "_g17_words", lambda v, s: sizes.append(len(v)) or words(v, s))
     for budget, blocks in ((1, []), (4 * r, [4 * r, 3 * r, 3 * r, 4 * r]), (10**9, [rows.size])):
         monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", budget)
         sizes.clear()
@@ -660,8 +660,8 @@ def test_recipe_csv_matches_per_value_writer(path):
 
 
 def _g17_cells(values: np.ndarray) -> list[str]:
-    # The text cli._g17_words lays out for each value, its ',' dropped.
-    words = cli._g17_words(values).astype("<u8")
+    # The text _csvcells._g17_words lays out for each value, its ',' dropped.
+    words = _csvcells._g17_words(values).astype("<u8")
     return words.tobytes().translate(None, b"\0").decode("ascii").split(",")[:-1]
 
 
@@ -770,7 +770,9 @@ def test_g17_carry_to_the_next_power_of_ten(monkeypatch):
 
 def test_g17_powers_of_ten_are_double_doubles():
     # 10**(16 - e) 2**h = hi + lo to 1e-30 relative, 2**-h = down
-    for e, down, hi, lo in zip(range(-324, 309), cli._POW2_DOWN, cli._POW10_HI, cli._POW10_LO):
+    for e, down, hi, lo in zip(
+        range(-324, 309), _csvcells._POW2_DOWN, _csvcells._POW10_HI, _csvcells._POW10_LO
+    ):
         exact = Fraction(10) ** (16 - e) / Fraction(down)
         assert abs((Fraction(hi) + Fraction(lo)) / exact - 1) < Fraction(1, 10**30), e
 
@@ -1075,6 +1077,31 @@ def test_cli_run_loads_no_argument_parser_or_locale(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0 []"
     assert (tmp_path / "corr.csv").read_text().count("\n") == 19
+
+
+def test_cell_formatter_loads_with_the_first_large_block(tmp_path):
+    # _csvcells builds its lookup tables on import, and cli imports it only to
+    # format a block of at least _G17_MIN_CELLS varying cells: not on its own
+    # import, not for an nm-scan table of 4 rows, but for a corr-series table
+    # of 64 rows and 7 varying columns.
+    src = Path(cli.__file__).resolve().parents[1]
+    spec = tmp_path / "nm.json"
+    spec.write_text(json.dumps({"q_values": [2.5, 3.0], "gamma0_values": [1.0, 1.6]}))
+    nm_argv = ["nm-scan", "--spec", str(spec), "--out", str(tmp_path / "nm.csv")]
+    corr_argv = ["corr-series", "--q", "1.0", "--gamma0", "1.0", "--t-max", "1.0",
+                 "--n-grid", "64", "--out", str(tmp_path / "corr.csv")]
+    code = ("import sys, topoqubit.cli\n"
+            "loaded = lambda: 'topoqubit._csvcells' in sys.modules\n"
+            "print(loaded())\n"
+            f"print(topoqubit.cli.main({nm_argv!r}), loaded())\n"
+            f"print(topoqubit.cli.main({corr_argv!r}), loaded())")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["False", "0 False", "0 True", ""]
+    assert 4 * 5 < cli._G17_MIN_CELLS <= 64 * 7
+    assert (tmp_path / "nm.csv").read_text().count("\n") == 3 + 4
+    assert (tmp_path / "corr.csv").read_text().count("\n") == 3 + 64
 
 
 def test_metadata_line_reproduces_run(tmp_path):

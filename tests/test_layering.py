@@ -25,6 +25,7 @@ _LAYERS = {
     "correlations": 3,
     "nonmarkov": 4,
     "magnetometry": 4,
+    "_csvcells": 4,
     "cli": 5,
 }
 
