@@ -60,10 +60,14 @@ def qfi_general(rho, drho: np.ndarray) -> float:
     of matrices of one shape ``(..., d, d)``; the result then has shape
     ``(...)``, and a single pair gives a float.  Eigenpairs with
     lambda_i + lambda_j <= 1e-12 lie in the kernel of the state and are
-    excluded from the sum.  The arithmetic follows the inputs' dtypes: a real
-    state and derivative (the Bell-like family's) are decomposed by the
-    batched real ``eigh`` and multiplied in float64, and a complex one of
-    either makes the rest complex.
+    excluded from the sum.  The sum runs one diagonal block of ``rho`` and
+    ``drho`` at a time (``states._diagonal_blocks``), since terms between
+    blocks vanish: a block of size 1 or 2 is decomposed and contracted in
+    closed form, a larger one by the batched ``eigh`` and one stacked
+    product, so a state whose pattern is one full block is summed as a
+    whole.  The arithmetic follows the inputs' dtypes: a real state and
+    derivative (the Bell-like family's) are summed in float64, and a complex
+    one of either makes the rest complex.
     """
     m = np.asarray(rho.matrix)
     d = np.asarray(drho)
@@ -83,13 +87,49 @@ def qfi_general(rho, drho: np.ndarray) -> float:
             f"drho is not traceless (|trace| = {float(tr[bad].flat[0]):.3e})"
             + states._member(bad)
         )
-    lam, vec = np.linalg.eigh(m)
-    a = vec.conj().swapaxes(-1, -2) @ d @ vec
-    s = lam[..., :, None] + lam[..., None, :]
-    mask = s > _KERNEL_TOL
-    contrib = 2.0 * np.abs(a) ** 2 / np.where(mask, s, 1.0)
-    f = np.where(mask, contrib, 0.0).sum(axis=(-2, -1))
+    f = 0.0
+    for idx in states._diagonal_blocks(m, d):
+        if len(idx) == 1:
+            i = idx[0]
+            lam, g = m[..., i, i].real, d[..., i, i].real
+            f = f + _terms(g * g, 2.0 * lam)
+        elif len(idx) == 2:
+            i, j = idx
+            eig = states._qubit_eigh(m[..., i, i].real, m[..., j, j].real, m[..., i, j])
+            f = f + _qubit_terms(eig, d[..., i, i].real, d[..., j, j].real, d[..., i, j])
+        else:
+            lam, vec = states._eigh(states._block(m, idx))
+            a = vec.conj().swapaxes(-1, -2) @ states._block(d, idx) @ vec
+            s = lam[..., :, None] + lam[..., None, :]
+            f = f + _terms(np.abs(a) ** 2, s).sum(axis=(-2, -1))
     return float(f) if f.ndim == 0 else f
+
+
+def _terms(a2, s):
+    # The QFI terms 2 |<i|drho|j>|^2 / (lambda_i + lambda_j) for squared
+    # moduli a2 and eigenvalue sums s: 0 where s is in the kernel.
+    keep = s > _KERNEL_TOL
+    return np.where(keep, 2.0 * a2 / np.where(keep, s, 1.0), 0.0)
+
+
+def _qubit_terms(eig, p, s, q):
+    # The QFI terms of a 2x2 block with derivative [[p, q], [conj(q), s]],
+    # written out in the state's closed-form eigenpairs eig
+    # (states._qubit_eigh).  With w = conj(phase) q, the derivative in the
+    # eigenbasis has the diagonal (p + s)/2 -/+ shift, shift =
+    # (p - s)/2 cos 2phi + Re w sin 2phi, and the coupling
+    # Re w cos 2phi - (p - s)/2 sin 2phi - i Im w.
+    lam, cos2, sin2, phase = eig
+    lo, hi = lam[..., 0], lam[..., 1]
+    w = np.conj(phase) * q
+    mid = 0.5 * (p + s)
+    half = 0.5 * (p - s)
+    shift = half * cos2 + w.real * sin2
+    cross = w.real * cos2 - half * sin2
+    cross2 = cross * cross + w.imag * w.imag if np.iscomplexobj(w) else cross * cross
+    lo_a, hi_a = mid - shift, mid + shift
+    return (_terms(lo_a * lo_a, 2.0 * lo) + _terms(hi_a * hi_a, 2.0 * hi)
+            + 2.0 * _terms(cross2, lo + hi))
 
 
 def _drho_from(theta: float, a, dadb) -> np.ndarray:
@@ -155,7 +195,7 @@ def qfi_series(ch: dephasing.DephasingChannel, theta: float, w: TimeWindow) -> Q
     eb = evals / ch.b if ch.b > 0.0 else np.zeros_like(evals)
     dadb_vals = -2.0 * eb * avals  # d alpha/dB = -(2E/B) alpha
     f_general = np.empty_like(avals)
-    for block in states._blocks(len(ts)):
+    for block in states._blocks(len(ts), states._MEASURE_BLOCK):
         rho = states.evolved_x_state(theta, avals[block])
         f_general[block] = qfi_general(rho, _drho_from(theta, avals[block], dadb_vals[block]))
     f_closed = _closed_from(eb, avals)

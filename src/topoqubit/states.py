@@ -11,6 +11,10 @@ A state is checked where it enters the package, by its public
 constructor.  What this module's formulas build from checked inputs is
 stored as built, through :func:`_unchecked`.
 
+This is the package's one caller of ``numpy.linalg``.  A spectrum is taken
+one diagonal block at a time (:func:`_diagonal_blocks`): blocks of size 1
+and 2 in closed form, larger ones by LAPACK.
+
 Ordering convention for the pair basis: |00>, |01>, |10>, |11>.
 """
 
@@ -39,14 +43,10 @@ __all__ = [
 
 _ATOL = 1e-12
 
-# Members per stack where a time series is evaluated block by block.
-# _BLOCK bounds the QFI's batched eigh, whose (n, 4, 4) temporaries are
-# 32 kB per 256 members for the real Bell-like family (64 kB for complex
-# states); larger blocks only raised the QFI's peak RSS.  The closed-form
-# measures keep O(n) float temporaries, so their stacks are _MEASURE_BLOCK
-# members long: one stack per combination at the recipes' 2048-4096 points.
-# The CSV writer sizes its blocks by cells (cli._CSV_BLOCK_CELLS).
-_BLOCK = 256
+# Members per stack where a time series is evaluated block by block: one
+# stack per combination at the recipes' 2048-4096 points.  The closed-form
+# measures and the QFI of X states keep O(n) temporaries.  The CSV writer
+# sizes its blocks by cells (cli._CSV_BLOCK_CELLS).
 _MEASURE_BLOCK = 4096
 
 # Real matrices stay real: sigma_y alone is complex.
@@ -57,16 +57,94 @@ _SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 PAULIS = (_SX, _SY, _SZ)
 
 
+def _diagonal_blocks(*stacks: np.ndarray) -> list[tuple[int, ...]]:
+    # The diagonal blocks shared by the stacks (..., d, d): the connected
+    # components of their joint nonzero pattern over every member, as
+    # ascending index tuples ordered by their first index.  An entry nonzero
+    # in one member of one stack keeps its two indices in one block.  A
+    # matrix of size 2 or less is one block unscanned: the qubit closed form
+    # covers uncoupled members too, and the scan would cost more than it.
+    d = stacks[0].shape[-1]
+    if d <= 2:
+        return [tuple(range(d))]
+    linked = np.zeros((d, d), dtype=bool)
+    for m in stacks:
+        linked |= (m != 0).reshape(-1, d, d).any(axis=0)
+    label = list(range(d))
+    for i, j in zip(*np.nonzero(linked)):
+        a, b = label[i], label[j]
+        label = [a if x == b else x for x in label]
+    blocks: dict[int, list[int]] = {}
+    for i, x in enumerate(label):
+        blocks.setdefault(x, []).append(i)
+    return [tuple(b) for b in blocks.values()]
+
+
+def _block(m: np.ndarray, idx: tuple[int, ...]) -> np.ndarray:
+    # The diagonal block of the stack m on the indices idx: m itself when
+    # idx spans it in order, a copy otherwise.
+    if idx == tuple(range(m.shape[-1])):
+        return m
+    ix = np.array(idx)
+    return m[..., ix[:, None], ix]
+
+
+def _qubit_spectrum(d0, d1, off):
+    # The closed-form spectrum of the Hermitian 2x2 stack
+    # [[d0, off], [conj(off), d1]] with real diagonals: the ascending
+    # eigenvalues mean -/+ radius as a (..., 2) array, and radius =
+    # hypot((d0 - d1)/2, |off|).  No other temporary outlives the call:
+    # trace_distance takes spectra of whole 4096-point qubit series.
+    mean = 0.5 * (d0 + d1)
+    radius = np.hypot(0.5 * (d0 - d1), np.abs(off))
+    lam = np.concatenate(((mean - radius)[..., None], (mean + radius)[..., None]), axis=-1)
+    return lam, radius
+
+
+def _qubit_eigh(d0, d1, off):
+    # Closed-form eigenpairs of the stack of _qubit_spectrum: the ascending
+    # eigenvalues, the rotation (cos 2phi, sin 2phi) = ((d0 - d1)/2, |off|)
+    # / radius and the coupling's phase off/|off|.  The eigenvectors are
+    # (-phase sin phi, cos phi) and (phase cos phi, sin phi), phi in
+    # [0, pi/2].  A degenerate member (radius 0) takes the identity frame
+    # (cos 2phi = 1) and an uncoupled one (off = 0) the phase 1.  The
+    # phase's parts are real quotients, so a real coupling stored as complex
+    # gives the phase +/-1 exactly, as a real one does.
+    lam, radius = _qubit_spectrum(d0, d1, off)
+    mod = np.abs(off)
+    turned = radius > 0.0
+    cos2 = np.divide(0.5 * (d0 - d1), radius, out=np.ones_like(radius), where=turned)
+    sin2 = np.divide(mod, radius, out=np.zeros_like(radius), where=turned)
+    coupled = mod > 0.0
+    phase = np.divide(off.real, mod, out=np.ones_like(mod), where=coupled)
+    if np.iscomplexobj(off):
+        phase = phase + 1j * np.divide(off.imag, mod, out=np.zeros_like(mod), where=coupled)
+    return lam, cos2, sin2, phase
+
+
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Ascending eigenvalues and eigenvectors of every Hermitian matrix of the
+    # stack m, by LAPACK: for blocks larger than a qubit.
+    return np.linalg.eigh(m)
+
+
 def _eigvalsh(m: np.ndarray) -> np.ndarray:
     # Ascending eigenvalues of every Hermitian matrix of the stack m
-    # (..., d, d): mean -/+ hypot((m00 - m11)/2, |m01|) in closed form for
-    # d = 2, LAPACK for other sizes.
-    if m.shape[-1] != 2:
-        return np.linalg.eigvalsh(m)
-    d0, d1 = m[..., 0, 0].real, m[..., 1, 1].real
-    mean = 0.5 * (d0 + d1)
-    radius = np.hypot(0.5 * (d0 - d1), np.abs(m[..., 0, 1]))
-    return np.concatenate(((mean - radius)[..., None], (mean + radius)[..., None]), axis=-1)
+    # (..., d, d), one diagonal block at a time (_diagonal_blocks): a 1x1
+    # block is its diagonal entry, a 2x2 block is solved in closed form
+    # (_qubit_spectrum), a larger one by LAPACK.
+    parts = []
+    for idx in _diagonal_blocks(m):
+        if len(idx) == 1:
+            parts.append(m[..., idx[0], idx[0]].real[..., None])
+        elif len(idx) == 2:
+            i, j = idx
+            parts.append(_qubit_spectrum(m[..., i, i].real, m[..., j, j].real, m[..., i, j])[0])
+        else:
+            parts.append(np.linalg.eigvalsh(_block(m, idx)))
+    if len(parts) == 1:
+        return parts[0]
+    return np.sort(np.concatenate(parts, axis=-1), axis=-1)
 
 
 def _check_density(m: np.ndarray) -> None:
@@ -125,7 +203,7 @@ class DensityMatrix4:
         object.__setattr__(self, "matrix", _validated_density(self.matrix, 4))
 
 
-def _blocks(n: int, size: int = _BLOCK) -> Iterator[slice]:
+def _blocks(n: int, size: int) -> Iterator[slice]:
     # Consecutive slices of range(n) with at most ``size`` members each.
     return (slice(lo, lo + size) for lo in range(0, n, size))
 
@@ -422,9 +500,10 @@ def trace_distance(rho, sigma):
 
     Accepts any objects exposing a ``.matrix`` square array of equal shape.
     Stacks ``(..., d, d)`` give one distance per member, an array of shape
-    ``(...)``; two single states give a float.  Qubit spectra are taken in
-    closed form, larger ones by LAPACK; two real states are compared in real
-    arithmetic.
+    ``(...)``; two single states give a float.  The spectrum of the
+    difference is taken one diagonal block at a time: blocks of size 1 and 2
+    in closed form, larger ones by LAPACK.  Two real states are compared in
+    real arithmetic.
     """
     m1 = np.asarray(rho.matrix)
     m2 = np.asarray(sigma.matrix)

@@ -3,8 +3,9 @@
 The kernel layer (``dephasing``) is the one module that calls the special
 functions; the witness and QFI layers read the exponent, its slope and the
 time window from it, not from each other.  It also holds the package's one
-memo, the per-Q revival search.  The test parses the source, so it checks
-the imports and decorators as written, not what happens to be loaded.
+memo, the per-Q revival search.  ``states`` is the one module that calls
+``numpy.linalg``.  The test parses the source, so it checks the imports,
+attributes and decorators as written, not what happens to be loaded.
 """
 
 from __future__ import annotations
@@ -65,6 +66,45 @@ def test_only_the_kernel_layer_imports_specfun():
     importers = {p.stem for p in _SRC.glob("*.py") if "specfun" in _relative_imports(p.stem)}
     assert importers <= _SPECFUN_IMPORTERS
     assert "dephasing" in importers
+
+
+def _references_numpy_linalg(tree: ast.Module) -> bool:
+    # Whether the module names numpy.linalg: ``import numpy.linalg``,
+    # ``from numpy import linalg``, ``from numpy.linalg import x`` or any
+    # ``<name>.linalg`` attribute, such as ``np.linalg.eigh``.
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(
+            a.name.startswith("numpy.linalg") for a in node.names
+        ):
+            return True
+        if isinstance(node, ast.ImportFrom) and (
+            (node.module or "").startswith("numpy.linalg")
+            or (node.module == "numpy" and any(a.name == "linalg" for a in node.names))
+        ):
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == "linalg":
+            return True
+    return False
+
+
+def test_only_states_references_numpy_linalg():
+    # spectra are taken in one module, block by block (states._diagonal_blocks)
+    users = {
+        p.stem for p in _SRC.glob("*.py") if _references_numpy_linalg(ast.parse(p.read_text()))
+    }
+    assert users == {"states"}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import numpy as np\nnp.linalg.eigh(m)", True),
+    ("import numpy.linalg", True),
+    ("from numpy import linalg", True),
+    ("from numpy.linalg import eigvalsh", True),
+    ("import numpy as np\nnp.sort(m)", False),
+    ("from numpy import sort", False),
+])
+def test_the_numpy_linalg_search_sees_each_spelling(source, found):
+    assert _references_numpy_linalg(ast.parse(source)) is found
 
 
 def test_witness_layer_binds_no_special_function():

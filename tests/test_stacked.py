@@ -277,7 +277,7 @@ def test_evolve_takes_one_initial_state(rng):
 
 
 def test_series_blocks_equal_one_whole_stack(tmp_path):
-    # 4100 samples span two measure stacks (4096 + 4) and 17 QFI blocks
+    # 4100 samples span two stacks (4096 + 4), in every series mode
     n = 4100
     ch = DephasingChannel(OhmicEnvironment(3.0, 0.5), 1.0)
     w = TimeWindow(5.0, n)

@@ -330,7 +330,7 @@ def test_eigvalsh_closed_form_matches_lapack(rng):
         got = _eigvalsh(stack)
         assert got.shape == stack.shape[:-1]
         assert np.abs(got - np.linalg.eigvalsh(stack)).max() <= 1e-15
-    # other sizes go to LAPACK
+    # a full 4x4 stack is one block, which goes to LAPACK
     m4 = np.array([random_density(rng, 4) for _ in range(3)])
     assert np.array_equal(_eigvalsh(m4), np.linalg.eigvalsh(m4))
 
